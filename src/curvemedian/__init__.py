@@ -89,7 +89,6 @@ from .panel_io import (
 from .stats import (
     IntrinsicEstimate,
     cross_sectional_mean,
-    euclidean_frechet_mean,
     euclidean_medoid,
     intrinsic_estimate,
     pairwise_euclidean_matrix,

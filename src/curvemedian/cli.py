@@ -9,15 +9,12 @@ classify   nearest-template or k-NN classification of labeled panels
 
 Exit codes: 0 success, 2 usage error, 3 data/parse/I-O error, 4 numeric
 failure.  All output files are decimal text with '.' separators regardless
-of locale, and every seeded run is bit-identical across invocations.  The
-environment variable CURVEMEDIAN_THREADS sets the default worker count for
-the shortest-path sweep (default 1; results do not depend on it).
+of locale, and every seeded run is bit-identical across invocations.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -41,17 +38,6 @@ from .models import (
     sim1_truth,
 )
 from .stats import intrinsic_estimate
-
-
-def _workers() -> int:
-    raw = os.environ.get("CURVEMEDIAN_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise UsageError(f"CURVEMEDIAN_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise UsageError(f"CURVEMEDIAN_THREADS must be >= 1, got {workers}")
-    return workers
 
 
 def cmd_simulate(args) -> int:
@@ -112,7 +98,7 @@ def cmd_distances(args) -> int:
     points, _ = _load_points(args.input)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = geodesic_pipeline(points, tol=args.tol, workers=_workers())
+    result = geodesic_pipeline(points, tol=args.tol)
     panel_io.write_edges(outdir / "graph.emst.csv", result.tree)
     panel_io.write_edges(outdir / "graph.csv", result.graph)
     panel_io.write_matrix(outdir / "distances.csv", result.distances)
@@ -130,7 +116,7 @@ def cmd_template(args) -> int:
     panel = panel_io.read_panel(args.input)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = geodesic_pipeline(panel.values, tol=args.tol, workers=_workers())
+    result = geodesic_pipeline(panel.values, tol=args.tol)
     est = intrinsic_estimate(result.distances, alpha=args.alpha)
     panel_io.write_json(
         outdir / "estimate.json",

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericError, UsageError
 
 __all__ = [
     "Ball",
@@ -63,6 +63,31 @@ def euclidean_distance(a, b) -> float:
         )
     d = pa - pb
     return float(np.sqrt(np.dot(d, d)))
+
+
+# float64 elements per coordinate-difference block of _pairwise_distances
+_BLOCK = 1 << 18
+
+
+def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix of an (n, p) array of points.
+
+    Built in row chunks from direct coordinate differences, never from the
+    |a|^2 - 2a.b + |b|^2 expansion, which cancels badly far from the origin.
+    Only the upper triangle is computed and then mirrored, so the result is
+    exactly symmetric with a zero diagonal.
+    """
+    n, p = pts.shape
+    dist = np.zeros((n, n))
+    rows = max(1, _BLOCK // max(1, n * p))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        diff = pts[start:stop, None, :] - pts[None, start:, :]
+        dist[start:stop, start:] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    if not np.isfinite(dist).all():
+        raise NumericError("pairwise distances overflow float64; rescale the points")
+    upper = np.triu(dist, 1)
+    return upper + upper.T
 
 
 def _lambda_intervals(origins, ends, centers, radii, tol):

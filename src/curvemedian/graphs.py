@@ -11,14 +11,13 @@ shape the points were sampled from.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import UsageError
-from .geometry import _lambda_intervals, _union_covers, euclidean_distance
+from .geometry import _lambda_intervals, _pairwise_distances, _union_covers
 
 __all__ = [
     "WeightedGraph",
@@ -85,58 +84,86 @@ def build_complete_graph(cloud) -> WeightedGraph:
     """Complete graph whose edge weights are pairwise Euclidean distances."""
     pts = _cloud(cloud)
     n = pts.shape[0]
-    edges = [
-        (i, j, euclidean_distance(pts[i], pts[j]))
-        for i in range(n - 1)
-        for j in range(i + 1, n)
-    ]
-    return WeightedGraph(n, edges)
+    ii, jj = np.triu_indices(n, 1)
+    weights = _pairwise_distances(pts)[ii, jj]
+    return WeightedGraph(n, list(zip(ii.tolist(), jj.tolist(), weights.tolist())))
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
+def _edge_arrays(graph: WeightedGraph):
+    """Validated (i, j, weight) arrays of the graph's edges."""
+    try:
+        arr = np.array(graph.edges, dtype=float).reshape(len(graph.edges), 3)
+    except (TypeError, ValueError):
+        raise UsageError("edges must be (i, j, weight) triples") from None
+    ij, w = arr[:, :2], arr[:, 2]
+    bad = ((ij < 0) | (ij >= graph.n) | (ij != np.floor(ij))).any(axis=1)
+    if bad.any():
+        i, j, _ = graph.edges[int(np.argmax(bad))]
+        raise UsageError(f"edge ({i}, {j}) is out of range for {graph.n} vertices")
+    bad = ~(np.isfinite(w) & (w >= 0.0))
+    if bad.any():
+        i, j, weight = graph.edges[int(np.argmax(bad))]
+        raise UsageError(f"edge ({i}, {j}) has weight {weight}; weights must be finite and nonnegative")
+    return ij[:, 0].astype(int), ij[:, 1].astype(int), w
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
+def _weight_matrix(graph: WeightedGraph) -> np.ndarray:
+    """Dense symmetric weights: the lightest of any duplicate edges, inf for
+    a missing edge, zero on the diagonal."""
+    i, j, w = _edge_arrays(graph)
+    dense = np.full((graph.n, graph.n), np.inf)
+    np.minimum.at(dense, (i, j), w)
+    np.minimum.at(dense, (j, i), w)
+    np.fill_diagonal(dense, 0.0)
+    return dense
+
+
+def _prim(weights: np.ndarray) -> SpanningTree:
+    """Dense O(n^2) Prim on a symmetric weight matrix (inf = no edge).
+
+    Edges compare on the strict key (w, min(i, j), max(i, j)), under which
+    the minimum spanning tree is unique; the tree is returned sorted by that
+    key.
+    """
+    n = weights.shape[0]
+    vertex = np.arange(n)
+    inside = np.zeros(n, dtype=bool)
+    best_w = np.full(n, np.inf)
+    best_i = np.zeros(n, dtype=int)
+    best_j = np.zeros(n, dtype=int)
+    picked = []
+    v = 0
+    for _ in range(n - 1):
+        inside[v] = True
+        w = weights[v]
+        i, j = np.minimum(vertex, v), np.maximum(vertex, v)
+        better = ~inside & (
+            (w < best_w) | ((w == best_w) & ((i < best_i) | ((i == best_i) & (j < best_j))))
+        )
+        best_w[better], best_i[better], best_j[better] = w[better], i[better], j[better]
+        open_w = np.where(inside, np.inf, best_w)
+        low = open_w.min()
+        if low == np.inf:
+            raise UsageError("graph is disconnected; no spanning tree exists")
+        tied = np.flatnonzero(open_w == low)
+        v = tied[np.lexsort((best_j[tied], best_i[tied]))[0]]
+        picked.append(v)
+    picked = np.array(picked, dtype=int)
+    w, i, j = best_w[picked], best_i[picked], best_j[picked]
+    order = np.lexsort((j, i, w))
+    return SpanningTree(n, list(zip(i[order].tolist(), j[order].tolist(), w[order].tolist())))
 
 
 def compute_emst(graph: WeightedGraph) -> SpanningTree:
-    """Minimum spanning tree by Kruskal's algorithm.
+    """Minimum spanning tree by dense Prim.
 
-    Ties are broken deterministically by sorting candidate edges on
-    (weight, i, j), so equal-weight inputs always yield the same tree.
+    Ties are broken deterministically on the edge key (weight, i, j), so
+    equal-weight inputs always yield the same tree; its edges come sorted
+    by that key.
     """
     if graph.n < 1:
         raise UsageError("cannot span an empty graph")
-    order = sorted(graph.edges, key=lambda e: (e[2], e[0], e[1]))
-    uf = _UnionFind(graph.n)
-    picked: List[Edge] = []
-    for i, j, w in order:
-        if uf.union(i, j):
-            picked.append((i, j, w))
-            if len(picked) == graph.n - 1:
-                break
-    if len(picked) != graph.n - 1:
-        raise UsageError("graph is disconnected; no spanning tree exists")
-    return SpanningTree(graph.n, picked)
+    return _prim(_weight_matrix(graph))
 
 
 def ball_radii(tree: SpanningTree) -> np.ndarray:
@@ -154,17 +181,7 @@ def ball_radii(tree: SpanningTree) -> np.ndarray:
 
 def cloud_diameter(cloud) -> float:
     """Largest pairwise Euclidean distance in the cloud."""
-    pts = _cloud(cloud)
-    n = pts.shape[0]
-    if n < 2:
-        return 0.0
-    ii, jj = np.triu_indices(n, 1)
-    best = 0.0
-    for start in range(0, ii.size, _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        diff = pts[ii[sl]] - pts[jj[sl]]
-        best = max(best, float(np.sqrt(np.einsum("bp,bp->b", diff, diff).max())))
-    return best
+    return float(_pairwise_distances(_cloud(cloud)).max())
 
 
 def build_coverage_graph(
@@ -172,18 +189,14 @@ def build_coverage_graph(
     radii,
     tol: Optional[float] = None,
     tree: Optional[SpanningTree] = None,
-    prune: bool = False,
 ) -> WeightedGraph:
     """Graph keeping every chord covered by the union of sample-centered balls.
 
     A pair (i, j) becomes an edge when the straight segment between the two
     points lies inside the union of all n balls (closed, radius inflated by
     `tol`; `tol` defaults to 1e-9 times the cloud diameter).  Edges of the
-    supplied spanning tree are admitted without testing: each one is covered
-    by its own endpoint balls by construction.  The optional prune flag
-    skips pairs longer than the two largest radii plus the cloud diameter;
-    no segment inside the cloud can exceed that bound, so it only ever
-    removes work, never edges.
+    supplied spanning tree are admitted without testing, with their tree
+    weights: each one is covered by its own endpoint balls by construction.
     """
     pts = _cloud(cloud)
     n = pts.shape[0]
@@ -193,109 +206,61 @@ def build_coverage_graph(
     if (radii < 0).any():
         raise UsageError("radii must be nonnegative")
 
-    tree_weights = {}
+    dist = _pairwise_distances(pts)
+    if tol is None:
+        tol = 1e-9 * float(dist.max())
+    if tol < 0.0:
+        raise UsageError(f"tolerance must be nonnegative, got {tol}")
+    in_tree = np.zeros((n, n), dtype=bool)
     if tree is not None:
         if tree.n != n:
             raise UsageError("tree and cloud disagree on the number of points")
-        tree_weights = {(i, j): w for i, j, w in tree.edges}
+        ti, tj, tw = _edge_arrays(tree)
+        in_tree[ti, tj] = True
+        dist[ti, tj] = tw
 
     ii, jj = np.triu_indices(n, 1)
-    seg_len = np.empty(ii.size)
-    for start in range(0, ii.size, _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        diff = pts[ii[sl]] - pts[jj[sl]]
-        seg_len[sl] = np.sqrt(np.einsum("bp,bp->b", diff, diff))
-    diameter = float(seg_len.max()) if seg_len.size else 0.0
-    if tol is None:
-        tol = 1e-9 * diameter
-    if tol < 0.0:
-        raise UsageError(f"tolerance must be nonnegative, got {tol}")
-
-    candidate = np.ones(ii.size, dtype=bool)
-    for k in range(ii.size):
-        if (int(ii[k]), int(jj[k])) in tree_weights:
-            candidate[k] = False
-    if prune and n >= 2:
-        top = np.sort(radii)[-2:]
-        candidate &= seg_len <= top.sum() + diameter
-
-    covered = np.zeros(ii.size, dtype=bool)
-    idx = np.flatnonzero(candidate)
+    keep = in_tree[ii, jj]
+    idx = np.flatnonzero(~keep)
     for start in range(0, idx.size, _CHUNK):
         sel = idx[start : start + _CHUNK]
         lo, hi, lens = _lambda_intervals(pts[ii[sel]], pts[jj[sel]], pts, radii, tol)
         gap = np.where(lens > 0.0, tol / np.where(lens > 0.0, lens, 1.0), 0.0)
-        covered[sel] = _union_covers(lo, hi, gap)
-
-    edges: List[Edge] = []
-    for k in range(ii.size):
-        i, j = int(ii[k]), int(jj[k])
-        if (i, j) in tree_weights:
-            edges.append((i, j, tree_weights[(i, j)]))
-        elif covered[k]:
-            edges.append((i, j, euclidean_distance(pts[i], pts[j])))
-    return WeightedGraph(n, edges)
+        keep[sel] = _union_covers(lo, hi, gap)
+    ii, jj = ii[keep], jj[keep]
+    return WeightedGraph(n, list(zip(ii.tolist(), jj.tolist(), dist[ii, jj].tolist())))
 
 
-def _adjacency(graph: WeightedGraph):
-    adj = [[] for _ in range(graph.n)]
-    for i, j, w in graph.edges:
-        if not 0 <= i < graph.n and 0 <= j < graph.n:
-            raise UsageError(f"edge ({i}, {j}) is out of range")
-        adj[i].append((j, w))
-        adj[j].append((i, w))
-    return adj
+def _floyd_warshall(dist: np.ndarray) -> np.ndarray:
+    """All-pairs shortest paths by in-place relaxation through each vertex.
 
-
-def _components(graph: WeightedGraph):
-    uf = _UnionFind(graph.n)
-    for i, j, _ in graph.edges:
-        uf.union(i, j)
-    groups = {}
-    for v in range(graph.n):
-        groups.setdefault(uf.find(v), []).append(v)
-    return sorted(groups.values())
-
-
-def _sssp(n, adj, source):
-    dist = [np.inf] * n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+    On a symmetric input every step adds the same two terms for (i, j) and
+    (j, i), so the result stays exactly symmetric.
+    """
+    for k in range(dist.shape[0]):
+        np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
     return dist
 
 
-def shortest_path_distances(graph: WeightedGraph, workers: int = 1) -> np.ndarray:
-    """All-pairs shortest-path matrix via one Dijkstra run per source.
+def _components(reach: np.ndarray):
+    """Connected components read off a reachability matrix, each a sorted
+    vertex list, ordered by smallest vertex."""
+    first = reach.argmax(axis=1)
+    return [np.flatnonzero(first == root).tolist() for root in np.unique(first)]
 
-    Zero-weight edges (duplicate points) are legitimate.  A disconnected
-    graph is refused, naming its components.  The result is symmetrized by
-    taking the entrywise minimum of both sweep directions, which removes
-    the last-ulp asymmetry of summing the same edge weights in opposite
-    orders.
+
+def shortest_path_distances(graph: WeightedGraph) -> np.ndarray:
+    """All-pairs shortest-path matrix by Floyd-Warshall on dense weights.
+
+    Zero-weight edges (duplicate points) are legitimate; of duplicate edges
+    the lightest counts.  A disconnected graph is refused, naming its
+    components.  The result is exactly symmetric.
     """
-    comps = _components(graph)
-    if len(comps) > 1:
-        raise UsageError(f"graph is disconnected; components: {comps}")
-    n = graph.n
-    adj = _adjacency(graph)
-    dm = np.empty((n, n))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for s, row in enumerate(pool.map(lambda s: _sssp(n, adj, s), range(n))):
-                dm[s] = row
-    else:
-        for s in range(n):
-            dm[s] = _sssp(n, adj, s)
-    return np.minimum(dm, dm.T)
+    dist = _floyd_warshall(_weight_matrix(graph))
+    reach = np.isfinite(dist)
+    if not reach.all():
+        raise UsageError(f"graph is disconnected; components: {_components(reach)}")
+    return dist
 
 
 def shortest_path(graph: WeightedGraph, source: int, target: int) -> PathRecord:
@@ -303,7 +268,10 @@ def shortest_path(graph: WeightedGraph, source: int, target: int) -> PathRecord:
     n = graph.n
     if not (0 <= source < n and 0 <= target < n):
         raise UsageError("source/target out of range")
-    adj = _adjacency(graph)
+    adj = [[] for _ in range(n)]
+    for i, j, w in zip(*(a.tolist() for a in _edge_arrays(graph))):
+        adj[i].append((j, w))
+        adj[j].append((i, w))
     dist = [np.inf] * n
     prev = [-1] * n
     dist[source] = 0.0
@@ -319,7 +287,8 @@ def shortest_path(graph: WeightedGraph, source: int, target: int) -> PathRecord:
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
     if not np.isfinite(dist[target]):
-        raise UsageError(f"no path from {source} to {target}; components: {_components(graph)}")
+        comps = _components(np.isfinite(_floyd_warshall(_weight_matrix(graph))))
+        raise UsageError(f"no path from {source} to {target}; components: {comps}")
     vertices = [target]
     while vertices[-1] != source:
         vertices.append(prev[vertices[-1]])
@@ -327,9 +296,9 @@ def shortest_path(graph: WeightedGraph, source: int, target: int) -> PathRecord:
     return PathRecord(source, target, vertices, float(dist[target]))
 
 
-def geodesic_pipeline(cloud, tol: Optional[float] = None, workers: int = 1) -> GeodesicResult:
-    """Full estimation chain: complete graph, spanning tree, coverage graph,
-    then all-pairs shortest-path distances.
+def geodesic_pipeline(cloud, tol: Optional[float] = None) -> GeodesicResult:
+    """Full estimation chain: pairwise distances, spanning tree, coverage
+    graph, then all-pairs shortest-path distances.
 
     A single point short-circuits to an empty tree and a 1x1 zero matrix.
     """
@@ -337,14 +306,13 @@ def geodesic_pipeline(cloud, tol: Optional[float] = None, workers: int = 1) -> G
     n = pts.shape[0]
     if n == 1:
         return GeodesicResult(SpanningTree(1, []), WeightedGraph(1, []), np.zeros((1, 1)))
-    complete = build_complete_graph(pts)
-    tree = compute_emst(complete)
+    dist = _pairwise_distances(pts)
+    tree = _prim(dist)
     radii = ball_radii(tree)
     if tol is None:
-        tol = 1e-9 * max(w for _, _, w in complete.edges)
+        tol = 1e-9 * float(dist.max())
     graph = build_coverage_graph(pts, radii, tol=tol, tree=tree)
-    distances = shortest_path_distances(graph, workers=workers)
-    return GeodesicResult(tree, graph, distances)
+    return GeodesicResult(tree, graph, shortest_path_distances(graph))
 
 
 def pipeline_diagnostics(cloud, result: GeodesicResult, tol: Optional[float] = None) -> dict:

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .classify import ClassifierConfig, ConfusionMatrix, TemplateSet
-from .errors import DataFormatError
+from .errors import DataFormatError, UsageError
 from .graphs import WeightedGraph
 from .models import CurvePanel
 
@@ -76,8 +76,6 @@ def read_panel(path) -> CurvePanel:
         values.append([_parse_float(tok, f"{path}: row {k}") for tok in row[1:]])
     if not values:
         raise DataFormatError(f"{path}: no data rows")
-    from .errors import UsageError
-
     try:
         return CurvePanel(
             grid=np.array(grid),
@@ -263,8 +261,6 @@ def read_classifier_config(path) -> ClassifierConfig:
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: classifier config must be a JSON object")
-    from .errors import UsageError
-
     try:
         return ClassifierConfig.from_dict(raw)
     except (UsageError, TypeError) as exc:

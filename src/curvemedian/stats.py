@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .geometry import euclidean_distance
+from .geometry import _pairwise_distances
 
 __all__ = [
     "IntrinsicEstimate",
     "intrinsic_estimate",
-    "euclidean_frechet_mean",
     "euclidean_medoid",
     "cross_sectional_mean",
     "pairwise_euclidean_matrix",
@@ -47,6 +46,8 @@ def intrinsic_estimate(distance_matrix, alpha: float = 1.0) -> IntrinsicEstimate
         raise UsageError(f"distance matrix must be square, got shape {dm.shape}")
     if not alpha > 0:
         raise UsageError(f"alpha must be positive, got {alpha}")
+    if not np.isfinite(dm).all():
+        raise UsageError("distance matrix has non-finite entries")
     if (dm < 0).any():
         raise UsageError("distance matrix has negative entries")
     powered = dm if alpha == 1.0 else dm**alpha
@@ -55,24 +56,13 @@ def intrinsic_estimate(distance_matrix, alpha: float = 1.0) -> IntrinsicEstimate
     return IntrinsicEstimate(index=index, objective=objectives[index], alpha=float(alpha))
 
 
-def euclidean_frechet_mean(cloud) -> np.ndarray:
-    """Coordinatewise mean; the squared-Euclidean barycenter of the sample."""
-    pts = np.asarray(cloud, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise UsageError("need a nonempty (n, p) cloud")
-    return pts.mean(axis=0)
-
-
 def pairwise_euclidean_matrix(cloud) -> np.ndarray:
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise UsageError("need a nonempty (n, p) cloud")
-    n = pts.shape[0]
-    dm = np.zeros((n, n))
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            dm[i, j] = dm[j, i] = euclidean_distance(pts[i], pts[j])
-    return dm
+    if not np.isfinite(pts).all():
+        raise UsageError("cloud contains non-finite coordinates")
+    return _pairwise_distances(pts)
 
 
 def euclidean_medoid(cloud, alpha: float = 1.0) -> IntrinsicEstimate:
@@ -81,13 +71,16 @@ def euclidean_medoid(cloud, alpha: float = 1.0) -> IntrinsicEstimate:
 
 
 def cross_sectional_mean(panel) -> np.ndarray:
-    """Pointwise mean curve of a panel (rows = curves).
+    """Pointwise mean curve of a panel (rows = curves); the
+    squared-Euclidean barycenter of the sample.
 
-    Accepts a CurvePanel or a rectangular 2-D array; ragged input is a
-    usage error.
+    Accepts a CurvePanel or a rectangular 2-D array; ragged or empty input
+    is a usage error.
     """
     values = getattr(panel, "values", panel)
     arr = np.asarray(values)
     if arr.dtype == object or arr.ndim != 2:
         raise UsageError("panel rows must form a rectangular 2-D array")
+    if arr.shape[0] == 0:
+        raise UsageError("cannot average an empty panel")
     return arr.astype(float).mean(axis=0)

@@ -1,10 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
-Each oracle deliberately takes a different algorithmic route than the code
+Most oracles deliberately take a different algorithmic route than the code
 under test: dense parameter sampling instead of interval arithmetic,
-exhaustive labeled-tree enumeration instead of a greedy spanning tree,
-cubic relaxation instead of per-source priority queues, and plain Riemann
-sums instead of adaptive quadrature.
+exhaustive labeled-tree enumeration instead of a greedy spanning tree, and
+plain Riemann sums instead of adaptive quadrature.  `floyd_warshall` is the
+exception: the package runs the same cubic relaxation, so it checks the
+graph-to-matrix bookkeeping rather than the algorithm.  The independent
+check of shortest paths and spanning-tree weights is scipy's csgraph, in
+`test_graphs.py`.
 """
 
 from itertools import product

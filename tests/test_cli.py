@@ -117,26 +117,6 @@ def test_distances_accepts_panel_input(tmp_path, capsys):
     assert 0.0 < diag["max_radius_over_diameter"] <= 2.0
 
 
-def test_distances_threads_do_not_change_output(tmp_path, capsys, monkeypatch):
-    src = tmp_path / "panel.csv"
-    write_panel(src, generate_shift_sample(ShiftConfig(n=12, seed=5)))
-    run(capsys, "distances", "--input", str(src), "--outdir", str(tmp_path / "one"))
-    monkeypatch.setenv("CURVEMEDIAN_THREADS", "4")
-    run(capsys, "distances", "--input", str(src), "--outdir", str(tmp_path / "four"))
-    assert (tmp_path / "one" / "distances.csv").read_bytes() == (
-        tmp_path / "four" / "distances.csv"
-    ).read_bytes()
-
-
-def test_bad_thread_count_is_usage_error(tmp_path, capsys, monkeypatch):
-    src = tmp_path / "pts.csv"
-    write_cloud(src, np.zeros((2, 2)))
-    monkeypatch.setenv("CURVEMEDIAN_THREADS", "zero")
-    code, _, err = run(capsys, "distances", "--input", str(src), "--outdir", str(tmp_path / "d"))
-    assert code == 2
-    assert "CURVEMEDIAN_THREADS" in err
-
-
 # ---------------------------------------------------------------- template
 
 def test_template_single_curve(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from curvemedian import (
     Ball,
+    NumericError,
     Sim1Config,
     UsageError,
     WeightedGraph,
@@ -87,6 +88,29 @@ def test_emst_disconnected_rejected():
         compute_emst(WeightedGraph(3, [(0, 1, 1.0)]))
 
 
+def test_emst_matches_sorted_kruskal_on_tied_clouds():
+    # rounded coordinates force tied weights and duplicate points; under the
+    # strict (w, i, j) key the tree is unique and comes out in key order
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        pts = np.round(rng.normal(size=(int(rng.integers(2, 25)), 2)), 0)
+        complete = build_complete_graph(pts)
+        parent = list(range(len(pts)))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        want = []
+        for i, j, w in sorted(complete.edges, key=lambda e: (e[2], e[0], e[1])):
+            if find(i) != find(j):
+                parent[find(i)] = find(j)
+                want.append((i, j, w))
+        assert compute_emst(complete).edges == want
+        assert geodesic_pipeline(pts).tree.edges == want
+
+
 def test_emst_duplicate_points_zero_weight_edges():
     tree = compute_emst(build_complete_graph(np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 1.0]])))
     weights = sorted(w for _, _, w in tree.edges)
@@ -168,18 +192,6 @@ def test_coverage_graph_edge_count_between_tree_and_complete():
     assert n_tree <= n_graph <= 30 * 29 // 2
 
 
-def test_coverage_graph_prune_flag_changes_nothing():
-    # the prune threshold exceeds any possible segment length, so the flag
-    # can only skip work, never edges
-    rng = np.random.default_rng(31)
-    pts = random_cloud(rng, n=18, p=2)
-    tree = compute_emst(build_complete_graph(pts))
-    radii = ball_radii(tree)
-    assert build_coverage_graph(pts, radii, tree=tree, prune=True) == build_coverage_graph(
-        pts, radii, tree=tree, prune=False
-    )
-
-
 def test_coverage_graph_chords_covered_on_criterion_2_miss(shift_instances):
     # Instance 26 of the criterion-2 batch (n=15) selects a curve two shift
     # ranks off the median.  Every chord the graph keeps must still lie in
@@ -248,18 +260,73 @@ def test_shortest_paths_match_cubic_oracle():
         assert np.allclose(dm, want, rtol=1e-9, atol=0.0)
 
 
+def _random_multigraph(rng):
+    """Connected graph with duplicate edges, zero weights and tied weights."""
+    n = int(rng.integers(2, 25))
+    edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    edges += [tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) for _ in range(n)]
+    edges += edges[: int(rng.integers(0, len(edges)))]
+    weights = rng.choice([0.0, 0.5, 1.0, 1.5], size=len(edges))
+    weights = np.where(rng.random(len(edges)) < 0.5, weights, rng.uniform(0.0, 2.0, len(edges)))
+    return n, [(i, j, float(w)) for (i, j), w in zip(edges, weights)]
+
+
+def _dense_min(n, edges):
+    dense = np.full((n, n), np.inf)
+    for i, j, w in edges:
+        dense[i, j] = dense[j, i] = min(dense[i, j], w)
+    return dense
+
+
+def test_graph_routines_match_scipy_csgraph():
+    from scipy.sparse.csgraph import csgraph_from_dense, minimum_spanning_tree
+    from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
+
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        n, edges = _random_multigraph(rng)
+        g = WeightedGraph(n, edges)
+        dense = _dense_min(n, edges)
+        want = scipy_shortest_path(
+            csgraph_from_dense(dense, null_value=np.inf), method="D", directed=False
+        )
+        got = shortest_path_distances(g)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(got, got.T)
+        # scipy's spanning tree drops zero weights, so shift every weight by
+        # one; each spanning tree has n - 1 edges, so the optimum is unchanged
+        shifted = minimum_spanning_tree(csgraph_from_dense(dense + 1.0, null_value=np.inf))
+        tree = compute_emst(g)
+        assert len(tree.edges) == n - 1
+        assert sum(w for _, _, w in tree.edges) == pytest.approx(shifted.sum() - (n - 1), abs=1e-12)
+
+
+BAD_EDGES = {
+    "negative index": (1, -1, 2.0),
+    "index past n": (1, 5, 2.0),
+    "index equal to n": (3, 1, 2.0),
+    "nan weight": (1, 2, float("nan")),
+    "negative weight": (1, 2, -1.0),
+    "infinite weight": (1, 2, float("inf")),
+}
+
+
+@pytest.mark.parametrize(
+    "routine",
+    [compute_emst, shortest_path_distances, lambda g: shortest_path(g, 0, 2)],
+    ids=["compute_emst", "shortest_path_distances", "shortest_path"],
+)
+@pytest.mark.parametrize("bad", BAD_EDGES.values(), ids=BAD_EDGES.keys())
+def test_bad_edges_are_usage_errors(routine, bad):
+    with pytest.raises(UsageError, match="edge"):
+        routine(WeightedGraph(3, [(0, 1, 1.0), (0, 2, 4.0), bad]))
+
+
 def test_shortest_path_record():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 10.0)])
     rec = shortest_path(g, 0, 2)
     assert rec.vertices == [0, 1, 2]
     assert rec.length == 3.0
-
-
-def test_shortest_paths_workers_agree():
-    rng = np.random.default_rng(41)
-    pts = random_cloud(rng, n=30, p=2)
-    res = geodesic_pipeline(pts)
-    assert np.array_equal(shortest_path_distances(res.graph, workers=4), res.distances)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -329,6 +396,13 @@ def test_pipeline_parabola_keeps_every_point_connected():
         for i, j, _ in res.graph.edges:
             touched.update((i, j))
         assert touched == set(range(n))
+
+
+def test_pipeline_distance_overflow_is_numeric_error():
+    # squared differences overflow float64; without the check the infinite
+    # weights would look like missing edges
+    with pytest.raises(NumericError, match="overflow"):
+        geodesic_pipeline(np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]]))
 
 
 def test_cloud_diameter_matches_complete_graph_max():

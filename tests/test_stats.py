@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from curvemedian import (
     UsageError,
     cross_sectional_mean,
-    euclidean_frechet_mean,
     euclidean_medoid,
     geodesic_pipeline,
     intrinsic_estimate,
@@ -60,6 +59,12 @@ def test_intrinsic_estimate_rejects_bad_inputs():
         intrinsic_estimate(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_intrinsic_estimate_rejects_non_finite(bad):
+    with pytest.raises(UsageError, match="non-finite"):
+        intrinsic_estimate(np.array([[0.0, bad], [bad, 0.0]]))
+
+
 def test_medoid_collinear_picks_middle():
     pts = np.array([[0.0], [1.0], [3.0]])
     est = euclidean_medoid(pts, alpha=1.0)
@@ -77,14 +82,14 @@ def test_medoid_squared_distances_move_toward_mean():
 
 def test_frechet_mean_is_coordinate_mean():
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
-    assert euclidean_frechet_mean(pts).tolist() == [1.0, 1.0]
+    assert cross_sectional_mean(pts).tolist() == [1.0, 1.0]
 
 
 def test_frechet_mean_gradient_vanishes():
     # sum of squared distances is quadratic, so central differences are exact
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(12, 3))
-    mean = euclidean_frechet_mean(pts)
+    mean = cross_sectional_mean(pts)
 
     def objective(x):
         return float(np.sum((pts - x) ** 2))
@@ -114,6 +119,11 @@ def test_cross_sectional_mean_ragged_rejected():
         cross_sectional_mean(np.array([[1.0, 2.0], [3.0]], dtype=object))
 
 
+def test_cross_sectional_mean_empty_rejected():
+    with pytest.raises(UsageError):
+        cross_sectional_mean(np.empty((0, 3)))
+
+
 def test_pairwise_matrix_matches_norms():
     rng = np.random.default_rng(21)
     pts = rng.normal(size=(10, 4))
@@ -121,6 +131,11 @@ def test_pairwise_matrix_matches_norms():
     for i in range(10):
         for j in range(10):
             assert dm[i, j] == pytest.approx(float(np.linalg.norm(pts[i] - pts[j])), abs=1e-12)
+
+
+def test_pairwise_matrix_rejects_non_finite():
+    with pytest.raises(UsageError, match="non-finite"):
+        pairwise_euclidean_matrix(np.array([[0.0, 1.0], [np.nan, 2.0]]))
 
 
 @given(
