@@ -3,7 +3,8 @@
 Everything here reduces to one question: does the straight segment between
 two sample points stay inside a union of balls centered at the sample?
 Intersecting a segment with one ball is a quadratic in the segment
-parameter, so the union test becomes an interval-union sweep on [0, 1].
+parameter with squared distances for coefficients, so the union test is a
+translation- and scale-free interval-union sweep on [0, 1].
 
 Balls are treated as closed, with a small additive tolerance on the radius
 and on permitted gaps.  Open boundaries are not representable in floating
@@ -43,8 +44,8 @@ class Ball:
             raise UsageError("ball center must be a single point")
         if not np.all(np.isfinite(center)):
             raise UsageError("ball center must be finite")
-        if not self.radius >= 0.0:
-            raise UsageError(f"ball radius must be nonnegative, got {self.radius}")
+        if not (np.isfinite(self.radius) and self.radius >= 0.0):
+            raise UsageError(f"ball radius must be finite and nonnegative, got {self.radius}")
 
 
 def _point(x) -> np.ndarray:
@@ -65,7 +66,7 @@ def euclidean_distance(a, b) -> float:
     return float(np.sqrt(np.dot(d, d)))
 
 
-# float64 elements per coordinate-difference block of _pairwise_distances
+# float64 elements per block of the chunked n^2 passes (distances, coverage)
 _BLOCK = 1 << 18
 
 
@@ -90,118 +91,122 @@ def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
     return upper + upper.T
 
 
-def _lambda_intervals(origins, ends, centers, radii, tol):
-    """Per-(segment, ball) parameter intervals of the covered part of each segment.
+def _tolerance(tol) -> float:
+    """The coverage tolerance as a float, refused unless finite and nonnegative."""
+    if not 0.0 <= tol < np.inf:
+        raise UsageError(f"tolerance must be finite and nonnegative, got {tol}")
+    return float(tol)
 
-    All segments are parametrized over [0, 1].  Radii are inflated by `tol`.
-    Returns (lo, hi, seg_len) where lo/hi have shape (B, k); entries with an
-    empty intersection carry lo=+inf, hi=-inf so they sort last and never
-    extend coverage.
+
+def _chord_intervals(A, w, v, r):
+    """Nonempty parameter intervals of chords inside balls, from squared distances.
+
+    Chord b runs from a to e over [0, 1]; ball k has center c_k and radius
+    r[k] (tolerance included).  A[b] = |e - a|^2, w[b, k] = |a - c_k|^2 and
+    v[b, k] = |e - c_k|^2, in units of the largest distance involved, so a
+    radius above 1 holds any chord and radii are capped at 2.  The point
+    a + t(e - a) is in the ball where A t^2 + 2 h t + w - r^2 <= 0, with
+    h = (e - a).(a - c) = (v - A - w) / 2: no coordinate enters.  Returns
+    (row, lo, hi) of the pairs that meet, clipped to [0, 1] and ordered by
+    (row, lo); a zero-length chord meets a ball holding its point on [0, 1].
     """
-    u = ends - origins
-    seg_sq = np.einsum("bp,bp->b", u, u)
-    r_eff = np.asarray(radii, dtype=float) + tol
-    a_sq = np.einsum("bp,bp->b", origins, origins)
-    c_sq = np.einsum("kp,kp->k", centers, centers)
-    # squared distance origin->center, expanded so no (B, k, p) temp is built
-    w_sq = a_sq[:, None] - 2.0 * (origins @ centers.T) + c_sq[None, :]
-    b_half = np.einsum("bp,bp->b", u, origins)[:, None] - u @ centers.T
-    c_term = w_sq - r_eff[None, :] ** 2
-
-    lo = np.full(w_sq.shape, np.inf)
-    hi = np.full(w_sq.shape, -np.inf)
-
-    degen = seg_sq <= 0.0
-    if degen.any():
-        # a zero-length segment is covered exactly when a ball holds the point
-        inside = c_term[degen] <= 0.0
-        lo[degen] = np.where(inside, 0.0, np.inf)
-        hi[degen] = np.where(inside, 1.0, -np.inf)
-    if (~degen).any():
-        rows = ~degen
-        A = seg_sq[rows][:, None]
-        bh = b_half[rows]
-        disc = bh * bh - A * c_term[rows]
-        ok = disc >= 0.0
-        root = np.sqrt(np.where(ok, disc, 0.0))
-        left = (-bh - root) / A
-        right = (-bh + root) / A
-        # intersect with [0, 1] before clipping, else an interval entirely
-        # outside the segment would collapse onto an endpoint
-        ok &= (right >= 0.0) & (left <= 1.0)
-        left = np.clip(left, 0.0, 1.0)
-        right = np.clip(right, 0.0, 1.0)
-        lo[rows] = np.where(ok, left, np.inf)
-        hi[rows] = np.where(ok, right, -np.inf)
-    return lo, hi, np.sqrt(seg_sq)
+    A = A[:, None]
+    c = w - np.minimum(r, 2.0) ** 2
+    half = 0.5 * (v - A - w)
+    disc = half * half - A * c
+    flat = A[:, 0] <= 0.0
+    hit = disc >= 0.0
+    hit[flat] = c[flat] <= 0.0
+    row, col = np.nonzero(hit)
+    a, h, root = A[row, 0], half[row, col], np.sqrt(disc[row, col])
+    flat = a <= 0.0
+    a = np.where(flat, 1.0, a)
+    lo = np.where(flat, 0.0, (-h - root) / a)
+    hi = np.where(flat, 1.0, (-h + root) / a)
+    # intersect with [0, 1] before clipping, else an interval entirely
+    # outside the segment would collapse onto an endpoint
+    meets = (hi >= 0.0) & (lo <= 1.0)
+    row, lo, hi = row[meets], np.clip(lo[meets], 0.0, 1.0), np.clip(hi[meets], 0.0, 1.0)
+    # complex values sort lexicographically: by row, then by lo
+    order = np.argsort(row + 1j * lo)
+    return row[order], lo[order], hi[order]
 
 
-def _union_covers(lo, hi, gap):
-    """Whether the interval unions cover [0, 1], one verdict per row.
+def _covered(A, w, v, r, tol):
+    """Whether each chord lies in the ball union; arguments as for
+    `_chord_intervals`, with `tol` in the same unit.
 
-    `lo`/`hi` have shape (B, k); `gap` is the per-row tolerated gap width in
-    parameter units.  Sorted sweep with early failure on the first gap.
+    One sweep: the reach before an interval is the largest hi among the
+    earlier intervals of its chord (0 for its first).  A chord fails at the
+    first interval starting more than gap = tol / length past a reach short
+    of 1 - gap, and is covered when its final reach is at least 1 - gap.
     """
-    n_rows, n_cols = lo.shape
-    if n_cols == 0:
-        return np.zeros(n_rows, dtype=bool)
-    order = np.argsort(lo, axis=1, kind="stable")
-    lo = np.take_along_axis(lo, order, axis=1)
-    hi = np.take_along_axis(hi, order, axis=1)
-    reach = np.zeros(n_rows)
-    alive = np.ones(n_rows, dtype=bool)
-    for col in range(n_cols):
-        l = lo[:, col]
-        h = hi[:, col]
-        pending = alive & (reach < 1.0 - gap)
-        failed = pending & (l > reach + gap)
-        alive &= ~failed
-        take = pending & ~failed
-        reach = np.where(take, np.maximum(reach, h), reach)
-    return alive & (reach >= 1.0 - gap)
+    row, lo, hi = _chord_intervals(A, w, v, r)
+    length = np.sqrt(A)
+    gap = np.divide(tol, length, out=np.zeros_like(length), where=length > 0.0)
+    target = 1.0 - gap
+    # running maximum of hi within each chord: complex values compare by
+    # real part first, and the real part (the row) never decreases
+    upto = np.maximum.accumulate(row + 1j * hi).imag
+    first = np.diff(row, prepend=-1) != 0
+    before = np.where(first, 0.0, np.roll(upto, 1))
+    stuck = (before < target[row]) & (lo > before + gap[row])
+    last = np.roll(first, -1)
+    reach = np.zeros(gap.size)
+    reach[row[last]] = upto[last]
+    covered = reach >= target
+    covered[row[stuck]] = False
+    return covered
+
+
+def _segment_terms(a, b, centers):
+    """A, w, v of one segment against ball centers, from direct coordinate
+    differences scaled by the largest distance, which is returned too."""
+    diff = np.concatenate([(b - a)[None, :], a - centers, b - centers])
+    if not np.isfinite(diff).all():
+        raise NumericError("coordinate differences overflow float64; rescale the points")
+    unit = float(np.hypot.reduce(diff, axis=1, initial=0.0).max()) or 1.0
+    diff /= unit
+    sq = np.einsum("ip,ip->i", diff, diff)
+    k = centers.shape[0]
+    return sq[:1], sq[None, 1 : k + 1], sq[None, k + 1 :], unit
 
 
 def segment_ball_intersection(a, b, ball: Ball, tol: float = 0.0) -> Optional[Tuple[float, float]]:
     """Parameter interval of the part of segment a->b inside the ball.
 
     Returns (lo, hi) in [0, 1], or None when the intersection is empty.  The
-    ball radius is inflated by `tol`.  For a zero-length segment the answer
-    is (0, 1) when the point lies in the ball, None otherwise.
+    ball radius is inflated by `tol`, which must be finite and nonnegative.
+    For a zero-length segment the answer is (0, 1) when the point lies in
+    the ball, None otherwise.
     """
     pa, pb = _point(a), _point(b)
     if pa.shape != pb.shape or pa.shape != ball.center.shape:
         raise UsageError("segment endpoints and ball center must share one dimension")
-    if tol < 0.0:
-        raise UsageError(f"tolerance must be nonnegative, got {tol}")
-    lo, hi, _ = _lambda_intervals(
-        pa[None, :], pb[None, :], ball.center[None, :], np.array([ball.radius]), tol
-    )
-    if not np.isfinite(lo[0, 0]):
-        return None
-    return float(lo[0, 0]), float(hi[0, 0])
+    tol = _tolerance(tol)
+    A, w, v, unit = _segment_terms(pa, pb, ball.center[None, :])
+    _, lo, hi = _chord_intervals(A, w, v, np.array([(ball.radius + tol) / unit]))
+    return (float(lo[0]), float(hi[0])) if lo.size else None
 
 
 def segment_covered(a, b, balls: Sequence[Ball], tol: Optional[float] = None) -> bool:
     """Whether segment a->b lies inside the union of the given closed balls.
 
-    `tol` inflates every radius and bounds the permitted total gap; it
-    defaults to 1e-9 times the segment length.  An empty ball list never
-    covers anything.  Adding a ball can only turn False into True.
+    `tol` (finite, nonnegative, by default 1e-9 times the segment length)
+    inflates every radius and bounds the permitted total gap.  An empty ball
+    list never covers anything.  Adding a ball can only turn False into
+    True, and translating or scaling everything together changes nothing.
     """
     pa, pb = _point(a), _point(b)
     if pa.shape != pb.shape:
         raise UsageError("segment endpoints must share one dimension")
+    tol = None if tol is None else _tolerance(tol)
     if len(balls) == 0:
         return False
     centers = np.stack([ball.center for ball in balls])
     if centers.shape[1] != pa.size:
         raise UsageError("ball centers must match the segment dimension")
     radii = np.array([ball.radius for ball in balls])
-    seg_len = euclidean_distance(pa, pb)
-    if tol is None:
-        tol = 1e-9 * seg_len
-    if tol < 0.0:
-        raise UsageError(f"tolerance must be nonnegative, got {tol}")
-    lo, hi, _ = _lambda_intervals(pa[None, :], pb[None, :], centers, radii, tol)
-    gap = np.array([tol / seg_len if seg_len > 0.0 else 0.0])
-    return bool(_union_covers(lo, hi, gap)[0])
+    A, w, v, unit = _segment_terms(pa, pb, centers)
+    scaled_tol = 1e-9 * np.sqrt(A[0]) if tol is None else tol / unit
+    return bool(_covered(A, w, v, radii / unit + scaled_tol, scaled_tol)[0])

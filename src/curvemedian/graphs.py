@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import UsageError
-from .geometry import _lambda_intervals, _pairwise_distances, _union_covers
+from .geometry import _BLOCK, _covered, _pairwise_distances, _tolerance
 
 __all__ = [
     "WeightedGraph",
@@ -36,9 +36,6 @@ __all__ = [
 ]
 
 Edge = Tuple[int, int, float]
-
-# chunk size for the vectorized chord-coverage pass
-_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -170,12 +167,10 @@ def ball_radii(tree: SpanningTree) -> np.ndarray:
     """Per-vertex radius: the weight of the longest incident tree edge."""
     if tree.n < 2:
         raise UsageError("ball radii need at least two vertices")
+    i, j, w = _edge_arrays(tree)
     radii = np.zeros(tree.n)
-    for i, j, w in tree.edges:
-        if w > radii[i]:
-            radii[i] = w
-        if w > radii[j]:
-            radii[j] = w
+    np.maximum.at(radii, i, w)
+    np.maximum.at(radii, j, w)
     return radii
 
 
@@ -194,23 +189,25 @@ def build_coverage_graph(
 
     A pair (i, j) becomes an edge when the straight segment between the two
     points lies inside the union of all n balls (closed, radius inflated by
-    `tol`; `tol` defaults to 1e-9 times the cloud diameter).  Edges of the
-    supplied spanning tree are admitted without testing, with their tree
-    weights: each one is covered by its own endpoint balls by construction.
+    `tol`: finite, nonnegative, by default 1e-9 times the cloud diameter).
+    Edges of the supplied spanning tree are admitted without testing, with
+    their tree weights: each one is covered by its own endpoint balls by
+    construction.  The test reads only distances in units of the diameter,
+    so translating or scaling the cloud keeps the same pairs.
     """
     pts = _cloud(cloud)
     n = pts.shape[0]
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (n,):
         raise UsageError("radii must provide one value per point")
-    if (radii < 0).any():
-        raise UsageError("radii must be nonnegative")
+    if not (np.isfinite(radii).all() and (radii >= 0).all()):
+        raise UsageError("radii must be finite and nonnegative")
 
     dist = _pairwise_distances(pts)
-    if tol is None:
-        tol = 1e-9 * float(dist.max())
-    if tol < 0.0:
-        raise UsageError(f"tolerance must be nonnegative, got {tol}")
+    diameter = float(dist.max())
+    tol = 1e-9 * diameter if tol is None else _tolerance(tol)
+    unit = diameter if diameter > 0.0 else 1.0
+    sq = (dist / unit) ** 2
     in_tree = np.zeros((n, n), dtype=bool)
     if tree is not None:
         if tree.n != n:
@@ -222,11 +219,11 @@ def build_coverage_graph(
     ii, jj = np.triu_indices(n, 1)
     keep = in_tree[ii, jj]
     idx = np.flatnonzero(~keep)
-    for start in range(0, idx.size, _CHUNK):
-        sel = idx[start : start + _CHUNK]
-        lo, hi, lens = _lambda_intervals(pts[ii[sel]], pts[jj[sel]], pts, radii, tol)
-        gap = np.where(lens > 0.0, tol / np.where(lens > 0.0, lens, 1.0), 0.0)
-        keep[sel] = _union_covers(lo, hi, gap)
+    step = max(1, _BLOCK // n)
+    for start in range(0, idx.size, step):
+        sel = idx[start : start + step]
+        i, j = ii[sel], jj[sel]
+        keep[sel] = _covered(sq[i, j], sq[i], sq[j], (radii + tol) / unit, tol / unit)
     ii, jj = ii[keep], jj[keep]
     return WeightedGraph(n, list(zip(ii.tolist(), jj.tolist(), dist[ii, jj].tolist())))
 
@@ -304,14 +301,12 @@ def geodesic_pipeline(cloud, tol: Optional[float] = None) -> GeodesicResult:
     """
     pts = _cloud(cloud)
     n = pts.shape[0]
+    tol = None if tol is None else _tolerance(tol)
     if n == 1:
         return GeodesicResult(SpanningTree(1, []), WeightedGraph(1, []), np.zeros((1, 1)))
     dist = _pairwise_distances(pts)
     tree = _prim(dist)
-    radii = ball_radii(tree)
-    if tol is None:
-        tol = 1e-9 * float(dist.max())
-    graph = build_coverage_graph(pts, radii, tol=tol, tree=tree)
+    graph = build_coverage_graph(pts, ball_radii(tree), tol=tol, tree=tree)
     return GeodesicResult(tree, graph, shortest_path_distances(graph))
 
 

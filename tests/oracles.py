@@ -1,15 +1,17 @@
 """Independent reference implementations used to cross-check the package.
 
 Most oracles deliberately take a different algorithmic route than the code
-under test: dense parameter sampling instead of interval arithmetic,
+under test: dense parameter sampling and a per-ball, per-chord sweep in
+plain Python over coordinates instead of vectorized interval arithmetic on
+pairwise distances, per-source Bellman-Ford instead of Floyd-Warshall,
 exhaustive labeled-tree enumeration instead of a greedy spanning tree, and
 plain Riemann sums instead of adaptive quadrature.  `floyd_warshall` is the
 exception: the package runs the same cubic relaxation, so it checks the
-graph-to-matrix bookkeeping rather than the algorithm.  The independent
-check of shortest paths and spanning-tree weights is scipy's csgraph, in
-`test_graphs.py`.
+graph-to-matrix bookkeeping rather than the algorithm.  scipy's csgraph
+checks shortest paths and spanning-tree weights too, in `test_graphs.py`.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -26,6 +28,63 @@ def mc_segment_covered(a, b, balls, tol, samples=10_000):
         d2 = ((pts - np.asarray(ball.center)[None, :]) ** 2).sum(axis=1)
         inside |= d2 <= (ball.radius + tol) ** 2
     return bool(inside.all())
+
+
+def exact_segment_covered(a, b, balls, tol):
+    """Exact coverage verdict of segment a->b, with the package's conventions.
+
+    Plain Python floats: one quadratic per ball from direct coordinate
+    differences (radius inflated by `tol`), then a sequential sweep over the
+    intervals sorted by their lower end that forgives gaps up to `tol`.
+    Unlike `mc_segment_covered` it can refute coverage as well as confirm it.
+    """
+    a = [float(x) for x in a]
+    u = [float(y) - x for x, y in zip(a, b)]
+    seg_sq = sum(t * t for t in u)
+    intervals = []
+    for ball in balls:
+        d = [x - float(c) for x, c in zip(a, ball.center)]
+        c_term = sum(t * t for t in d) - (ball.radius + tol) ** 2
+        if seg_sq == 0.0:
+            if c_term <= 0.0:
+                intervals.append((0.0, 1.0))
+            continue
+        half = sum(p * q for p, q in zip(u, d))
+        disc = half * half - seg_sq * c_term
+        if disc < 0.0:
+            continue
+        lo = (-half - math.sqrt(disc)) / seg_sq
+        hi = (-half + math.sqrt(disc)) / seg_sq
+        if hi >= 0.0 and lo <= 1.0:
+            intervals.append((max(lo, 0.0), min(hi, 1.0)))
+    gap = tol / math.sqrt(seg_sq) if seg_sq > 0.0 else 0.0
+    reach = 0.0
+    for lo, hi in sorted(intervals):
+        if reach >= 1.0 - gap:
+            break
+        if lo > reach + gap:
+            return False
+        reach = max(reach, hi)
+    return reach >= 1.0 - gap
+
+
+def bellman_ford(n, edges):
+    """All-pairs shortest paths by per-source Bellman-Ford on an edge list."""
+    rows = []
+    for source in range(n):
+        dist = [math.inf] * n
+        dist[source] = 0.0
+        for _ in range(n - 1):
+            changed = False
+            for i, j, w in edges:
+                if dist[i] + w < dist[j]:
+                    dist[j], changed = dist[i] + w, True
+                if dist[j] + w < dist[i]:
+                    dist[i], changed = dist[j] + w, True
+            if not changed:
+                break
+        rows.append(dist)
+    return np.array(rows)
 
 
 def floyd_warshall(n, edges):

@@ -214,6 +214,18 @@ def test_ragged_input_exits_3(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_non_finite_tolerance_exits_2(tmp_path, capsys):
+    src = tmp_path / "cloud.csv"
+    write_cloud(src, np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]]))
+    for tol in ("nan", "inf"):
+        code, _, err = run(
+            capsys, "distances", "--input", str(src), "--tol", tol, "--outdir", str(tmp_path / "d")
+        )
+        assert code == 2
+        assert "tolerance" in err
+    assert not (tmp_path / "d" / "graph.csv").exists()
+
+
 def test_missing_input_exits_3(tmp_path, capsys):
     code, _, _ = run(
         capsys, "distances", "--input", str(tmp_path / "nope.csv"), "--outdir", str(tmp_path / "d")

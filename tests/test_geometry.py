@@ -137,6 +137,17 @@ def test_covered_gap_exactly_at_tolerance():
     assert segment_covered([0.0], [2.0], balls, tol=0.21) is True
 
 
+def test_covered_gap_survives_translation_and_scale():
+    # a 0.2-wide gap between two balls must stay a gap far from the origin
+    # and at extreme scales
+    a, b = np.array([0.0, 0.0]), np.array([2.0, 0.0])
+    for shift, scale in ((1e8, 1.0), (0.0, 1e-100), (0.0, 1e100), (1e8, 1e100)):
+        balls = [Ball(scale * (a + shift), scale * 0.9), Ball(scale * (b + shift), scale * 0.9)]
+        assert segment_covered(scale * (a + shift), scale * (b + shift), balls) is False
+        balls.append(Ball(scale * (a + b + 2.0 * shift) / 2.0, scale * 0.2))
+        assert segment_covered(scale * (a + shift), scale * (b + shift), balls) is True
+
+
 def test_covered_monotone_under_extra_balls():
     rng = np.random.default_rng(7)
     for _ in range(200):

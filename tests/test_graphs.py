@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curvemedian import (
     Ball,
     NumericError,
+    ShiftConfig,
     Sim1Config,
     UsageError,
     WeightedGraph,
@@ -12,14 +15,17 @@ from curvemedian import (
     build_coverage_graph,
     cloud_diameter,
     compute_emst,
+    generate_shift_sample,
     generate_sim1,
     geodesic_pipeline,
+    intrinsic_estimate,
+    segment_ball_intersection,
     segment_covered,
     shortest_path,
     shortest_path_distances,
 )
 
-from oracles import floyd_warshall, mc_segment_covered, min_spanning_weight_exhaustive
+from oracles import exact_segment_covered, floyd_warshall, mc_segment_covered, min_spanning_weight_exhaustive
 
 
 def random_cloud(rng, n=None, p=None):
@@ -211,6 +217,88 @@ def test_coverage_graph_chords_covered_on_criterion_2_miss(shift_instances):
 def test_coverage_graph_radii_length_checked():
     with pytest.raises(UsageError):
         build_coverage_graph(np.array([[0.0], [1.0]]), np.array([1.0]))
+
+
+def _verdict_inputs():
+    """Small seeded inputs of three kinds: sim1 clouds, tsin panels, and
+    rounded clouds with duplicate points."""
+    for seed in (1, 2):
+        yield generate_sim1(Sim1Config(n=30, seed=seed))
+    for seed, n in ((3, 11), (4, 21)):
+        yield generate_shift_sample(ShiftConfig(target="tsin", n=n, m=100, seed=seed)).values
+    rng = np.random.default_rng(61)
+    for _ in range(2):
+        pts = np.round(rng.normal(size=(20, 2)), 1)
+        yield np.vstack([pts, pts[:5]])
+
+
+def test_coverage_graph_keeps_exactly_the_chords_the_exact_oracle_accepts():
+    for pts in _verdict_inputs():
+        res = geodesic_pipeline(pts)
+        tol = 1e-9 * cloud_diameter(pts)
+        balls = [Ball(c, r) for c, r in zip(pts, ball_radii(res.tree))]
+        n = len(pts)
+        want = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if exact_segment_covered(pts[i], pts[j], balls, tol)
+        ]
+        assert [(i, j) for i, j, _ in res.graph.edges] == want
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.floats(-1e8, 1e8),
+    st.floats(-100.0, 100.0),
+)
+def test_pipeline_invariant_under_motion_and_scale(seed, parabola, shift, exponent):
+    # permute, rotate, translate by up to 1e8 and scale by 1e-100..1e100:
+    # the kept chords map onto each other, d_hat scales with the cloud and
+    # the template stays the same curve
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    if parabola:
+        pts = generate_sim1(Sim1Config(n=n, seed=seed))
+    else:
+        # p >= 2: on a line an even sample has two tied medians
+        pts = rng.normal(size=(n, int(rng.integers(2, 4))))
+    perm = rng.permutation(n)
+    rot, _ = np.linalg.qr(rng.normal(size=(pts.shape[1],) * 2))
+    scale = 10.0**exponent
+    base = geodesic_pipeline(pts)
+    moved = geodesic_pipeline(scale * (pts[perm] @ rot.T + shift))
+    kept = {tuple(sorted((int(perm[i]), int(perm[j])))) for i, j, _ in moved.graph.edges}
+    assert kept == {(i, j) for i, j, _ in base.graph.edges}
+    want = base.distances[np.ix_(perm, perm)]
+    assert np.allclose(moved.distances / scale, want, rtol=0.0, atol=1e-7 * want.max())
+    index = intrinsic_estimate(moved.distances).index
+    assert perm[index] == intrinsic_estimate(base.distances).index
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+@pytest.mark.parametrize("routine", ["coverage", "pipeline", "single_point", "covered", "intersection"])
+def test_bad_tolerance_is_usage_error(routine, tol):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    call = {
+        "coverage": lambda: build_coverage_graph(pts, [1.0, 2.0, 2.0], tol=tol),
+        "pipeline": lambda: geodesic_pipeline(pts, tol=tol),
+        "single_point": lambda: geodesic_pipeline(pts[:1], tol=tol),
+        "covered": lambda: segment_covered(pts[0], pts[2], [Ball(pts[1], 2.0)], tol=tol),
+        "intersection": lambda: segment_ball_intersection(pts[0], pts[2], Ball(pts[1], 2.0), tol=tol),
+    }[routine]
+    with pytest.raises(UsageError, match="tolerance"):
+        call()
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0])
+def test_bad_radius_is_usage_error(radius):
+    pts = np.array([[0.0], [1.0], [3.0]])
+    with pytest.raises(UsageError, match="radi"):
+        build_coverage_graph(pts, [1.0, radius, 2.0])
+    with pytest.raises(UsageError, match="radi"):
+        Ball(pts[1], radius)
 
 
 # ------------------------------------------------------------ shortest paths
