@@ -37,7 +37,7 @@ from .models import (
     generate_sim2,
     sim1_truth,
 )
-from .stats import intrinsic_estimate
+from .stats import _alpha, intrinsic_estimate
 
 
 def cmd_simulate(args) -> int:
@@ -113,6 +113,7 @@ def cmd_distances(args) -> int:
 
 
 def cmd_template(args) -> int:
+    _alpha(args.alpha)
     panel = panel_io.read_panel(args.input)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -156,8 +157,7 @@ def cmd_classify(args) -> int:
         raise UsageError(f"unknown method {cfg.method!r}")
     if cfg.method == "knn" and cfg.k < 1:
         raise UsageError(f"k must be >= 1, got {cfg.k}")
-    if not cfg.alpha > 0:
-        raise UsageError(f"alpha must be positive, got {cfg.alpha}")
+    _alpha(cfg.alpha)
 
     train = panel_io.read_panel(args.train)
     test = panel_io.read_panel(args.test)
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("template", help="select the representative curve of a panel")
     p.add_argument("--input", required=True, help="panel CSV")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=1.0, help="objective exponent, positive and finite")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_template)

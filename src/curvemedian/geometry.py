@@ -159,6 +159,53 @@ def _covered(A, w, v, r, tol):
     return covered
 
 
+def _midpoint_far(sq, r, tol):
+    """Chords that `_covered` must reject, found from their midpoints alone.
+
+    `sq` is the (n, n) matrix of squared distances in the kernel's unit, and
+    `r` and `tol` are as for `_covered`.  Returns an (n, n) mask whose
+    entries (i, j) with i < j flag the chords whose midpoint lies too far
+    outside every ball.  For chord (i, j) and ball k let A = sq[i, j] = L^2,
+    w = sq[i, k], v = sq[j, k] and R = min(r, 2).  Then
+    q_k(t) = A t^2 + (v - w - A) t + w - R_k^2 is the squared distance from
+    the point at t to centre k less R_k^2, and its least value over k at
+    t = 1/2 is a (min, +) product:
+
+        m = min_k (S[i, k] + S[j, k]) / 2 - A / 4,  S = sq - R^2.
+
+    The chord is far when m > 2 tol + 64 eps / A; a zero-length chord never
+    is.  The slack bound:
+    - Gap.  q_k is convex with slope v - w at 1/2, and |v - w| =
+      |d_jk - d_ik| (d_jk + d_ik) <= 2 L since no distance exceeds 1.  So
+      every ball misses the points with |t - 1/2| < m / (2 L): a hole of
+      m / L, longer than the allowance tol / L once m > tol.  The hole lies
+      inside [0, 1], as m <= q_i(1/2) <= A / 4 gives m / (2 L) <= 1 / 8.
+      Doubling tol absorbs the triangle inequality failing by the relative
+      rounding of the distances; a chord shorter than that rounding can
+      only be far when tol < A / 8, where the shortfall is far below eps.
+    - Rounding.  Every coefficient the kernel reads is at most 4 in size,
+      so each of its roundings moves q_k by a few eps, or by eps h^2 / A
+      through the discriminant, where h^2 / A <= w + O(eps / A) by
+      Cauchy-Schwarz.  Its intervals thus hold no point where q_k exceeds
+      a few tens of eps / A, and m is computed here to within 8 eps:
+      64 eps / A covers both, as A <= 1.
+    """
+    n = sq.shape[0]
+    s = sq - np.minimum(r, 2.0) ** 2
+    rounding = 64.0 * np.finfo(float).eps
+    far = np.zeros((n, n), dtype=bool)
+    rows = max(1, _BLOCK // (n * n))
+    cols = max(1, _BLOCK // (rows * n))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        for j0 in range(i0 + 1, n, cols):
+            j1 = min(j0 + cols, n)
+            A = sq[i0:i1, j0:j1]
+            m = 0.5 * (s[i0:i1, None, :] + s[None, j0:j1, :]).min(axis=2) - 0.25 * A
+            far[i0:i1, j0:j1] = (m - 2.0 * tol) * A > rounding
+    return far
+
+
 def _segment_terms(a, b, centers):
     """A, w, v of one segment against ball centers, from direct coordinate
     differences scaled by the largest distance, which is returned too."""

@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import UsageError
-from .geometry import _BLOCK, _covered, _pairwise_distances, _tolerance
+from .geometry import _BLOCK, _covered, _midpoint_far, _pairwise_distances, _tolerance
 
 __all__ = [
     "WeightedGraph",
@@ -193,7 +193,9 @@ def build_coverage_graph(
     Edges of the supplied spanning tree are admitted without testing, with
     their tree weights: each one is covered by its own endpoint balls by
     construction.  The test reads only distances in units of the diameter,
-    so translating or scaling the cloud keeps the same pairs.
+    so translating or scaling the cloud keeps the same pairs.  One (min, +)
+    pass first rejects the chords whose midpoint clears every ball by more
+    than the gap allowance; the interval sweep decides the rest.
     """
     pts = _cloud(cloud)
     n = pts.shape[0]
@@ -216,14 +218,15 @@ def build_coverage_graph(
         in_tree[ti, tj] = True
         dist[ti, tj] = tw
 
+    r = (radii + tol) / unit
     ii, jj = np.triu_indices(n, 1)
     keep = in_tree[ii, jj]
-    idx = np.flatnonzero(~keep)
+    idx = np.flatnonzero(~(keep | _midpoint_far(sq, r, tol / unit)[ii, jj]))
     step = max(1, _BLOCK // n)
     for start in range(0, idx.size, step):
         sel = idx[start : start + step]
         i, j = ii[sel], jj[sel]
-        keep[sel] = _covered(sq[i, j], sq[i], sq[j], (radii + tol) / unit, tol / unit)
+        keep[sel] = _covered(sq[i, j], sq[i], sq[j], r, tol / unit)
     ii, jj = ii[keep], jj[keep]
     return WeightedGraph(n, list(zip(ii.tolist(), jj.tolist(), dist[ii, jj].tolist())))
 

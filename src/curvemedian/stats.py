@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericError, UsageError
 from .geometry import _pairwise_distances
 
 __all__ = [
@@ -33,27 +33,44 @@ class IntrinsicEstimate:
     alpha: float
 
 
+def _alpha(alpha) -> float:
+    """The objective's exponent as a float, refused unless positive and finite."""
+    if not 0.0 < alpha < math.inf:
+        raise UsageError(f"alpha must be positive and finite, got {alpha}")
+    return float(alpha)
+
+
 def intrinsic_estimate(distance_matrix, alpha: float = 1.0) -> IntrinsicEstimate:
     """Index minimizing sum_j d(i, j)**alpha, ties going to the smallest index.
 
     Row sums are accumulated with compensated summation so the argmin does
-    not depend on summation order.
+    not depend on summation order.  `alpha` must be positive and finite
+    (else `UsageError`); a power or row sum that overflows float64, or a
+    positive distance whose power underflows to zero, raises `NumericError`
+    rather than returning an objective that can no longer rank the rows.
     """
     dm = np.asarray(distance_matrix, dtype=float)
     if dm.size == 0:
         raise UsageError("empty distance matrix")
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
         raise UsageError(f"distance matrix must be square, got shape {dm.shape}")
-    if not alpha > 0:
-        raise UsageError(f"alpha must be positive, got {alpha}")
+    alpha = _alpha(alpha)
     if not np.isfinite(dm).all():
         raise UsageError("distance matrix has non-finite entries")
     if (dm < 0).any():
         raise UsageError("distance matrix has negative entries")
-    powered = dm if alpha == 1.0 else dm**alpha
-    objectives = [math.fsum(row) for row in powered.tolist()]
+    with np.errstate(over="ignore"):
+        powered = dm if alpha == 1.0 else dm**alpha
+    if not np.isfinite(powered).all():
+        raise NumericError(f"distances to the power alpha={alpha} overflow float64")
+    if ((powered == 0.0) & (dm > 0.0)).any():
+        raise NumericError(f"positive distances to the power alpha={alpha} underflow to zero")
+    try:
+        objectives = [math.fsum(row) for row in powered.tolist()]
+    except OverflowError:
+        raise NumericError(f"sums of distances to the power alpha={alpha} overflow float64") from None
     index = min(range(len(objectives)), key=objectives.__getitem__)
-    return IntrinsicEstimate(index=index, objective=objectives[index], alpha=float(alpha))
+    return IntrinsicEstimate(index=index, objective=objectives[index], alpha=alpha)
 
 
 def pairwise_euclidean_matrix(cloud) -> np.ndarray:

@@ -37,14 +37,20 @@ def exact_segment_covered(a, b, balls, tol):
     differences (radius inflated by `tol`), then a sequential sweep over the
     intervals sorted by their lower end that forgives gaps up to `tol`.
     Unlike `mc_segment_covered` it can refute coverage as well as confirm it.
+    Every input is first multiplied by one power of two, which is exact, so
+    clouds at scales like 1e100 or 1e-100 neither overflow nor underflow.
     """
-    a = [float(x) for x in a]
-    u = [float(y) - x for x, y in zip(a, b)]
+    values = [*a, *b, tol, *(ball.radius for ball in balls)]
+    values += [x for ball in balls for x in ball.center]
+    scale = 2.0 ** -math.frexp(max(abs(float(x)) for x in values))[1]
+    a = [float(x) * scale for x in a]
+    u = [float(y) * scale - x for x, y in zip(a, b)]
+    tol *= scale
     seg_sq = sum(t * t for t in u)
     intervals = []
     for ball in balls:
-        d = [x - float(c) for x, c in zip(a, ball.center)]
-        c_term = sum(t * t for t in d) - (ball.radius + tol) ** 2
+        d = [x - float(c) * scale for x, c in zip(a, ball.center)]
+        c_term = sum(t * t for t in d) - (ball.radius * scale + tol) ** 2
         if seg_sq == 0.0:
             if c_term <= 0.0:
                 intervals.append((0.0, 1.0))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from curvemedian import (
     CurvePanel,
@@ -241,6 +242,39 @@ def test_bad_alpha_exits_2(tmp_path, capsys):
         "--outdir", str(tmp_path / "t"),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "shifts, alpha, want",
+    [
+        ([0.0, 1.0], "inf", 2),
+        ([0.0, 1.0], "nan", 2),
+        ([0.0, 1.0, 2.0], "400", 4),  # distances above 1: the powers overflow
+        ([0.0, 1e-3, 2e-3], "400", 4),  # distances below 1: the powers underflow to 0
+    ],
+)
+def test_template_extreme_alpha_is_refused(tmp_path, capsys, shifts, alpha, want):
+    src = tmp_path / "panel.csv"
+    write_panel(src, generate_shift_sample(ShiftConfig(shifts=shifts)))
+    code, out, err = run(
+        capsys, "template", "--input", str(src), "--alpha", alpha, "--outdir", str(tmp_path / "t"),
+    )
+    assert code == want
+    assert "alpha" in err and out == ""
+    # a bad alpha is refused before the pipeline runs or anything is written
+    assert (tmp_path / "t").exists() == (want == 4)
+    assert not (tmp_path / "t" / "estimate.json").exists()
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_classify_non_finite_alpha_exits_2(tmp_path, capsys, alpha):
+    panel = tmp_path / "panel.csv"
+    write_panel(panel, labeled_two_class_panel())
+    code, _, err = run(
+        capsys, "classify", "--train", str(panel), "--test", str(panel),
+        "--alpha", alpha, "--outdir", str(tmp_path / "c"),
+    )
+    assert code == 2 and "alpha" in err
 
 
 def test_unlabeled_test_panel_exits_2(tmp_path, capsys):

@@ -232,19 +232,114 @@ def _verdict_inputs():
         yield np.vstack([pts, pts[:5]])
 
 
+def _oracle_chords(pts, radii, tol):
+    """The chords (i, j), i < j, that `exact_segment_covered` accepts."""
+    balls = [Ball(c, r) for c, r in zip(pts, radii)]
+    n = len(pts)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if exact_segment_covered(pts[i], pts[j], balls, tol)
+    ]
+
+
+def _kept(graph):
+    return [(i, j) for i, j, _ in graph.edges]
+
+
 def test_coverage_graph_keeps_exactly_the_chords_the_exact_oracle_accepts():
     for pts in _verdict_inputs():
         res = geodesic_pipeline(pts)
         tol = 1e-9 * cloud_diameter(pts)
-        balls = [Ball(c, r) for c, r in zip(pts, ball_radii(res.tree))]
-        n = len(pts)
-        want = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if exact_segment_covered(pts[i], pts[j], balls, tol)
-        ]
-        assert [(i, j) for i, j, _ in res.graph.edges] == want
+        assert _kept(res.graph) == _oracle_chords(pts, ball_radii(res.tree), tol)
+
+
+# The midpoint prefilter may reject a chord only where the kernel would.  A
+# hole of f allowances (the allowance is tol) around the midpoint leaves a
+# midpoint clearance of about f tol / 2 in squared diameter units: without
+# the slack on the clearance, f = 0.5 and 0.9 would be rejected, and f = 8
+# shows the prefilter rejecting a chord the kernel rejects too.
+@pytest.mark.parametrize("f", [0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 8.0])
+def test_coverage_graph_near_gap_chords_match_exact_oracle(f):
+    for scale in (1e-100, 1e100):
+        for rel_tol in (1e-3, 1e-6):
+            pts = scale * np.array([[0.0, 0.0], [0.6, 0.8]])
+            tol = rel_tol * scale
+            radii = np.full(2, (scale - (2.0 + f) * tol) / 2.0)
+            graph = build_coverage_graph(pts, radii, tol=tol)
+            assert _kept(graph) == _oracle_chords(pts, radii, tol) == ([(0, 1)] if f < 1 else [])
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_coverage_graph_ball_tangent_at_midpoint(ulps):
+    # ball 2 touches the midpoint of chord (0, 1) to within an ulp of its
+    # radius, so the chord's midpoint clearance is about zero.  The end balls
+    # stop 2.5e-4 short of the midpoint on either side: the hole is forgiven
+    # at tol = 1e-3 and is not at tol = 0, however the tangency rounds.
+    for scale in (1e-100, 1.0, 1e100):
+        for rel_tol in (0.0, 1e-3):
+            pts = scale * np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.5]])
+            tol = rel_tol * scale
+            middle = pts[2, 1] - tol
+            for _ in range(abs(ulps)):
+                middle = np.nextafter(middle, np.sign(ulps) * np.inf)
+            radii = np.array([(1.0 - 2.5e-4) * scale - tol] * 2 + [middle])
+            kept = _kept(build_coverage_graph(pts, radii, tol=tol))
+            assert kept == _oracle_chords(pts, radii, tol)
+            assert ((0, 1) in kept) == (rel_tol > 0.0)
+
+
+def test_coverage_graph_keeps_covered_chord_with_rounded_positive_clearance():
+    # found by a search over near-tangent chords: the kernel and the exact
+    # oracle cover chord (0, 1) at tol = 0, yet its midpoint clearance comes
+    # out 0.25 eps / A above zero; the rounding term of the slack keeps it
+    pts = np.array([
+        [-1.085004758730008e-34, 1.280892891223491e-34, 6.657796757232241e-35],
+        [-5.48807290962996e-33, 5.559515657704151e-33, -1.2694927103917123e-33],
+        [-2.809170188125269e-33, 2.8320597172730835e-33, -6.053728556202633e-34],
+    ])
+    radii = [3.880247312475002e-33, 3.880247312475002e-33, 1.6482530446618226e-35]
+    kept = _kept(build_coverage_graph(pts, radii, tol=0.0))
+    assert (0, 1) in kept
+    assert kept == _oracle_chords(pts, radii, 0.0)
+
+
+def test_coverage_graph_duplicates_and_zero_tolerance_match_exact_oracle():
+    # duplicated points give zero-length chords, which the prefilter never
+    # rejects; tol = 0 forgives no gap at all
+    rng = np.random.default_rng(67)
+    for _ in range(4):
+        pts = np.round(rng.normal(size=(12, 2)), 1)
+        pts = np.vstack([pts, pts[:4]])
+        radii = ball_radii(compute_emst(build_complete_graph(pts))) * rng.uniform(0.5, 1.5, len(pts))
+        for tol in (0.0, 1e-3 * cloud_diameter(pts)):
+            kept = _kept(build_coverage_graph(pts, radii, tol=tol))
+            assert kept == _oracle_chords(pts, radii, tol)
+            assert {(k, k + 12) for k in range(4)} <= set(kept)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["sim1", "tsin", "rounded"]),
+    st.sampled_from([None, 0.0, 1e-3]),
+)
+def test_coverage_graph_matches_exact_oracle_under_scaled_radii(seed, kind, rel_tol):
+    # the paper's radii scaled by U(0.5, 1.5) put many chords near the
+    # decision boundary, where the prefilter and the kernel must agree
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 21))
+    if kind == "sim1":
+        pts = generate_sim1(Sim1Config(n=n, seed=seed))
+    elif kind == "tsin":
+        pts = generate_shift_sample(ShiftConfig(target="tsin", n=n, m=30, seed=seed)).values
+    else:
+        pts = np.round(rng.normal(size=(n, 2)), 1)
+        pts = np.vstack([pts, pts[: n // 3]])
+    radii = ball_radii(compute_emst(build_complete_graph(pts))) * rng.uniform(0.5, 1.5, len(pts))
+    tol = (1e-9 if rel_tol is None else rel_tol) * cloud_diameter(pts)
+    graph = build_coverage_graph(pts, radii, tol=None if rel_tol is None else tol)
+    assert _kept(graph) == _oracle_chords(pts, radii, tol)
 
 
 @given(

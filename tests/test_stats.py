@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from curvemedian import (
+    NumericError,
     UsageError,
     cross_sectional_mean,
     euclidean_medoid,
@@ -63,6 +64,29 @@ def test_intrinsic_estimate_rejects_bad_inputs():
 def test_intrinsic_estimate_rejects_non_finite(bad):
     with pytest.raises(UsageError, match="non-finite"):
         intrinsic_estimate(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+@pytest.mark.parametrize("alpha", [float("inf"), float("nan"), float("-inf")])
+def test_intrinsic_estimate_rejects_non_finite_alpha(alpha):
+    with pytest.raises(UsageError, match="alpha"):
+        intrinsic_estimate(DM_PATH, alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "dm, alpha, match",
+    [
+        (DM_PATH, 1100.0, "overflow"),  # 2 ** 1100 is inf
+        (DM_PATH * 1e-3, 200.0, "underflow"),  # every positive term rounds to 0
+        (DM_PATH * 1e-200, 2.0, "underflow"),
+        (DM_PATH * 8e307, 1.0, "overflow"),  # finite terms, infinite row sum
+    ],
+    ids=["power-overflow", "all-underflow", "square-underflow", "sum-overflow"],
+)
+def test_intrinsic_estimate_out_of_range_powers_are_numeric_errors(dm, alpha, match):
+    # without the check these returned objective inf or 0 (every row tied, so
+    # index 0 won) or raised a bare OverflowError
+    with pytest.raises(NumericError, match=match):
+        intrinsic_estimate(dm, alpha=alpha)
 
 
 def test_medoid_collinear_picks_middle():
