@@ -33,7 +33,6 @@ from .errors import DataFormatError, NumericError, UsageError
 from .geometry import Ball, euclidean_distance, segment_ball_intersection, segment_covered
 from .graphs import (
     GeodesicResult,
-    PathRecord,
     SpanningTree,
     WeightedGraph,
     ball_radii,
@@ -43,7 +42,6 @@ from .graphs import (
     compute_emst,
     geodesic_pipeline,
     pipeline_diagnostics,
-    shortest_path,
     shortest_path_distances,
 )
 from .models import (

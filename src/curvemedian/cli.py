@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import panel_io
 from .classify import (
+    TEMPLATE_METHODS,
     ClassifierConfig,
     KnnClassifier,
     confusion_from_predictions,
@@ -38,6 +39,9 @@ from .models import (
     sim1_truth,
 )
 from .stats import _alpha, intrinsic_estimate
+
+# exit code for each error the commands report; anything else is a bug
+_EXIT_CODES = {UsageError: 2, DataFormatError: 3, OSError: 3, NumericError: 4}
 
 
 def cmd_simulate(args) -> int:
@@ -153,8 +157,6 @@ def cmd_classify(args) -> int:
         cfg.truncate_at = args.truncate_at
     if args.tol is not None:
         cfg.tol = args.tol
-    if cfg.method not in ("manifold", "mean", "medoid", "knn"):
-        raise UsageError(f"unknown method {cfg.method!r}")
     if cfg.method == "knn" and cfg.k < 1:
         raise UsageError(f"k must be >= 1, got {cfg.k}")
     _alpha(cfg.alpha)
@@ -222,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="nearest-template / k-NN classification")
     p.add_argument("--train", required=True, help="labeled panel CSV")
     p.add_argument("--test", required=True, help="labeled panel CSV")
-    p.add_argument("--method", choices=["manifold", "mean", "medoid", "knn"], default=None)
+    p.add_argument("--method", choices=TEMPLATE_METHODS + ("knn",), default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--k", type=int, default=None, help="neighbors for knn")
     p.add_argument("--truncate-at", type=float, default=None, help="keep grid points with t < cutoff")
@@ -241,18 +243,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except DataFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entrypoint() -> None:

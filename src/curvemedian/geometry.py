@@ -14,6 +14,7 @@ always covered by the balls around its own two endpoints.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -69,6 +70,25 @@ def euclidean_distance(a, b) -> float:
 # float64 elements per block of the chunked n^2 passes (distances, coverage)
 _BLOCK = 1 << 18
 
+# default coverage tolerance, as a fraction of the cloud diameter or segment length
+_REL_TOL = 1e-9
+
+# n x n float64 matrices live at the peak of `graphs.geodesic_pipeline`, in
+# the coverage prefilter: the pipeline's distance matrix, coverage's own
+# copy, its squares, the prefilter's shifted squares and the triangle's index
+# pairs (two int64 halves) make five; the boolean masks and the indices of
+# the surviving chords stay under one more.  tracemalloc reads 5.4 at
+# n=2000.  A dense kept graph adds its Python edge list on top.
+_PEAK_MATRICES = 6
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return np.inf
+
 
 def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix of an (n, p) array of points.
@@ -76,9 +96,16 @@ def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
     Built in row chunks from direct coordinate differences, never from the
     |a|^2 - 2a.b + |b|^2 expansion, which cancels badly far from the origin.
     Only the upper triangle is computed and then mirrored, so the result is
-    exactly symmetric with a zero diagonal.
+    exactly symmetric with a zero diagonal.  Refuses, before allocating, a
+    cloud whose pipeline arrays would not fit in physical memory.
     """
     n, p = pts.shape
+    need, have = _PEAK_MATRICES * 8.0 * n * n, _physical_memory()
+    if need > have:
+        raise UsageError(
+            f"{n} points need about {need / 1e9:.3g} GB of n x n arrays; "
+            f"this machine has {have / 1e9:.3g} GB"
+        )
     dist = np.zeros((n, n))
     rows = max(1, _BLOCK // max(1, n * p))
     for start in range(0, n, rows):
@@ -255,5 +282,5 @@ def segment_covered(a, b, balls: Sequence[Ball], tol: Optional[float] = None) ->
         raise UsageError("ball centers must match the segment dimension")
     radii = np.array([ball.radius for ball in balls])
     A, w, v, unit = _segment_terms(pa, pb, centers)
-    scaled_tol = 1e-9 * np.sqrt(A[0]) if tol is None else tol / unit
+    scaled_tol = _REL_TOL * np.sqrt(A[0]) if tol is None else tol / unit
     return bool(_covered(A, w, v, radii / unit + scaled_tol, scaled_tol)[0])

@@ -10,26 +10,23 @@ shape the points were sampled from.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import UsageError
-from .geometry import _BLOCK, _covered, _midpoint_far, _pairwise_distances, _tolerance
+from .geometry import _BLOCK, _REL_TOL, _covered, _midpoint_far, _pairwise_distances, _tolerance
 
 __all__ = [
     "WeightedGraph",
     "SpanningTree",
-    "PathRecord",
     "GeodesicResult",
     "build_complete_graph",
     "compute_emst",
     "ball_radii",
     "build_coverage_graph",
     "shortest_path_distances",
-    "shortest_path",
     "geodesic_pipeline",
     "cloud_diameter",
     "pipeline_diagnostics",
@@ -50,14 +47,6 @@ class WeightedGraph:
 class SpanningTree:
     n: int
     edges: List[Edge]
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    source: int
-    target: int
-    vertices: List[int]
-    length: float
 
 
 class GeodesicResult(NamedTuple):
@@ -207,7 +196,7 @@ def build_coverage_graph(
 
     dist = _pairwise_distances(pts)
     diameter = float(dist.max())
-    tol = 1e-9 * diameter if tol is None else _tolerance(tol)
+    tol = _REL_TOL * diameter if tol is None else _tolerance(tol)
     unit = diameter if diameter > 0.0 else 1.0
     sq = (dist / unit) ** 2
     in_tree = np.zeros((n, n), dtype=bool)
@@ -263,39 +252,6 @@ def shortest_path_distances(graph: WeightedGraph) -> np.ndarray:
     return dist
 
 
-def shortest_path(graph: WeightedGraph, source: int, target: int) -> PathRecord:
-    """One shortest path with its vertex sequence, for inspection/export."""
-    n = graph.n
-    if not (0 <= source < n and 0 <= target < n):
-        raise UsageError("source/target out of range")
-    adj = [[] for _ in range(n)]
-    for i, j, w in zip(*(a.tolist() for a in _edge_arrays(graph))):
-        adj[i].append((j, w))
-        adj[j].append((i, w))
-    dist = [np.inf] * n
-    prev = [-1] * n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, v))
-    if not np.isfinite(dist[target]):
-        comps = _components(np.isfinite(_floyd_warshall(_weight_matrix(graph))))
-        raise UsageError(f"no path from {source} to {target}; components: {comps}")
-    vertices = [target]
-    while vertices[-1] != source:
-        vertices.append(prev[vertices[-1]])
-    vertices.reverse()
-    return PathRecord(source, target, vertices, float(dist[target]))
-
-
 def geodesic_pipeline(cloud, tol: Optional[float] = None) -> GeodesicResult:
     """Full estimation chain: pairwise distances, spanning tree, coverage
     graph, then all-pairs shortest-path distances.
@@ -322,7 +278,7 @@ def pipeline_diagnostics(cloud, result: GeodesicResult, tol: Optional[float] = N
     n_tree = len(result.tree.edges)
     n_graph = len(result.graph.edges)
     if tol is None:
-        tol = 1e-9 * diameter
+        tol = _REL_TOL * diameter
     return {
         "n": n,
         "dimension": int(pts.shape[1]),

@@ -36,10 +36,18 @@ def _rows(path) -> List[List[str]]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return [row for row in csv.reader(fh)]
-    except OSError:
-        raise
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: unreadable CSV ({exc})") from exc
+
+
+def _body(path, rows, width, skip=0, start=2):
+    """Yield (row number, fields, floats) for each data row, numbered from
+    `start`.  Every row must have `width` fields; the fields after the first
+    `skip` are parsed as floats."""
+    for k, row in enumerate(rows, start=start):
+        if len(row) != width:
+            raise DataFormatError(f"{path}: row {k}: expected {width} fields, got {len(row)}")
+        yield k, row, [_parse_float(tok, f"{path}: row {k}") for tok in row[skip:]]
 
 
 # ---------------------------------------------------------------- panels
@@ -55,7 +63,10 @@ def write_panel(path, panel: CurvePanel) -> None:
 
 
 def read_panel(path) -> CurvePanel:
-    rows = _rows(path)
+    return _parse_panel(path, _rows(path))
+
+
+def _parse_panel(path, rows) -> CurvePanel:
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     header = rows[0]
@@ -64,18 +75,11 @@ def read_panel(path) -> CurvePanel:
     if len(header) < 3:
         raise DataFormatError(f"{path}: row 1: a panel needs at least two grid columns")
     grid = [_parse_float(tok, f"{path}: row 1") for tok in header[1:]]
-    m = len(grid)
-    labels: List[str] = []
-    values: List[List[float]] = []
-    for k, row in enumerate(rows[1:], start=2):
-        if len(row) != m + 1:
-            raise DataFormatError(
-                f"{path}: row {k}: expected {m + 1} fields, got {len(row)}"
-            )
-        labels.append(row[0])
-        values.append([_parse_float(tok, f"{path}: row {k}") for tok in row[1:]])
-    if not values:
+    body = list(_body(path, rows[1:], len(header), skip=1))
+    if not body:
         raise DataFormatError(f"{path}: no data rows")
+    labels = [row[0] for _, row, _ in body]
+    values = [vals for _, _, vals in body]
     try:
         return CurvePanel(
             grid=np.array(grid),
@@ -100,18 +104,16 @@ def write_cloud(path, cloud) -> None:
 
 
 def read_cloud(path) -> np.ndarray:
-    rows = _rows(path)
+    return _parse_cloud(path, _rows(path))
+
+
+def _parse_cloud(path, rows) -> np.ndarray:
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     header = rows[0]
     if not header or header[0] != "x1":
         raise DataFormatError(f"{path}: row 1: expected a cloud header starting with 'x1'")
-    p = len(header)
-    data = []
-    for k, row in enumerate(rows[1:], start=2):
-        if len(row) != p:
-            raise DataFormatError(f"{path}: row {k}: expected {p} fields, got {len(row)}")
-        data.append([_parse_float(tok, f"{path}: row {k}") for tok in row])
+    data = [vals for _, _, vals in _body(path, rows[1:], len(header))]
     if not data:
         raise DataFormatError(f"{path}: no data rows")
     return np.array(data)
@@ -127,9 +129,9 @@ def read_points_auto(path):
         raise DataFormatError(f"{path}: empty file")
     head = rows[0][0]
     if head == "t":
-        return "panel", read_panel(path)
+        return "panel", _parse_panel(path, rows)
     if head == "x1":
-        return "cloud", read_cloud(path)
+        return "cloud", _parse_cloud(path, rows)
     raise DataFormatError(
         f"{path}: row 1: unrecognized header {head!r}; expected 't' or 'x1'"
     )
@@ -149,12 +151,7 @@ def read_shifts(path) -> np.ndarray:
     rows = _rows(path)
     if not rows or rows[0] != ["index", "shift"]:
         raise DataFormatError(f"{path}: row 1: expected header 'index,shift'")
-    out = []
-    for k, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise DataFormatError(f"{path}: row {k}: expected 2 fields, got {len(row)}")
-        out.append(_parse_float(row[1], f"{path}: row {k}"))
-    return np.array(out)
+    return np.array([shift for _, _, (shift,) in _body(path, rows[1:], 2, skip=1)])
 
 
 def write_warp_params(path, warp_params: dict) -> None:
@@ -181,13 +178,7 @@ def read_matrix(path) -> np.ndarray:
     rows = _rows(path)
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    width = len(rows[0])
-    data = []
-    for k, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise DataFormatError(f"{path}: row {k}: expected {width} fields, got {len(row)}")
-        data.append([_parse_float(tok, f"{path}: row {k}") for tok in row])
-    return np.array(data)
+    return np.array([vals for _, _, vals in _body(path, rows, len(rows[0]), start=1)])
 
 
 def write_edges(path, graph) -> None:
@@ -205,14 +196,12 @@ def read_edges(path, n: Optional[int] = None) -> WeightedGraph:
         raise DataFormatError(f"{path}: row 1: expected header 'i,j,weight'")
     edges: List[Tuple[int, int, float]] = []
     top = -1
-    for k, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise DataFormatError(f"{path}: row {k}: expected 3 fields, got {len(row)}")
+    for k, row, (weight,) in _body(path, rows[1:], 3, skip=2):
         try:
             i, j = int(row[0]), int(row[1])
         except ValueError:
             raise DataFormatError(f"{path}: row {k}: bad vertex index") from None
-        edges.append((i, j, _parse_float(row[2], f"{path}: row {k}")))
+        edges.append((i, j, weight))
         top = max(top, i, j)
     return WeightedGraph(n if n is not None else top + 1, edges)
 
@@ -234,13 +223,8 @@ def read_curve(path) -> Tuple[np.ndarray, np.ndarray]:
     rows = _rows(path)
     if not rows or rows[0] != ["t", "value"]:
         raise DataFormatError(f"{path}: row 1: expected header 't,value'")
-    grid, values = [], []
-    for k, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise DataFormatError(f"{path}: row {k}: expected 2 fields, got {len(row)}")
-        grid.append(_parse_float(row[0], f"{path}: row {k}"))
-        values.append(_parse_float(row[1], f"{path}: row {k}"))
-    return np.array(grid), np.array(values)
+    data = np.array([vals for _, _, vals in _body(path, rows[1:], 2)]).reshape(-1, 2)
+    return data[:, 0].copy(), data[:, 1].copy()
 
 
 def write_json(path, obj) -> None:

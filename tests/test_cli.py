@@ -227,6 +227,18 @@ def test_non_finite_tolerance_exits_2(tmp_path, capsys):
     assert not (tmp_path / "d" / "graph.csv").exists()
 
 
+def test_cloud_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    from curvemedian import geometry
+
+    src = tmp_path / "cloud.csv"
+    write_cloud(src, np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]]))
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 100.0)
+    code, _, err = run(capsys, "distances", "--input", str(src), "--outdir", str(tmp_path / "d"))
+    assert code == 2
+    assert "3 points need about" in err
+    assert not (tmp_path / "d" / "distances.csv").exists()
+
+
 def test_missing_input_exits_3(tmp_path, capsys):
     code, _, _ = run(
         capsys, "distances", "--input", str(tmp_path / "nope.csv"), "--outdir", str(tmp_path / "d")

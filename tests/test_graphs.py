@@ -21,7 +21,6 @@ from curvemedian import (
     intrinsic_estimate,
     segment_ball_intersection,
     segment_covered,
-    shortest_path,
     shortest_path_distances,
 )
 
@@ -496,20 +495,13 @@ BAD_EDGES = {
 
 @pytest.mark.parametrize(
     "routine",
-    [compute_emst, shortest_path_distances, lambda g: shortest_path(g, 0, 2)],
-    ids=["compute_emst", "shortest_path_distances", "shortest_path"],
+    [compute_emst, shortest_path_distances],
+    ids=["compute_emst", "shortest_path_distances"],
 )
 @pytest.mark.parametrize("bad", BAD_EDGES.values(), ids=BAD_EDGES.keys())
 def test_bad_edges_are_usage_errors(routine, bad):
     with pytest.raises(UsageError, match="edge"):
         routine(WeightedGraph(3, [(0, 1, 1.0), (0, 2, 4.0), bad]))
-
-
-def test_shortest_path_record():
-    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 10.0)])
-    rec = shortest_path(g, 0, 2)
-    assert rec.vertices == [0, 1, 2]
-    assert rec.length == 3.0
 
 
 # ---------------------------------------------------------------- pipeline
@@ -586,6 +578,20 @@ def test_pipeline_distance_overflow_is_numeric_error():
     # weights would look like missing edges
     with pytest.raises(NumericError, match="overflow"):
         geodesic_pipeline(np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]]))
+
+
+def test_pipeline_refuses_a_cloud_too_large_for_memory(monkeypatch):
+    # the limit is lowered, never the cloud enlarged: the guard runs before
+    # any n x n array is allocated
+    from curvemedian import geometry
+
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]])
+    need = geometry._PEAK_MATRICES * 8.0 * 3 * 3
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: need - 1.0)
+    with pytest.raises(UsageError, match="3 points need about"):
+        geodesic_pipeline(pts)
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: need)
+    assert geodesic_pipeline(pts).distances.shape == (3, 3)
 
 
 def test_cloud_diameter_matches_complete_graph_max():

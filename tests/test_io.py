@@ -204,6 +204,30 @@ def test_edges_bad_index_rejected(tmp_path):
         read_edges(path)
 
 
+# reader, then a header and one good row, a short row, a row with a bad token
+READERS = {
+    "panel": (read_panel, "t,0.0,1.0\n-,1.0,2.0\n", "-,1.0\n", "-,1.0,banana\n"),
+    "cloud": (read_cloud, "x1,x2\n1.0,2.0\n", "1.0\n", "1.0,banana\n"),
+    "auto panel": (read_points_auto, "t,0.0,1.0\n-,1.0,2.0\n", "-,1.0\n", "-,1.0,banana\n"),
+    "auto cloud": (read_points_auto, "x1,x2\n1.0,2.0\n", "1.0\n", "1.0,banana\n"),
+    "shifts": (read_shifts, "index,shift\n0,0.5\n", "1\n", "1,banana\n"),
+    "matrix": (read_matrix, "0.0,1.0\n1.0,0.0\n", "2.0\n", "2.0,banana\n"),
+    "edges": (read_edges, "i,j,weight\n0,1,1.0\n", "1,2\n", "1,2,banana\n"),
+    "curve": (read_curve, "t,value\n0.0,1.0\n", "1.0\n", "1.0,banana\n"),
+}
+
+
+@pytest.mark.parametrize("reader, head, short, bad", READERS.values(), ids=READERS.keys())
+def test_every_reader_names_the_bad_row(tmp_path, reader, head, short, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(head + short)
+    with pytest.raises(DataFormatError, match=r"bad\.csv: row 3: expected \d fields, got 1?\d"):
+        reader(path)
+    path.write_text(head + bad)
+    with pytest.raises(DataFormatError, match=r"bad\.csv: row 3: cannot parse 'banana' as a number"):
+        reader(path)
+
+
 # ---------------------------------------------------------- report writers
 
 def test_confusion_header_layout(tmp_path):
