@@ -9,6 +9,7 @@ after discarding grid points at or beyond a time cutoff.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
@@ -57,6 +58,16 @@ class KnnClassifier:
     k: int
 
 
+# accepted types of each config key; a bool is never a number here
+_CONFIG_TYPES = {
+    "method": (str, "a string"),
+    "alpha": (numbers.Real, "a number"),
+    "k": (numbers.Integral, "an integer"),
+    "truncate_at": ((numbers.Real, type(None)), "a number or null"),
+    "tol": ((numbers.Real, type(None)), "a number or null"),
+}
+
+
 @dataclass
 class ClassifierConfig:
     """Flat bundle of classification settings, JSON-friendly."""
@@ -78,10 +89,13 @@ class ClassifierConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierConfig":
-        known = {"method", "alpha", "k", "truncate_at", "tol"}
-        extra = set(d) - known
+        extra = set(d) - set(_CONFIG_TYPES)
         if extra:
             raise UsageError(f"unknown classifier config keys: {sorted(extra)}")
+        for key, value in d.items():
+            kinds, what = _CONFIG_TYPES[key]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise UsageError(f"classifier config {key!r} must be {what}, got {value!r}")
         cfg = cls(**d)
         if cfg.method not in TEMPLATE_METHODS + ("knn",):
             raise UsageError(f"unknown method {cfg.method!r}")

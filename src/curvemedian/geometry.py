@@ -67,18 +67,27 @@ def euclidean_distance(a, b) -> float:
     return float(np.sqrt(np.dot(d, d)))
 
 
-# float64 elements per block of the chunked n^2 passes (distances, coverage)
+# float64 elements per block of the chunked n^2 passes (distances, prefilter)
 _BLOCK = 1 << 18
+
+# float64 elements (chords x balls) per chunk of the coverage kernel: small,
+# so that the per-hit arrays after np.nonzero stay small too, yet large
+# enough that the kernel's fixed cost per chunk (some 80 numpy calls) stays
+# a few percent of its work; 2^15 made coverage 10% slower at n=1200
+_CHUNK = 1 << 16
 
 # default coverage tolerance, as a fraction of the cloud diameter or segment length
 _REL_TOL = 1e-9
 
-# n x n float64 matrices live at the peak of `graphs.geodesic_pipeline`, in
-# the coverage prefilter: the pipeline's distance matrix, coverage's own
-# copy, its squares, the prefilter's shifted squares and the triangle's index
-# pairs (two int64 halves) make five; the boolean masks and the indices of
-# the surviving chords stay under one more.  tracemalloc reads 5.4 at
-# n=2000.  A dense kept graph adds its Python edge list on top.
+# n x n float64 matrices live at the peak of `graphs.geodesic_pipeline`: the
+# pipeline's distance matrix, coverage's own copy and its squares make
+# three; then either the prefilter's shifted squares, or the candidate
+# chords' index pairs (two int64 halves) and squared lengths, which make one
+# and a half when the prefilter rejects nothing; the boolean masks and the
+# fixed-size scratch (about 12 MB) add the rest.  At n=2000 tracemalloc
+# reads 4.8 on a sim1 cloud and 5.1 on collinear points, where the
+# prefilter rejects nothing.  A dense kept graph adds its Python edge list
+# on top.
 _PEAK_MATRICES = 6
 
 
@@ -114,8 +123,9 @@ def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
         dist[start:stop, start:] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     if not np.isfinite(dist).all():
         raise NumericError("pairwise distances overflow float64; rescale the points")
-    upper = np.triu(dist, 1)
-    return upper + upper.T
+    for i in range(1, n):
+        dist[i, :i] = dist[:i, i]
+    return dist
 
 
 def _tolerance(tol) -> float:
@@ -125,24 +135,44 @@ def _tolerance(tol) -> float:
     return float(tol)
 
 
-def _chord_intervals(A, w, v, r):
+def _kernel_buffers(rows, n):
+    """Scratch of `_chord_intervals` for up to `rows` chords against n balls:
+    four float arrays from one block, then the boolean hit mask.
+
+    Allocated once per call and refilled chunk by chunk: fresh multi-MB
+    temporaries would come back from the allocator as newly zeroed pages.
+    """
+    return list(np.empty((4, rows, n))) + [np.empty((rows, n), dtype=bool)]
+
+
+def _chord_intervals(A, sq, i, j, r, buf):
     """Nonempty parameter intervals of chords inside balls, from squared distances.
 
-    Chord b runs from a to e over [0, 1]; ball k has center c_k and radius
-    r[k] (tolerance included).  A[b] = |e - a|^2, w[b, k] = |a - c_k|^2 and
-    v[b, k] = |e - c_k|^2, in units of the largest distance involved, so a
-    radius above 1 holds any chord and radii are capped at 2.  The point
-    a + t(e - a) is in the ball where A t^2 + 2 h t + w - r^2 <= 0, with
-    h = (e - a).(a - c) = (v - A - w) / 2: no coordinate enters.  Returns
+    Chord b runs from a = point i[b] to e = point j[b] over [0, 1]; ball k
+    has center c_k and radius r[k] (tolerance included).  A[b] = |e - a|^2,
+    and rows i[b] and j[b] of `sq` hold w[b, k] = |a - c_k|^2 and
+    v[b, k] = |e - c_k|^2, all in units of the largest distance involved,
+    so a radius above 1 holds any chord and radii are capped at 2.  The
+    point a + t(e - a) is in the ball where A t^2 + 2 h t + w - r^2 <= 0,
+    with h = (e - a).(a - c) = (v - A - w) / 2: no coordinate enters.  `buf`
+    comes from `_kernel_buffers` with at least A.size rows.  Returns
     (row, lo, hi) of the pairs that meet, clipped to [0, 1] and ordered by
     (row, lo); a zero-length chord meets a ball holding its point on [0, 1].
     """
+    w, v, disc, ac, hit = (b[: A.size] for b in buf)
+    np.take(sq, i, axis=0, out=w, mode="clip")
+    np.take(sq, j, axis=0, out=v, mode="clip")
     A = A[:, None]
-    c = w - np.minimum(r, 2.0) ** 2
-    half = 0.5 * (v - A - w)
-    disc = half * half - A * c
+    half, c = v, w  # each overwrites its input once that is read
+    np.subtract(v, A, out=half)
+    np.subtract(half, w, out=half)
+    np.multiply(0.5, half, out=half)
+    np.subtract(w, np.minimum(r, 2.0) ** 2, out=c)
+    np.multiply(half, half, out=disc)
+    np.multiply(A, c, out=ac)
+    np.subtract(disc, ac, out=disc)
     flat = A[:, 0] <= 0.0
-    hit = disc >= 0.0
+    np.greater_equal(disc, 0.0, out=hit)
     hit[flat] = c[flat] <= 0.0
     row, col = np.nonzero(hit)
     a, h, root = A[row, 0], half[row, col], np.sqrt(disc[row, col])
@@ -159,30 +189,37 @@ def _chord_intervals(A, w, v, r):
     return row[order], lo[order], hi[order]
 
 
-def _covered(A, w, v, r, tol):
+def _covered(A, sq, i, j, r, tol):
     """Whether each chord lies in the ball union; arguments as for
     `_chord_intervals`, with `tol` in the same unit.
 
-    One sweep: the reach before an interval is the largest hi among the
-    earlier intervals of its chord (0 for its first).  A chord fails at the
-    first interval starting more than gap = tol / length past a reach short
-    of 1 - gap, and is covered when its final reach is at least 1 - gap.
+    Chords are decided in chunks of `_CHUNK` chord-ball pairs, sharing one
+    set of kernel buffers.  One sweep per chunk: the reach before an
+    interval is the largest hi among the earlier intervals of its chord (0
+    for its first).  A chord fails at the first interval starting more than
+    gap = tol / length past a reach short of 1 - gap, and is covered when
+    its final reach is at least 1 - gap.
     """
-    row, lo, hi = _chord_intervals(A, w, v, r)
-    length = np.sqrt(A)
-    gap = np.divide(tol, length, out=np.zeros_like(length), where=length > 0.0)
-    target = 1.0 - gap
-    # running maximum of hi within each chord: complex values compare by
-    # real part first, and the real part (the row) never decreases
-    upto = np.maximum.accumulate(row + 1j * hi).imag
-    first = np.diff(row, prepend=-1) != 0
-    before = np.where(first, 0.0, np.roll(upto, 1))
-    stuck = (before < target[row]) & (lo > before + gap[row])
-    last = np.roll(first, -1)
-    reach = np.zeros(gap.size)
-    reach[row[last]] = upto[last]
-    covered = reach >= target
-    covered[row[stuck]] = False
+    covered = np.empty(A.size, dtype=bool)
+    rows = max(1, _CHUNK // sq.shape[1])
+    buf = _kernel_buffers(min(rows, A.size), sq.shape[1])
+    for start in range(0, A.size, rows):
+        chunk = slice(start, start + rows)
+        row, lo, hi = _chord_intervals(A[chunk], sq, i[chunk], j[chunk], r, buf)
+        length = np.sqrt(A[chunk])
+        gap = np.divide(tol, length, out=np.zeros_like(length), where=length > 0.0)
+        target = 1.0 - gap
+        # running maximum of hi within each chord: complex values compare by
+        # real part first, and the real part (the row) never decreases
+        upto = np.maximum.accumulate(row + 1j * hi).imag
+        first = np.diff(row, prepend=-1) != 0
+        before = np.where(first, 0.0, np.roll(upto, 1))
+        stuck = (before < target[row]) & (lo > before + gap[row])
+        last = np.roll(first, -1)
+        reach = np.zeros(gap.size)
+        reach[row[last]] = upto[last]
+        covered[chunk] = reach >= target
+        covered[chunk][row[stuck]] = False
     return covered
 
 
@@ -221,29 +258,31 @@ def _midpoint_far(sq, r, tol):
     s = sq - np.minimum(r, 2.0) ** 2
     rounding = 64.0 * np.finfo(float).eps
     far = np.zeros((n, n), dtype=bool)
-    rows = max(1, _BLOCK // (n * n))
-    cols = max(1, _BLOCK // (rows * n))
+    rows = min(n, max(1, _BLOCK // (n * n)))
+    cols = min(n, max(1, _BLOCK // (rows * n)))
+    pair = np.empty((rows, cols, n))
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
         for j0 in range(i0 + 1, n, cols):
             j1 = min(j0 + cols, n)
             A = sq[i0:i1, j0:j1]
-            m = 0.5 * (s[i0:i1, None, :] + s[None, j0:j1, :]).min(axis=2) - 0.25 * A
+            sums = np.add(s[i0:i1, None, :], s[None, j0:j1, :], out=pair[: i1 - i0, : j1 - j0])
+            m = 0.5 * sums.min(axis=2) - 0.25 * A
             far[i0:i1, j0:j1] = (m - 2.0 * tol) * A > rounding
     return far
 
 
 def _segment_terms(a, b, centers):
-    """A, w, v of one segment against ball centers, from direct coordinate
-    differences scaled by the largest distance, which is returned too."""
+    """Kernel terms of the one chord a->b against ball centers, from direct
+    coordinate differences scaled by the largest distance: A, the (2, k)
+    rows w and v, and the unit."""
     diff = np.concatenate([(b - a)[None, :], a - centers, b - centers])
     if not np.isfinite(diff).all():
         raise NumericError("coordinate differences overflow float64; rescale the points")
     unit = float(np.hypot.reduce(diff, axis=1, initial=0.0).max()) or 1.0
     diff /= unit
     sq = np.einsum("ip,ip->i", diff, diff)
-    k = centers.shape[0]
-    return sq[:1], sq[None, 1 : k + 1], sq[None, k + 1 :], unit
+    return sq[:1], sq[1:].reshape(2, centers.shape[0]), unit
 
 
 def segment_ball_intersection(a, b, ball: Ball, tol: float = 0.0) -> Optional[Tuple[float, float]]:
@@ -258,8 +297,9 @@ def segment_ball_intersection(a, b, ball: Ball, tol: float = 0.0) -> Optional[Tu
     if pa.shape != pb.shape or pa.shape != ball.center.shape:
         raise UsageError("segment endpoints and ball center must share one dimension")
     tol = _tolerance(tol)
-    A, w, v, unit = _segment_terms(pa, pb, ball.center[None, :])
-    _, lo, hi = _chord_intervals(A, w, v, np.array([(ball.radius + tol) / unit]))
+    A, ends, unit = _segment_terms(pa, pb, ball.center[None, :])
+    r = np.array([(ball.radius + tol) / unit])
+    _, lo, hi = _chord_intervals(A, ends, [0], [1], r, _kernel_buffers(1, 1))
     return (float(lo[0]), float(hi[0])) if lo.size else None
 
 
@@ -281,6 +321,6 @@ def segment_covered(a, b, balls: Sequence[Ball], tol: Optional[float] = None) ->
     if centers.shape[1] != pa.size:
         raise UsageError("ball centers must match the segment dimension")
     radii = np.array([ball.radius for ball in balls])
-    A, w, v, unit = _segment_terms(pa, pb, centers)
+    A, ends, unit = _segment_terms(pa, pb, centers)
     scaled_tol = _REL_TOL * np.sqrt(A[0]) if tol is None else tol / unit
-    return bool(_covered(A, w, v, radii / unit + scaled_tol, scaled_tol)[0])
+    return bool(_covered(A, ends, [0], [1], radii / unit + scaled_tol, scaled_tol)[0])

@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import UsageError
-from .geometry import _BLOCK, _REL_TOL, _covered, _midpoint_far, _pairwise_distances, _tolerance
+from .geometry import _REL_TOL, _covered, _midpoint_far, _pairwise_distances, _tolerance
 
 __all__ = [
     "WeightedGraph",
@@ -199,24 +199,21 @@ def build_coverage_graph(
     tol = _REL_TOL * diameter if tol is None else _tolerance(tol)
     unit = diameter if diameter > 0.0 else 1.0
     sq = (dist / unit) ** 2
-    in_tree = np.zeros((n, n), dtype=bool)
+    keep = np.zeros((n, n), dtype=bool)
     if tree is not None:
         if tree.n != n:
             raise UsageError("tree and cloud disagree on the number of points")
         ti, tj, tw = _edge_arrays(tree)
-        in_tree[ti, tj] = True
+        keep[ti, tj] = True
         dist[ti, tj] = tw
 
+    # pairs live in the upper triangle of n x n masks, whose row-major
+    # nonzero entries come sorted by (i, j)
     r = (radii + tol) / unit
-    ii, jj = np.triu_indices(n, 1)
-    keep = in_tree[ii, jj]
-    idx = np.flatnonzero(~(keep | _midpoint_far(sq, r, tol / unit)[ii, jj]))
-    step = max(1, _BLOCK // n)
-    for start in range(0, idx.size, step):
-        sel = idx[start : start + step]
-        i, j = ii[sel], jj[sel]
-        keep[sel] = _covered(sq[i, j], sq[i], sq[j], r, tol / unit)
-    ii, jj = ii[keep], jj[keep]
+    keep = np.triu(keep, 1)
+    i, j = np.nonzero(np.triu(~(keep | _midpoint_far(sq, r, tol / unit)), 1))
+    keep[i, j] = _covered(sq[i, j], sq, i, j, r, tol / unit)
+    ii, jj = np.nonzero(keep)
     return WeightedGraph(n, list(zip(ii.tolist(), jj.tolist(), dist[ii, jj].tolist())))
 
 
@@ -226,8 +223,10 @@ def _floyd_warshall(dist: np.ndarray) -> np.ndarray:
     On a symmetric input every step adds the same two terms for (i, j) and
     (j, i), so the result stays exactly symmetric.
     """
+    via = np.empty_like(dist)
     for k in range(dist.shape[0]):
-        np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
+        np.add(dist[:, k : k + 1], dist[k : k + 1, :], out=via)
+        np.minimum(dist, via, out=dist)
     return dist
 
 

@@ -166,12 +166,15 @@ def write_warp_params(path, warp_params: dict) -> None:
 
 # ------------------------------------------------------ matrices & graphs
 
+# The two large writers format each row with one %-format string and
+# csv.writer's \r\n line end (their fields never need quoting), and stream
+# the rows into the file buffer rather than holding the whole text.
+
 def write_matrix(path, matrix) -> None:
     dm = np.asarray(matrix, dtype=float)
+    line = ",".join(["%.17g"] * dm.shape[1]) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        for row in dm:
-            w.writerow([fmt(v) for v in row])
+        fh.writelines(line % tuple(row) for row in dm.tolist())
 
 
 def read_matrix(path) -> np.ndarray:
@@ -184,10 +187,8 @@ def read_matrix(path) -> np.ndarray:
 def write_edges(path, graph) -> None:
     """Edge list: header i,j,weight; 0-based indices with i < j."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "weight"])
-        for i, j, weight in graph.edges:
-            w.writerow([i, j, fmt(weight)])
+        fh.write("i,j,weight\r\n")
+        fh.writelines("%s,%s,%.17g\r\n" % (i, j, w) for i, j, w in graph.edges)
 
 
 def read_edges(path, n: Optional[int] = None) -> WeightedGraph:

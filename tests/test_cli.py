@@ -289,6 +289,32 @@ def test_classify_non_finite_alpha_exits_2(tmp_path, capsys, alpha):
     assert code == 2 and "alpha" in err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"k": "5", "method": "knn"},
+        {"alpha": "1"},
+        {"tol": "x"},
+        {"k": 2.5, "method": "knn"},
+        {"truncate_at": "a"},
+    ],
+    ids=["k-string", "alpha-string", "tol-string", "k-float", "truncate_at-string"],
+)
+def test_wrong_typed_classifier_config_exits_3(tmp_path, capsys, config):
+    panel = tmp_path / "panel.csv"
+    write_panel(panel, labeled_two_class_panel())
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, config)
+    code, out, err = run(
+        capsys, "classify", "--train", str(panel), "--test", str(panel),
+        "--config", str(cfg), "--outdir", str(tmp_path / "c"),
+    )
+    (key,) = set(config) - {"method"}
+    assert code == 3 and out == ""
+    assert repr(key) in err and "must be" in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_unlabeled_test_panel_exits_2(tmp_path, capsys):
     panel = labeled_two_class_panel()
     train = tmp_path / "train.csv"

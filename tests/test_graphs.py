@@ -24,6 +24,7 @@ from curvemedian import (
     shortest_path_distances,
 )
 
+from curvemedian import geometry
 from oracles import exact_segment_covered, floyd_warshall, mc_segment_covered, min_spanning_weight_exhaustive
 
 
@@ -252,6 +253,40 @@ def test_coverage_graph_keeps_exactly_the_chords_the_exact_oracle_accepts():
         res = geodesic_pipeline(pts)
         tol = 1e-9 * cloud_diameter(pts)
         assert _kept(res.graph) == _oracle_chords(pts, ball_radii(res.tree), tol)
+
+
+_DEFAULT_CHUNK = geometry._CHUNK
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        generate_sim1(Sim1Config(n=90, seed=5)),
+        generate_shift_sample(ShiftConfig(target="tsin", n=45, m=100, seed=6)).values,
+        np.vstack([np.round(np.random.default_rng(7).normal(size=(60, 2)), 1)] * 2)[:80],
+    ],
+    ids=["sim1", "tsin", "rounded-duplicates"],
+)
+def test_coverage_kernel_chunk_size_changes_nothing(monkeypatch, pts):
+    # chunks of 1 chord, of 7 chords (the last one partial) and the default
+    # share one set of kernel buffers per call: a stale row leaking from one
+    # chunk into the next would change a verdict
+    n = len(pts)
+    intervals, chunks = geometry._chord_intervals, []
+
+    def counted(A, *args):
+        chunks.append(A.size)
+        return intervals(A, *args)
+
+    monkeypatch.setattr(geometry, "_chord_intervals", counted)
+    outputs = []
+    for chunk in (1, 7 * n, _DEFAULT_CHUNK):
+        monkeypatch.setattr(geometry, "_CHUNK", chunk)
+        res = geodesic_pipeline(pts)
+        bare = build_coverage_graph(pts, ball_radii(res.tree))
+        outputs.append((res.graph.edges, res.distances.tobytes(), bare.edges))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert max(chunks) > 7 and chunks.count(7) > 1
 
 
 # The midpoint prefilter may reject a chord only where the kernel would.  A

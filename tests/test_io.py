@@ -118,6 +118,44 @@ def test_edges_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "i,j,weight"
 
 
+def _csv_writer_reference(path, header, rows):
+    """The csv.writer + fmt serialization the matrix and edge files keep."""
+    import csv
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        if header:
+            w.writerow(header)
+        for row in rows:
+            w.writerow(row)
+
+
+EDGE_CASE_FLOATS = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, 2.0, -3.0, 1e16, 1.0 / 3.0, 1e-300]
+
+
+def test_matrix_writer_bytes_match_csv_writer(tmp_path):
+    m = np.array(EDGE_CASE_FLOATS).reshape(3, 3)
+    path, ref = tmp_path / "m.csv", tmp_path / "ref.csv"
+    for matrix in (m, m.tolist(), m[:, :1], np.zeros((2, 0))):
+        write_matrix(path, matrix)
+        rows = [[fmt(v) for v in row] for row in np.asarray(matrix, dtype=float)]
+        _csv_writer_reference(ref, None, rows)
+        assert path.read_bytes() == ref.read_bytes()
+    write_matrix(path, m)
+    assert path.read_bytes().startswith(b"-0,0,4.9406564584124654e-324\r\n")
+
+
+def test_edge_writer_bytes_match_csv_writer(tmp_path):
+    weights = EDGE_CASE_FLOATS + [np.float64(0.25)]
+    edges = [(np.int64(k), int(k + 1), w) for k, w in enumerate(weights)]
+    path, ref = tmp_path / "e.csv", tmp_path / "ref.csv"
+    write_edges(path, WeightedGraph(len(edges) + 1, edges))
+    _csv_writer_reference(ref, ["i", "j", "weight"], [[i, j, fmt(w)] for i, j, w in edges])
+    assert path.read_bytes() == ref.read_bytes()
+    write_edges(path, WeightedGraph(3, []))
+    assert path.read_bytes() == b"i,j,weight\r\n"
+
+
 def test_edges_infer_vertex_count(tmp_path):
     path = tmp_path / "edges.csv"
     write_edges(path, WeightedGraph(4, [(0, 3, 2.0)]))

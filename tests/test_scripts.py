@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/: each runs in a scratch
 directory, exits 0 and writes the files it documents."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,22 @@ def test_run_benchmark_writes_panels_confusions_and_summary(tmp_path):
     for name in names:
         assert (out / name).is_file(), name
     assert "accuracy" in proc.stdout
+
+
+def test_bench_records_stages_and_digests_per_source(tmp_path):
+    out = tmp_path / "BENCH.json"
+    proc = run_script(
+        "bench.py", tmp_path, "--src", f"a={ROOT / 'src'}", "--src", f"b={ROOT / 'src'}",
+        "--sim1", "30", "--tsin", "12", "--repeats", "1", "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert set(report["summary"]) == {"a", "b"}
+    for name in ("sim1-30", "tsin-12"):
+        for env in ("default", "mmap_threshold_131072"):
+            a, b = report["summary"]["a"][name][env], report["summary"]["b"][name][env]
+            for stage in ("geodesic_pipeline", "build_coverage_graph", "shortest_path_distances"):
+                assert a[stage]["wall_s_median"] > 0 and a[stage]["minflt_median"] >= 0
+            # the same tree gives the same graph and d_hat in every process
+            assert a["kept_edges"] >= (30 if name == "sim1-30" else 12) - 1
+            assert (a["edges_sha256"], a["d_hat_sha256"]) == (b["edges_sha256"], b["d_hat_sha256"])
