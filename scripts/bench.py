@@ -7,13 +7,16 @@
 Each input is a fresh interpreter running one `geodesic_pipeline` call, as
 `curvemedian distances` does, with perfbench's one-BLAS-thread environment
 and the package imported from the given source tree.  The call and its
-`build_coverage_graph` and `shortest_path_distances` stages each record
-wall seconds and minor page faults (the change in `ru_minflt`); the run
-also records the kept edge count and sha256 digests of the kept
-(i, j, weight) rows and of d_hat, so that two trees can be checked for
-identical output.  Every run is repeated with MALLOC_MMAP_THRESHOLD_=131072,
-which pins glibc's mmap threshold at its default so that allocations of
-128 KiB or more are not served from a heap the earlier frees have grown.
+stages each record wall seconds and minor page faults (the change in
+`ru_minflt`): `build_coverage_graph`, within it the midpoint prefilter
+`_midpoint_far` and the coverage kernel `_covered`, and
+`shortest_path_distances`.  The run also records the number of candidate
+chords the kernel decides and how many of them it rejects, the kept edge
+count, and sha256 digests of the kept (i, j, weight) rows and of d_hat, so
+that two trees can be checked for identical output.  Every run is repeated
+with MALLOC_MMAP_THRESHOLD_=131072, which pins glibc's mmap threshold at its
+default so that allocations of 128 KiB or more are not served from a heap
+the earlier frees have grown.
 Sources alternate within each repeat, so a drift in host speed falls on
 all of them alike.
 
@@ -38,7 +41,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1000
-STAGES = ("geodesic_pipeline", "build_coverage_graph", "shortest_path_distances")
+STAGES = ("geodesic_pipeline", "build_coverage_graph", "_midpoint_far", "_covered", "shortest_path_distances")
 ENVIRONMENTS = {"default": {}, "mmap_threshold_131072": {"MALLOC_MMAP_THRESHOLD_": "131072"}}
 
 
@@ -56,20 +59,25 @@ def measure(kind: str, n: int) -> dict:
     else:
         cfg = cm.ShiftConfig(target="tsin", n=n, m=100, shift_range=(-2.0, 2.0), seed=SEED)
         pts = cm.generate_shift_sample(cfg).values
-    record = {}
+    record, outputs = {}, {}
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
             faults, start = minflt(), time.perf_counter()
-            out = fn(*args, **kwargs)
+            out = outputs[name] = fn(*args, **kwargs)
             record[name] = {"wall_s": time.perf_counter() - start, "minflt": minflt() - faults}
             return out
 
         return wrapper
 
+    # graphs imported the two geometry helpers by name, so wrapping them in
+    # its namespace times the calls build_coverage_graph makes
     for name in STAGES[1:]:
         setattr(graphs, name, timed(name, getattr(graphs, name)))
     result = timed(STAGES[0], graphs.geodesic_pipeline)(pts)
+    covered = outputs["_covered"]
+    record["candidate_chords"] = int(covered.size)
+    record["kernel_rejected"] = int(covered.size - covered.sum())
     edges = np.array(result.graph.edges, dtype=float).reshape(-1, 3)
     record["kept_edges"] = len(edges)
     record["edges_sha256"] = hashlib.sha256(edges.tobytes()).hexdigest()
@@ -97,7 +105,7 @@ def summarize(runs: list) -> dict:
         }
         for stage in STAGES
     }
-    for key in ("kept_edges", "edges_sha256", "d_hat_sha256"):
+    for key in ("candidate_chords", "kernel_rejected", "kept_edges", "edges_sha256", "d_hat_sha256"):
         values = {r[key] for r in runs}
         out[key] = values.pop() if len(values) == 1 else sorted(values)
     return out

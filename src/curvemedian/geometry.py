@@ -70,10 +70,10 @@ def euclidean_distance(a, b) -> float:
 # float64 elements per block of the chunked n^2 passes (distances, prefilter)
 _BLOCK = 1 << 18
 
-# float64 elements (chords x balls) per chunk of the coverage kernel: small,
-# so that the per-hit arrays after np.nonzero stay small too, yet large
-# enough that the kernel's fixed cost per chunk (some 80 numpy calls) stays
-# a few percent of its work; 2^15 made coverage 10% slower at n=1200
+# float64 elements (chords x balls) per chunk of the coverage kernel: small, so that
+# the per-hit arrays stay small too, yet large enough that the fixed cost per chunk
+# (some 80 numpy calls) stays a few percent of its work; 2^15 made coverage 10% slower
+# at n=1200.  With n >= 2 balls a chunk holds at most _CHUNK // 2 chords: rows fit uint16
 _CHUNK = 1 << 16
 
 # default coverage tolerance, as a fraction of the cloud diameter or segment length
@@ -155,27 +155,27 @@ def _chord_intervals(A, sq, i, j, r, buf):
     so a radius above 1 holds any chord and radii are capped at 2.  The
     point a + t(e - a) is in the ball where A t^2 + 2 h t + w - r^2 <= 0,
     with h = (e - a).(a - c) = (v - A - w) / 2: no coordinate enters.  `buf`
-    comes from `_kernel_buffers` with at least A.size rows.  Returns
-    (row, lo, hi) of the pairs that meet, clipped to [0, 1] and ordered by
-    (row, lo); a zero-length chord meets a ball holding its point on [0, 1].
+    comes from `_kernel_buffers` with at least A.size rows.  Returns (row,
+    lo, hi) of the pairs that meet, clipped to [0, 1] and sorted by lo, then
+    stably by row; a zero-length chord meets a ball holding its point on [0, 1].
     """
     w, v, disc, ac, hit = (b[: A.size] for b in buf)
     np.take(sq, i, axis=0, out=w, mode="clip")
     np.take(sq, j, axis=0, out=v, mode="clip")
-    A = A[:, None]
     half, c = v, w  # each overwrites its input once that is read
-    np.subtract(v, A, out=half)
+    np.subtract(v, A[:, None], out=half)
     np.subtract(half, w, out=half)
     np.multiply(0.5, half, out=half)
     np.subtract(w, np.minimum(r, 2.0) ** 2, out=c)
     np.multiply(half, half, out=disc)
-    np.multiply(A, c, out=ac)
+    np.multiply(A[:, None], c, out=ac)
     np.subtract(disc, ac, out=disc)
-    flat = A[:, 0] <= 0.0
+    flat = A <= 0.0
     np.greater_equal(disc, 0.0, out=hit)
     hit[flat] = c[flat] <= 0.0
-    row, col = np.nonzero(hit)
-    a, h, root = A[row, 0], half[row, col], np.sqrt(disc[row, col])
+    idx = np.flatnonzero(hit)
+    row = idx // sq.shape[1]
+    a, h, root = A.take(row), half.take(idx), np.sqrt(disc.take(idx))
     flat = a <= 0.0
     a = np.where(flat, 1.0, a)
     lo = np.where(flat, 0.0, (-h - root) / a)
@@ -184,9 +184,9 @@ def _chord_intervals(A, sq, i, j, r, buf):
     # outside the segment would collapse onto an endpoint
     meets = (hi >= 0.0) & (lo <= 1.0)
     row, lo, hi = row[meets], np.clip(lo[meets], 0.0, 1.0), np.clip(hi[meets], 0.0, 1.0)
-    # complex values sort lexicographically: by row, then by lo
-    order = np.argsort(row + 1j * lo)
-    return row[order], lo[order], hi[order]
+    order = np.argsort(lo)
+    order = order[np.argsort(row.astype(np.uint16).take(order), kind="stable")]
+    return row.take(order), lo.take(order), hi.take(order)
 
 
 def _covered(A, sq, i, j, r, tol):
@@ -198,7 +198,8 @@ def _covered(A, sq, i, j, r, tol):
     interval is the largest hi among the earlier intervals of its chord (0
     for its first).  A chord fails at the first interval starting more than
     gap = tol / length past a reach short of 1 - gap, and is covered when
-    its final reach is at least 1 - gap.
+    its final reach is at least 1 - gap.  Neither verdict depends on the
+    order of intervals with equal lo.
     """
     covered = np.empty(A.size, dtype=bool)
     rows = max(1, _CHUNK // sq.shape[1])
@@ -209,17 +210,16 @@ def _covered(A, sq, i, j, r, tol):
         length = np.sqrt(A[chunk])
         gap = np.divide(tol, length, out=np.zeros_like(length), where=length > 0.0)
         target = 1.0 - gap
-        # running maximum of hi within each chord: complex values compare by
-        # real part first, and the real part (the row) never decreases
+        # per-chord running max of hi: complex order is by real part (row, never decreasing) first
         upto = np.maximum.accumulate(row + 1j * hi).imag
-        first = np.diff(row, prepend=-1) != 0
-        before = np.where(first, 0.0, np.roll(upto, 1))
+        ends = np.concatenate(([-1], row, [-1]))
+        first = ends[1:] != ends[:-1]  # first[k]: interval k opens its chord, k - 1 closes one
+        before = np.where(first[:-1], 0.0, np.concatenate(([0.0], upto[:-1])))
         stuck = (before < target[row]) & (lo > before + gap[row])
-        last = np.roll(first, -1)
         reach = np.zeros(gap.size)
-        reach[row[last]] = upto[last]
+        reach[row[first[1:]]] = upto[first[1:]]  # each chord's last interval
+        reach[row[stuck]] = -1.0  # a stuck chord falls short of target > before >= 0
         covered[chunk] = reach >= target
-        covered[chunk][row[stuck]] = False
     return covered
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -25,11 +26,20 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_float(token: str, where: str) -> float:
+def _floats(path, k, tokens) -> List[float]:
     try:
-        return float(token)
+        values = list(map(float, tokens))
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise DataFormatError(f"{where}: cannot parse {token!r} as a number") from None
+        pass
+    for token in tokens:  # a bad row: report its first bad token
+        try:
+            if not math.isfinite(float(token)):
+                break
+        except ValueError:
+            raise DataFormatError(f"{path}: row {k}: cannot parse {token!r} as a number") from None
+    raise DataFormatError(f"{path}: row {k}: non-finite value {token!r}")
 
 
 def _rows(path) -> List[List[str]]:
@@ -43,11 +53,11 @@ def _rows(path) -> List[List[str]]:
 def _body(path, rows, width, skip=0, start=2):
     """Yield (row number, fields, floats) for each data row, numbered from
     `start`.  Every row must have `width` fields; the fields after the first
-    `skip` are parsed as floats."""
+    `skip` must be finite floats."""
     for k, row in enumerate(rows, start=start):
         if len(row) != width:
             raise DataFormatError(f"{path}: row {k}: expected {width} fields, got {len(row)}")
-        yield k, row, [_parse_float(tok, f"{path}: row {k}") for tok in row[skip:]]
+        yield k, row, _floats(path, k, row[skip:])
 
 
 # ---------------------------------------------------------------- panels
@@ -74,7 +84,7 @@ def _parse_panel(path, rows) -> CurvePanel:
         raise DataFormatError(f"{path}: row 1: expected a panel header starting with 't'")
     if len(header) < 3:
         raise DataFormatError(f"{path}: row 1: a panel needs at least two grid columns")
-    grid = [_parse_float(tok, f"{path}: row 1") for tok in header[1:]]
+    grid = _floats(path, 1, header[1:])
     body = list(_body(path, rows[1:], len(header), skip=1))
     if not body:
         raise DataFormatError(f"{path}: no data rows")

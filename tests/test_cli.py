@@ -215,6 +215,19 @@ def test_ragged_input_exits_3(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["x1,x2\n0.0,0.0\n1.0,nan\n3.0,1.0\n", "t,0.0,1.0\n-,0.0,0.0\n-,inf,0.0\n-,3.0,1.0\n"],
+    ids=["cloud", "panel"],
+)
+def test_non_finite_cell_exits_3_naming_the_row(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code, _, err = run(capsys, "distances", "--input", str(bad), "--outdir", str(tmp_path / "d"))
+    assert code == 3
+    assert "bad.csv: row 3: non-finite value" in err
+    assert not (tmp_path / "d" / "distances.csv").exists()
+
+
 def test_non_finite_tolerance_exits_2(tmp_path, capsys):
     src = tmp_path / "cloud.csv"
     write_cloud(src, np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]]))

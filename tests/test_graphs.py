@@ -268,9 +268,10 @@ _DEFAULT_CHUNK = geometry._CHUNK
     ids=["sim1", "tsin", "rounded-duplicates"],
 )
 def test_coverage_kernel_chunk_size_changes_nothing(monkeypatch, pts):
-    # chunks of 1 chord, of 7 chords (the last one partial) and the default
-    # share one set of kernel buffers per call: a stale row leaking from one
-    # chunk into the next would change a verdict
+    # chunks of 1 chord, of 7 chords (the last one partial), of 300 chords
+    # (row indices past 255) and the default share one set of kernel buffers
+    # per call: a stale row leaking from one chunk into the next would
+    # change a verdict
     n = len(pts)
     intervals, chunks = geometry._chord_intervals, []
 
@@ -280,13 +281,40 @@ def test_coverage_kernel_chunk_size_changes_nothing(monkeypatch, pts):
 
     monkeypatch.setattr(geometry, "_chord_intervals", counted)
     outputs = []
-    for chunk in (1, 7 * n, _DEFAULT_CHUNK):
+    for chunk in (1, 7 * n, 300 * n, _DEFAULT_CHUNK):
         monkeypatch.setattr(geometry, "_CHUNK", chunk)
         res = geodesic_pipeline(pts)
         bare = build_coverage_graph(pts, ball_radii(res.tree))
         outputs.append((res.graph.edges, res.distances.tobytes(), bare.edges))
-    assert outputs[0] == outputs[1] == outputs[2]
-    assert max(chunks) > 7 and chunks.count(7) > 1
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+    assert max(chunks) > 300 and chunks.count(7) > 1 and chunks.count(300) > 1
+
+
+# Intervals that start at exactly the same lo may be swept in any order: the
+# reach after them is their largest hi, and none of them can leave a hole
+# the others close.  The gaps below are f allowances, far from a tangency.
+@pytest.mark.parametrize("f", [0.5, 2.0])
+def test_coverage_verdicts_with_tied_interval_starts(f):
+    tol = 1e-3
+    side = (1.0 - (2.0 + f) * tol) / 2.0
+    # balls holding the start meet the chord on [0, hi], all with lo = 0 (one
+    # ball twice); only the longest hi can come within the allowance of the
+    # balls holding the end, which meet it on [lo, 1]
+    balls = [Ball([0.0, 0.0], 0.2), Ball([0.0, 0.0], side), Ball([0.0, 0.1], 0.3),
+             Ball([0.0, 0.0], side), Ball([1.0, 0.0], side), Ball([1.0, 0.0], 0.1)]
+    a, b = np.zeros(2), np.array([1.0, 0.0])
+    for shift in range(len(balls)):
+        for order in (balls[shift:] + balls[:shift], balls[::-1][shift:] + balls[::-1][:shift]):
+            assert segment_covered(a, b, order, tol=tol) == exact_segment_covered(a, b, order, tol) == (f < 1)
+    # the same chord between duplicated points: chords (0, 2), (0, 3), (1, 2)
+    # and (1, 3) carry tied lo = 0 at one end and tied hi = 1 at the other
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.1]])
+    radii = np.array([0.2, side, side, 0.1, 0.3])
+    kept = _kept(build_coverage_graph(pts, radii, tol=tol))
+    assert kept == _oracle_chords(pts, radii, tol)
+    spans = {(0, 2), (0, 3), (1, 2), (1, 3)}
+    assert spans & set(kept) == (spans if f < 1 else set())
+    assert (0, 1) in kept and (2, 3) in kept
 
 
 # The midpoint prefilter may reject a chord only where the kernel would.  A

@@ -242,7 +242,8 @@ def test_edges_bad_index_rejected(tmp_path):
         read_edges(path)
 
 
-# reader, then a header and one good row, a short row, a row with a bad token
+# reader, then a header and one good row, a short row, a row with a bad token;
+# the bad token is replaced by non-finite ones below
 READERS = {
     "panel": (read_panel, "t,0.0,1.0\n-,1.0,2.0\n", "-,1.0\n", "-,1.0,banana\n"),
     "cloud": (read_cloud, "x1,x2\n1.0,2.0\n", "1.0\n", "1.0,banana\n"),
@@ -263,6 +264,28 @@ def test_every_reader_names_the_bad_row(tmp_path, reader, head, short, bad):
         reader(path)
     path.write_text(head + bad)
     with pytest.raises(DataFormatError, match=r"bad\.csv: row 3: cannot parse 'banana' as a number"):
+        reader(path)
+    for token in ("nan", "inf", "-Infinity", "1e999"):
+        path.write_text(head + bad.replace("banana", token))
+        with pytest.raises(DataFormatError, match=rf"bad\.csv: row 3: non-finite value '{token}'"):
+            reader(path)
+
+
+@pytest.mark.parametrize(
+    "row, message", [("banana,nan", "cannot parse 'banana'"), ("nan,banana", "non-finite value 'nan'")]
+)
+def test_first_bad_token_of_a_row_is_reported(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x1,x2\n1.0,2.0\n{row}\n")
+    with pytest.raises(DataFormatError, match=rf"bad\.csv: row 3: {message}"):
+        read_cloud(path)
+
+
+@pytest.mark.parametrize("reader", [read_panel, read_points_auto])
+def test_panel_grid_must_be_finite(tmp_path, reader):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,0.0,nan\n-,1.0,2.0\n")
+    with pytest.raises(DataFormatError, match=r"bad\.csv: row 1: non-finite value 'nan'"):
         reader(path)
 
 
