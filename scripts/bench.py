@@ -13,7 +13,10 @@ stages each record wall seconds and minor page faults (the change in
 `shortest_path_distances`.  The run also records the number of candidate
 chords the kernel decides and how many of them it rejects, the kept edge
 count, and sha256 digests of the kept (i, j, weight) rows and of d_hat, so
-that two trees can be checked for identical output.  Every run is repeated
+that two trees can be checked for identical output.  A second, untimed
+call under tracemalloc records the pipeline's peak Python heap in units of
+one n x n float64 matrix (8 n^2 bytes), the unit of the memory guard in
+`geometry._PEAK_MATRICES`.  Every run is repeated
 with MALLOC_MMAP_THRESHOLD_=131072, which pins glibc's mmap threshold at its
 default so that allocations of 128 KiB or more are not served from a heap
 the earlier frees have grown.
@@ -35,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +76,9 @@ def measure(kind: str, n: int) -> dict:
 
     # graphs imported the two geometry helpers by name, so wrapping them in
     # its namespace times the calls build_coverage_graph makes
-    for name in STAGES[1:]:
-        setattr(graphs, name, timed(name, getattr(graphs, name)))
+    originals = {name: getattr(graphs, name) for name in STAGES[1:]}
+    for name, fn in originals.items():
+        setattr(graphs, name, timed(name, fn))
     result = timed(STAGES[0], graphs.geodesic_pipeline)(pts)
     covered = outputs["_covered"]
     record["candidate_chords"] = int(covered.size)
@@ -82,6 +87,14 @@ def measure(kind: str, n: int) -> dict:
     record["kept_edges"] = len(edges)
     record["edges_sha256"] = hashlib.sha256(edges.tobytes()).hexdigest()
     record["d_hat_sha256"] = hashlib.sha256(result.distances.tobytes()).hexdigest()
+
+    # unwrapped again, so that the untimed call overwrites no stage record
+    for name, fn in originals.items():
+        setattr(graphs, name, fn)
+    tracemalloc.start()
+    graphs.geodesic_pipeline(pts)
+    record["tracemalloc_peak_matrices"] = tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+    tracemalloc.stop()
     return record
 
 
@@ -105,6 +118,7 @@ def summarize(runs: list) -> dict:
         }
         for stage in STAGES
     }
+    out["tracemalloc_peak_matrices_median"] = statistics.median(r["tracemalloc_peak_matrices"] for r in runs)
     for key in ("candidate_chords", "kernel_rejected", "kept_edges", "edges_sha256", "d_hat_sha256"):
         values = {r[key] for r in runs}
         out[key] = values.pop() if len(values) == 1 else sorted(values)

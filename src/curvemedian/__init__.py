@@ -33,7 +33,6 @@ from .errors import DataFormatError, NumericError, UsageError
 from .geometry import Ball, euclidean_distance, segment_ball_intersection, segment_covered
 from .graphs import (
     GeodesicResult,
-    SpanningTree,
     WeightedGraph,
     ball_radii,
     build_complete_graph,

@@ -10,7 +10,7 @@ after discarding grid points at or beyond a time cutoff.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Union
 
 import numpy as np
@@ -79,13 +79,7 @@ class ClassifierConfig:
     tol: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "alpha": self.alpha,
-            "k": self.k,
-            "truncate_at": self.truncate_at,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierConfig":

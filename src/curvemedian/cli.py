@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import panel_io
@@ -147,16 +148,9 @@ def cmd_classify(args) -> int:
     cfg = ClassifierConfig()
     if args.config:
         cfg = panel_io.read_classifier_config(args.config)
-    if args.method is not None:
-        cfg.method = args.method
-    if args.alpha is not None:
-        cfg.alpha = args.alpha
-    if args.k is not None:
-        cfg.k = args.k
-    if args.truncate_at is not None:
-        cfg.truncate_at = args.truncate_at
-    if args.tol is not None:
-        cfg.tol = args.tol
+    for field in fields(cfg):  # explicit flags win over the file
+        if getattr(args, field.name) is not None:
+            setattr(cfg, field.name, getattr(args, field.name))
     if cfg.method == "knn" and cfg.k < 1:
         raise UsageError(f"k must be >= 1, got {cfg.k}")
     _alpha(cfg.alpha)

@@ -79,15 +79,16 @@ _CHUNK = 1 << 16
 # default coverage tolerance, as a fraction of the cloud diameter or segment length
 _REL_TOL = 1e-9
 
-# n x n float64 matrices live at the peak of `graphs.geodesic_pipeline`: the
-# pipeline's distance matrix, coverage's own copy and its squares make
-# three; then either the prefilter's shifted squares, or the candidate
-# chords' index pairs (two int64 halves) and squared lengths, which make one
-# and a half when the prefilter rejects nothing; the boolean masks and the
-# fixed-size scratch (about 12 MB) add the rest.  At n=2000 tracemalloc
-# reads 4.8 on a sim1 cloud and 5.1 on collinear points, where the
-# prefilter rejects nothing.  A dense kept graph adds its Python edge list
-# on top.
+# n x n float64 matrices live at the peak of `graphs.geodesic_pipeline`, inside
+# the coverage kernel (the pipeline's own distance matrix is freed once the
+# tree is built): coverage's distance matrix and its squares make two; the
+# candidate chords' index pairs (two int64 halves) and squared lengths add one
+# and a half when the prefilter rejects nothing; the masks and the kernel's
+# scratch and per-hit arrays (up to about 12 MB) add the rest.  Shortest paths
+# peak lower: the (E, 3) edge array, 1.5 for a complete graph, the dense
+# weights and Floyd-Warshall's buffer.  tracemalloc reads 4.3, 3.6 and 3.3
+# on sim1 clouds of 600, 1000 and 2000 points, and 5.1 on 1000 collinear
+# points, where every chord is kept.
 _PEAK_MATRICES = 6
 
 

@@ -10,8 +10,9 @@ shape the points were sampled from.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .geometry import _REL_TOL, _covered, _midpoint_far, _pairwise_distances, _t
 
 __all__ = [
     "WeightedGraph",
-    "SpanningTree",
     "GeodesicResult",
     "build_complete_graph",
     "compute_emst",
@@ -32,25 +32,45 @@ __all__ = [
     "pipeline_diagnostics",
 ]
 
-Edge = Tuple[int, int, float]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Undirected graph; edges are (i, j, weight) with i < j."""
+    """Undirected graph on vertices 0..n-1; `edges` is an (E, 3) float64
+    array of (i, j, weight) rows, i < j for the graphs built here.
+
+    Checked once, at construction: n must be a nonnegative integer, vertex
+    indices integral and in [0, n), weights finite and nonnegative.  A
+    float64 (E, 3) input is kept without a copy, behind a read-only view.
+    Graphs compare by identity.
+    """
 
     n: int
-    edges: List[Edge]
+    edges: np.ndarray
 
-
-@dataclass(frozen=True)
-class SpanningTree:
-    n: int
-    edges: List[Edge]
+    def __post_init__(self):
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise UsageError(f"vertex count must be a nonnegative integer, got {n!r}")
+        try:  # reshape makes a new view even of an (E, 3) array, never a copy
+            edges = np.asarray(self.edges, dtype=float).reshape(len(self.edges), 3)
+        except (TypeError, ValueError):
+            raise UsageError("edges must be (i, j, weight) triples") from None
+        ij, w = edges[:, :2], edges[:, 2]
+        bad = ((ij < 0) | (ij >= n) | (ij != np.floor(ij))).any(axis=1)
+        if bad.any():
+            i, j, _ = edges[int(np.argmax(bad))]
+            raise UsageError(f"edge ({i:g}, {j:g}) is out of range for {n} vertices")
+        bad = ~(np.isfinite(w) & (w >= 0.0))
+        if bad.any():
+            i, j, weight = edges[int(np.argmax(bad))]
+            raise UsageError(f"edge ({i:g}, {j:g}) has weight {weight}; weights must be finite and nonnegative")
+        edges.flags.writeable = False
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "edges", edges)
 
 
 class GeodesicResult(NamedTuple):
-    tree: SpanningTree
+    tree: WeightedGraph
     graph: WeightedGraph
     distances: np.ndarray
 
@@ -71,32 +91,14 @@ def build_complete_graph(cloud) -> WeightedGraph:
     pts = _cloud(cloud)
     n = pts.shape[0]
     ii, jj = np.triu_indices(n, 1)
-    weights = _pairwise_distances(pts)[ii, jj]
-    return WeightedGraph(n, list(zip(ii.tolist(), jj.tolist(), weights.tolist())))
-
-
-def _edge_arrays(graph: WeightedGraph):
-    """Validated (i, j, weight) arrays of the graph's edges."""
-    try:
-        arr = np.array(graph.edges, dtype=float).reshape(len(graph.edges), 3)
-    except (TypeError, ValueError):
-        raise UsageError("edges must be (i, j, weight) triples") from None
-    ij, w = arr[:, :2], arr[:, 2]
-    bad = ((ij < 0) | (ij >= graph.n) | (ij != np.floor(ij))).any(axis=1)
-    if bad.any():
-        i, j, _ = graph.edges[int(np.argmax(bad))]
-        raise UsageError(f"edge ({i}, {j}) is out of range for {graph.n} vertices")
-    bad = ~(np.isfinite(w) & (w >= 0.0))
-    if bad.any():
-        i, j, weight = graph.edges[int(np.argmax(bad))]
-        raise UsageError(f"edge ({i}, {j}) has weight {weight}; weights must be finite and nonnegative")
-    return ij[:, 0].astype(int), ij[:, 1].astype(int), w
+    return WeightedGraph(n, np.column_stack((ii, jj, _pairwise_distances(pts)[ii, jj])))
 
 
 def _weight_matrix(graph: WeightedGraph) -> np.ndarray:
     """Dense symmetric weights: the lightest of any duplicate edges, inf for
     a missing edge, zero on the diagonal."""
-    i, j, w = _edge_arrays(graph)
+    i, j = graph.edges[:, :2].T.astype(np.intp)
+    w = graph.edges[:, 2]
     dense = np.full((graph.n, graph.n), np.inf)
     np.minimum.at(dense, (i, j), w)
     np.minimum.at(dense, (j, i), w)
@@ -104,7 +106,7 @@ def _weight_matrix(graph: WeightedGraph) -> np.ndarray:
     return dense
 
 
-def _prim(weights: np.ndarray) -> SpanningTree:
+def _prim(weights: np.ndarray) -> WeightedGraph:
     """Dense O(n^2) Prim on a symmetric weight matrix (inf = no edge).
 
     Edges compare on the strict key (w, min(i, j), max(i, j)), under which
@@ -136,11 +138,10 @@ def _prim(weights: np.ndarray) -> SpanningTree:
         picked.append(v)
     picked = np.array(picked, dtype=int)
     w, i, j = best_w[picked], best_i[picked], best_j[picked]
-    order = np.lexsort((j, i, w))
-    return SpanningTree(n, list(zip(i[order].tolist(), j[order].tolist(), w[order].tolist())))
+    return WeightedGraph(n, np.column_stack((i, j, w))[np.lexsort((j, i, w))])
 
 
-def compute_emst(graph: WeightedGraph) -> SpanningTree:
+def compute_emst(graph: WeightedGraph) -> WeightedGraph:
     """Minimum spanning tree by dense Prim.
 
     Ties are broken deterministically on the edge key (weight, i, j), so
@@ -152,11 +153,12 @@ def compute_emst(graph: WeightedGraph) -> SpanningTree:
     return _prim(_weight_matrix(graph))
 
 
-def ball_radii(tree: SpanningTree) -> np.ndarray:
+def ball_radii(tree: WeightedGraph) -> np.ndarray:
     """Per-vertex radius: the weight of the longest incident tree edge."""
     if tree.n < 2:
         raise UsageError("ball radii need at least two vertices")
-    i, j, w = _edge_arrays(tree)
+    i, j = tree.edges[:, :2].T.astype(np.intp)
+    w = tree.edges[:, 2]
     radii = np.zeros(tree.n)
     np.maximum.at(radii, i, w)
     np.maximum.at(radii, j, w)
@@ -172,7 +174,7 @@ def build_coverage_graph(
     cloud,
     radii,
     tol: Optional[float] = None,
-    tree: Optional[SpanningTree] = None,
+    tree: Optional[WeightedGraph] = None,
 ) -> WeightedGraph:
     """Graph keeping every chord covered by the union of sample-centered balls.
 
@@ -203,9 +205,9 @@ def build_coverage_graph(
     if tree is not None:
         if tree.n != n:
             raise UsageError("tree and cloud disagree on the number of points")
-        ti, tj, tw = _edge_arrays(tree)
+        ti, tj = tree.edges[:, :2].T.astype(np.intp)
         keep[ti, tj] = True
-        dist[ti, tj] = tw
+        dist[ti, tj] = tree.edges[:, 2]
 
     # pairs live in the upper triangle of n x n masks, whose row-major
     # nonzero entries come sorted by (i, j)
@@ -213,8 +215,8 @@ def build_coverage_graph(
     keep = np.triu(keep, 1)
     i, j = np.nonzero(np.triu(~(keep | _midpoint_far(sq, r, tol / unit)), 1))
     keep[i, j] = _covered(sq[i, j], sq, i, j, r, tol / unit)
-    ii, jj = np.nonzero(keep)
-    return WeightedGraph(n, list(zip(ii.tolist(), jj.tolist(), dist[ii, jj].tolist())))
+    del sq, i, j  # freed before the edge array is built
+    return WeightedGraph(n, np.column_stack((*np.nonzero(keep), dist[keep])))
 
 
 def _floyd_warshall(dist: np.ndarray) -> np.ndarray:
@@ -261,9 +263,8 @@ def geodesic_pipeline(cloud, tol: Optional[float] = None) -> GeodesicResult:
     n = pts.shape[0]
     tol = None if tol is None else _tolerance(tol)
     if n == 1:
-        return GeodesicResult(SpanningTree(1, []), WeightedGraph(1, []), np.zeros((1, 1)))
-    dist = _pairwise_distances(pts)
-    tree = _prim(dist)
+        return GeodesicResult(WeightedGraph(1, []), WeightedGraph(1, []), np.zeros((1, 1)))
+    tree = _prim(_pairwise_distances(pts))
     graph = build_coverage_graph(pts, ball_radii(tree), tol=tol, tree=tree)
     return GeodesicResult(tree, graph, shortest_path_distances(graph))
 

@@ -191,21 +191,24 @@ def read_matrix(path) -> np.ndarray:
     rows = _rows(path)
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    return np.array([vals for _, _, vals in _body(path, rows, len(rows[0]), start=1)])
+    matrix = np.array([vals for _, _, vals in _body(path, rows, len(rows[0]), start=1)])
+    if matrix.shape[0] != matrix.shape[1]:
+        raise DataFormatError(f"{path}: expected a square matrix, got {matrix.shape[0]} x {matrix.shape[1]}")
+    return matrix
 
 
-def write_edges(path, graph) -> None:
+def write_edges(path, graph: WeightedGraph) -> None:
     """Edge list: header i,j,weight; 0-based indices with i < j."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("i,j,weight\r\n")
-        fh.writelines("%s,%s,%.17g\r\n" % (i, j, w) for i, j, w in graph.edges)
+        fh.writelines("%d,%d,%.17g\r\n" % (i, j, w) for i, j, w in graph.edges.tolist())
 
 
 def read_edges(path, n: Optional[int] = None) -> WeightedGraph:
     rows = _rows(path)
     if not rows or rows[0] != ["i", "j", "weight"]:
         raise DataFormatError(f"{path}: row 1: expected header 'i,j,weight'")
-    edges: List[Tuple[int, int, float]] = []
+    edges = []
     top = -1
     for k, row, (weight,) in _body(path, rows[1:], 3, skip=2):
         try:
@@ -214,7 +217,10 @@ def read_edges(path, n: Optional[int] = None) -> WeightedGraph:
             raise DataFormatError(f"{path}: row {k}: bad vertex index") from None
         edges.append((i, j, weight))
         top = max(top, i, j)
-    return WeightedGraph(n if n is not None else top + 1, edges)
+    try:
+        return WeightedGraph(n if n is not None else top + 1, edges)
+    except UsageError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 # ------------------------------------------------------------- estimates

@@ -83,6 +83,7 @@ def bellman_ford(n, edges):
         for _ in range(n - 1):
             changed = False
             for i, j, w in edges:
+                i, j = int(i), int(j)
                 if dist[i] + w < dist[j]:
                     dist[j], changed = dist[i] + w, True
                 if dist[j] + w < dist[i]:
@@ -98,6 +99,7 @@ def floyd_warshall(n, edges):
     dm = np.full((n, n), np.inf)
     np.fill_diagonal(dm, 0.0)
     for i, j, w in edges:
+        i, j = int(i), int(j)
         if w < dm[i, j]:
             dm[i, j] = dm[j, i] = w
     for k in range(n):

@@ -28,6 +28,11 @@ from curvemedian import geometry
 from oracles import exact_segment_covered, floyd_warshall, mc_segment_covered, min_spanning_weight_exhaustive
 
 
+def _int_ends(graph):
+    """The graph's edges as (i, j, weight) tuples with int indices."""
+    return [(int(i), int(j), w) for i, j, w in graph.edges.tolist()]
+
+
 def random_cloud(rng, n=None, p=None):
     n = n or int(rng.integers(2, 30))
     p = p or int(rng.integers(1, 5))
@@ -38,12 +43,12 @@ def random_cloud(rng, n=None, p=None):
 
 def test_complete_graph_collinear():
     g = build_complete_graph(np.array([[0.0], [1.0], [3.0]]))
-    assert g.edges == [(0, 1, 1.0), (0, 2, 3.0), (1, 2, 2.0)]
+    assert g.edges.tolist() == [[0, 1, 1.0], [0, 2, 3.0], [1, 2, 2.0]]
 
 
 def test_complete_graph_single_point():
     g = build_complete_graph(np.array([[5.0, 5.0]]))
-    assert g.n == 1 and g.edges == []
+    assert g.n == 1 and g.edges.tolist() == []
 
 
 def test_complete_graph_weights_match_independent_norms():
@@ -51,7 +56,7 @@ def test_complete_graph_weights_match_independent_norms():
     pts = rng.normal(size=(40, 3))
     g = build_complete_graph(pts)
     assert len(g.edges) == 40 * 39 // 2
-    for i, j, w in g.edges:
+    for i, j, w in _int_ends(g):
         assert w == pytest.approx(float(np.linalg.norm(pts[i] - pts[j])), rel=1e-12)
 
 
@@ -64,7 +69,7 @@ def test_complete_graph_rejects_empty():
 
 def test_emst_collinear_drops_longest_edge():
     tree = compute_emst(build_complete_graph(np.array([[0.0], [1.0], [3.0]])))
-    assert tree.edges == [(0, 1, 1.0), (1, 2, 2.0)]
+    assert tree.edges.tolist() == [[0, 1, 1.0], [1, 2, 2.0]]
 
 
 def test_emst_unit_square_ties_break_lexicographically():
@@ -109,12 +114,12 @@ def test_emst_matches_sorted_kruskal_on_tied_clouds():
             return x
 
         want = []
-        for i, j, w in sorted(complete.edges, key=lambda e: (e[2], e[0], e[1])):
+        for i, j, w in sorted(_int_ends(complete), key=lambda e: (e[2], e[0], e[1])):
             if find(i) != find(j):
                 parent[find(i)] = find(j)
-                want.append((i, j, w))
-        assert compute_emst(complete).edges == want
-        assert geodesic_pipeline(pts).tree.edges == want
+                want.append([i, j, w])
+        assert compute_emst(complete).edges.tolist() == want
+        assert geodesic_pipeline(pts).tree.edges.tolist() == want
 
 
 def test_emst_duplicate_points_zero_weight_edges():
@@ -136,10 +141,8 @@ def test_ball_radii_two_points():
 
 
 def test_ball_radii_single_vertex_rejected():
-    from curvemedian import SpanningTree
-
     with pytest.raises(UsageError):
-        ball_radii(SpanningTree(1, []))
+        ball_radii(WeightedGraph(1, []))
 
 
 def test_ball_radii_equal_max_incident_weight():
@@ -185,7 +188,7 @@ def test_tree_edges_covered_by_their_two_endpoint_balls():
         pts = random_cloud(rng)
         tree = compute_emst(build_complete_graph(pts))
         radii = ball_radii(tree)
-        for i, j, _ in tree.edges:
+        for i, j, _ in _int_ends(tree):
             balls = [Ball(pts[i], radii[i]), Ball(pts[j], radii[j])]
             assert segment_covered(pts[i], pts[j], balls) is True
 
@@ -210,7 +213,7 @@ def test_coverage_graph_chords_covered_on_criterion_2_miss(shift_instances):
     tol = 1e-9 * cloud_diameter(pts)
     balls = [Ball(c, r) for c, r in zip(pts, ball_radii(res.tree))]
     assert len(res.graph.edges) > len(res.tree.edges)
-    for i, j, _ in res.graph.edges:
+    for i, j, _ in _int_ends(res.graph):
         assert mc_segment_covered(pts[i], pts[j], balls, tol=tol, samples=4001), (i, j)
 
 
@@ -285,7 +288,7 @@ def test_coverage_kernel_chunk_size_changes_nothing(monkeypatch, pts):
         monkeypatch.setattr(geometry, "_CHUNK", chunk)
         res = geodesic_pipeline(pts)
         bare = build_coverage_graph(pts, ball_radii(res.tree))
-        outputs.append((res.graph.edges, res.distances.tobytes(), bare.edges))
+        outputs.append((res.graph.edges.tobytes(), res.distances.tobytes(), bare.edges.tobytes()))
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
     assert max(chunks) > 300 and chunks.count(7) > 1 and chunks.count(300) > 1
 
@@ -426,7 +429,7 @@ def test_pipeline_invariant_under_motion_and_scale(seed, parabola, shift, expone
     scale = 10.0**exponent
     base = geodesic_pipeline(pts)
     moved = geodesic_pipeline(scale * (pts[perm] @ rot.T + shift))
-    kept = {tuple(sorted((int(perm[i]), int(perm[j])))) for i, j, _ in moved.graph.edges}
+    kept = {tuple(sorted((int(perm[i]), int(perm[j])))) for i, j, _ in _int_ends(moved.graph)}
     assert kept == {(i, j) for i, j, _ in base.graph.edges}
     want = base.distances[np.ix_(perm, perm)]
     assert np.allclose(moved.distances / scale, want, rtol=0.0, atol=1e-7 * want.max())
@@ -567,6 +570,40 @@ def test_bad_edges_are_usage_errors(routine, bad):
         routine(WeightedGraph(3, [(0, 1, 1.0), (0, 2, 4.0), bad]))
 
 
+BAD_COUNTS = {
+    "negative": (-1, []),
+    "fractional": (2.5, [(0, 1, 1.0)]),
+    "bool": (True, []),
+    "text": ("3", [(0, 1, 1.0)]),
+}
+
+
+@pytest.mark.parametrize(
+    "routine",
+    [compute_emst, shortest_path_distances],
+    ids=["compute_emst", "shortest_path_distances"],
+)
+@pytest.mark.parametrize("n, edges", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_bad_vertex_counts_are_usage_errors(routine, n, edges):
+    with pytest.raises(UsageError, match="vertex count"):
+        routine(WeightedGraph(n, edges))
+
+
+@pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1, 1.0, 2.0)], [(0, 1), (1, 2), (0, 2)], 5, "abc"])
+def test_malformed_edge_rows_are_usage_errors(edges):
+    with pytest.raises(UsageError, match="triples"):
+        WeightedGraph(3, edges)
+
+
+def test_graph_keeps_a_float64_edge_array_without_copying():
+    edges = np.array([[0.0, 1.0, 1.0], [1.0, 2.0, 2.0]])
+    g = WeightedGraph(np.int64(3), edges)
+    assert type(g.n) is int and g.n == 3
+    assert np.shares_memory(g.edges, edges) and not g.edges.flags.writeable
+    # identity, not a raising elementwise ==
+    assert g == g and g != WeightedGraph(3, edges)
+
+
 # ---------------------------------------------------------------- pipeline
 
 def test_pipeline_two_points_distance_is_euclidean():
@@ -576,7 +613,7 @@ def test_pipeline_two_points_distance_is_euclidean():
 
 def test_pipeline_single_point():
     res = geodesic_pipeline(np.array([[7.0, 7.0]]))
-    assert res.tree.edges == [] and res.graph.edges == []
+    assert res.tree.edges.tolist() == [] and res.graph.edges.tolist() == []
     assert res.distances.tolist() == [[0.0]]
 
 
@@ -592,8 +629,8 @@ def test_pipeline_deterministic_bit_for_bit():
     pts = random_cloud(rng, n=24, p=3)
     r1 = geodesic_pipeline(pts)
     r2 = geodesic_pipeline(pts.copy())
-    assert r1.tree.edges == r2.tree.edges
-    assert r1.graph.edges == r2.graph.edges
+    assert np.array_equal(r1.tree.edges, r2.tree.edges)
+    assert np.array_equal(r1.graph.edges, r2.graph.edges)
     assert np.array_equal(r1.distances, r2.distances)
 
 
@@ -603,7 +640,7 @@ def test_pipeline_sandwich_bounds():
     res = geodesic_pipeline(pts)
     complete = build_complete_graph(pts)
     euclid = np.zeros_like(res.distances)
-    for i, j, w in complete.edges:
+    for i, j, w in _int_ends(complete):
         euclid[i, j] = euclid[j, i] = w
     tree_paths = shortest_path_distances(
         WeightedGraph(res.tree.n, list(res.tree.edges))
@@ -618,9 +655,9 @@ def test_pipeline_removing_chords_never_shrinks_distances():
     pts = random_cloud(rng, n=15, p=2)
     res = geodesic_pipeline(pts)
     tree_set = {(i, j) for i, j, _ in res.tree.edges}
-    non_tree = [e for e in res.graph.edges if (e[0], e[1]) not in tree_set]
+    non_tree = [e for e in res.graph.edges.tolist() if (e[0], e[1]) not in tree_set]
     for removed in non_tree:
-        pruned = [e for e in res.graph.edges if e != removed]
+        pruned = [e for e in res.graph.edges.tolist() if e != removed]
         dm = shortest_path_distances(WeightedGraph(res.graph.n, pruned))
         assert (dm >= res.distances - 1e-12).all()
 

@@ -63,3 +63,9 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
             # the same tree gives the same graph and d_hat in every process
             for key in ("candidate_chords", "kernel_rejected", "edges_sha256", "d_hat_sha256"):
                 assert a[key] == b[key]
+            # the untimed tracemalloc pass: coverage alone holds a distance
+            # matrix and its squares at once
+            for side in (a, b):
+                assert side["tracemalloc_peak_matrices_median"] > 1.0
+            runs = report["runs"]["a"][name][env]
+            assert all(r["tracemalloc_peak_matrices"] > 1.0 for r in runs)
