@@ -8,12 +8,14 @@ Each input is a fresh interpreter running one `geodesic_pipeline` call, as
 `curvemedian distances` does, with perfbench's one-BLAS-thread environment
 and the package imported from the given source tree.  The call and its
 stages each record wall seconds and minor page faults (the change in
-`ru_minflt`): `build_coverage_graph`, within it the midpoint prefilter
-`_midpoint_far` and the coverage kernel `_covered`, and
-`shortest_path_distances`.  The run also records the number of candidate
-chords the kernel decides and how many of them it rejects, the kept edge
-count, and sha256 digests of the kept (i, j, weight) rows and of d_hat, so
-that two trees can be checked for identical output.  A second, untimed
+`ru_minflt`): `compute_emst`, `ball_radii`, `build_coverage_graph`, within
+it the midpoint prefilter `_midpoint_far` and the coverage kernel
+`_covered`, and `shortest_path_distances`.  A stage the given tree's
+pipeline does not call is left out of its record and summary.  The run
+also records the number of candidate chords the kernel decides and how
+many of them it rejects, the kept edge count, and sha256 digests of the
+kept (i, j, weight) rows and of d_hat, so that two trees can be checked
+for identical output.  A second, untimed
 call under tracemalloc records the pipeline's peak Python heap in units of
 one n x n float64 matrix (8 n^2 bytes), the unit of the memory guard in
 `geometry._PEAK_MATRICES`.  Every run is repeated
@@ -45,7 +47,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1000
-STAGES = ("geodesic_pipeline", "build_coverage_graph", "_midpoint_far", "_covered", "shortest_path_distances")
+STAGES = (
+    "geodesic_pipeline", "compute_emst", "ball_radii", "build_coverage_graph", "_midpoint_far", "_covered",
+    "shortest_path_distances",
+)
 ENVIRONMENTS = {"default": {}, "mmap_threshold_131072": {"MALLOC_MMAP_THRESHOLD_": "131072"}}
 
 
@@ -117,6 +122,7 @@ def summarize(runs: list) -> dict:
             "minflt_median": statistics.median(r[stage]["minflt"] for r in runs),
         }
         for stage in STAGES
+        if all(stage in r for r in runs)
     }
     out["tracemalloc_peak_matrices_median"] = statistics.median(r["tracemalloc_peak_matrices"] for r in runs)
     for key in ("candidate_chords", "kernel_rejected", "kept_edges", "edges_sha256", "d_hat_sha256"):

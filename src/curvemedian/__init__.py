@@ -35,7 +35,6 @@ from .graphs import (
     GeodesicResult,
     WeightedGraph,
     ball_radii,
-    build_complete_graph,
     build_coverage_graph,
     cloud_diameter,
     compute_emst,

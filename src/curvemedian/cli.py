@@ -52,10 +52,7 @@ def cmd_simulate(args) -> int:
     data_path = prefix.with_name(prefix.name + ".csv")
     truth_path = prefix.with_name(prefix.name + ".truth.csv")
     if args.model == "sim1":
-        cfg = Sim1Config(
-            n=args.n, noise_sd=args.noise_sd, seed=args.seed, noiseless=args.noiseless
-        )
-        cloud = generate_sim1(cfg)
+        cloud = generate_sim1(Sim1Config(n=args.n, noise_sd=args.noise_sd, seed=args.seed))
         panel_io.write_cloud(data_path, cloud)
         panel_io.write_cloud(truth_path, sim1_truth(args.n))
     elif args.model == "shift":
@@ -198,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-range", nargs=2, type=float, default=None, metavar=("LO", "HI"))
     p.add_argument("--amp-range", nargs=2, type=float, default=[-10.0, 10.0], metavar=("LO", "HI"))
     p.add_argument("--scale-range", nargs=2, type=float, default=[-1.0, 1.0], metavar=("LO", "HI"))
-    p.add_argument("--noise-sd", type=float, default=0.1, help="sim1 coordinate noise")
-    p.add_argument("--noiseless", action="store_true", help="sim1: exact parabola")
+    p.add_argument("--noise-sd", type=float, default=0.1, help="sim1 coordinate noise (0: exact parabola)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("distances", help="estimate geodesic distances over points or curves")

@@ -1,11 +1,11 @@
 """Graph construction over point clouds and geodesic distance estimation.
 
-Three stages: the complete Euclidean graph on the sample, its minimum
-spanning tree, and an augmented graph that additionally keeps every chord
-lying inside the union of balls centered at the sample points, each ball's
-radius being the longest tree edge incident to its center.  Shortest-path
-distances on the augmented graph estimate geodesic distances along the
-shape the points were sampled from.
+Four stages: the Euclidean minimum spanning tree of the sample, ball radii
+read off that tree (each the longest tree edge incident to its center), a
+coverage graph that keeps every chord lying inside the union of those
+balls, and all-pairs shortest paths on it.  Shortest-path distances on the
+coverage graph estimate geodesic distances along the shape the points were
+sampled from.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .geometry import _REL_TOL, _covered, _midpoint_far, _pairwise_distances, _t
 __all__ = [
     "WeightedGraph",
     "GeodesicResult",
-    "build_complete_graph",
     "compute_emst",
     "ball_radii",
     "build_coverage_graph",
@@ -86,33 +85,14 @@ def _cloud(points) -> np.ndarray:
     return pts
 
 
-def build_complete_graph(cloud) -> WeightedGraph:
-    """Complete graph whose edge weights are pairwise Euclidean distances."""
-    pts = _cloud(cloud)
-    n = pts.shape[0]
-    ii, jj = np.triu_indices(n, 1)
-    return WeightedGraph(n, np.column_stack((ii, jj, _pairwise_distances(pts)[ii, jj])))
+def compute_emst(cloud) -> WeightedGraph:
+    """Euclidean minimum spanning tree of the cloud by dense O(n^2) Prim.
 
-
-def _weight_matrix(graph: WeightedGraph) -> np.ndarray:
-    """Dense symmetric weights: the lightest of any duplicate edges, inf for
-    a missing edge, zero on the diagonal."""
-    i, j = graph.edges[:, :2].T.astype(np.intp)
-    w = graph.edges[:, 2]
-    dense = np.full((graph.n, graph.n), np.inf)
-    np.minimum.at(dense, (i, j), w)
-    np.minimum.at(dense, (j, i), w)
-    np.fill_diagonal(dense, 0.0)
-    return dense
-
-
-def _prim(weights: np.ndarray) -> WeightedGraph:
-    """Dense O(n^2) Prim on a symmetric weight matrix (inf = no edge).
-
-    Edges compare on the strict key (w, min(i, j), max(i, j)), under which
-    the minimum spanning tree is unique; the tree is returned sorted by that
-    key.
+    Edges compare on the strict key (w, i, j), i < j, under which the tree
+    is unique, so equal-weight inputs always yield the same tree; its edges
+    come sorted by that key.  A single point gives an empty tree.
     """
+    weights = _pairwise_distances(_cloud(cloud))
     n = weights.shape[0]
     vertex = np.arange(n)
     inside = np.zeros(n, dtype=bool)
@@ -130,27 +110,12 @@ def _prim(weights: np.ndarray) -> WeightedGraph:
         )
         best_w[better], best_i[better], best_j[better] = w[better], i[better], j[better]
         open_w = np.where(inside, np.inf, best_w)
-        low = open_w.min()
-        if low == np.inf:
-            raise UsageError("graph is disconnected; no spanning tree exists")
-        tied = np.flatnonzero(open_w == low)
+        tied = np.flatnonzero(open_w == open_w.min())
         v = tied[np.lexsort((best_j[tied], best_i[tied]))[0]]
         picked.append(v)
     picked = np.array(picked, dtype=int)
     w, i, j = best_w[picked], best_i[picked], best_j[picked]
     return WeightedGraph(n, np.column_stack((i, j, w))[np.lexsort((j, i, w))])
-
-
-def compute_emst(graph: WeightedGraph) -> WeightedGraph:
-    """Minimum spanning tree by dense Prim.
-
-    Ties are broken deterministically on the edge key (weight, i, j), so
-    equal-weight inputs always yield the same tree; its edges come sorted
-    by that key.
-    """
-    if graph.n < 1:
-        raise UsageError("cannot span an empty graph")
-    return _prim(_weight_matrix(graph))
 
 
 def ball_radii(tree: WeightedGraph) -> np.ndarray:
@@ -170,23 +135,18 @@ def cloud_diameter(cloud) -> float:
     return float(_pairwise_distances(_cloud(cloud)).max())
 
 
-def build_coverage_graph(
-    cloud,
-    radii,
-    tol: Optional[float] = None,
-    tree: Optional[WeightedGraph] = None,
-) -> WeightedGraph:
+def build_coverage_graph(cloud, radii, tol: Optional[float] = None) -> WeightedGraph:
     """Graph keeping every chord covered by the union of sample-centered balls.
 
-    A pair (i, j) becomes an edge when the straight segment between the two
-    points lies inside the union of all n balls (closed, radius inflated by
-    `tol`: finite, nonnegative, by default 1e-9 times the cloud diameter).
-    Edges of the supplied spanning tree are admitted without testing, with
-    their tree weights: each one is covered by its own endpoint balls by
-    construction.  The test reads only distances in units of the diameter,
-    so translating or scaling the cloud keeps the same pairs.  One (min, +)
-    pass first rejects the chords whose midpoint clears every ball by more
-    than the gap allowance; the interval sweep decides the rest.
+    A pair (i, j) becomes an edge, weighted by its length, when the straight
+    segment between the two points lies inside the union of all n balls
+    (closed, radius inflated by `tol`: finite, nonnegative, by default 1e-9
+    times the cloud diameter).  With radii from `ball_radii` every tree
+    edge is kept: ball i holds the whole chord to each tree neighbour of i.
+    The test reads only distances in units of the diameter, so translating
+    or scaling the cloud keeps the same pairs.  One (min, +) pass first
+    rejects the chords whose midpoint clears every ball by more than the
+    gap allowance; the interval sweep decides the rest.
     """
     pts = _cloud(cloud)
     n = pts.shape[0]
@@ -201,22 +161,26 @@ def build_coverage_graph(
     tol = _REL_TOL * diameter if tol is None else _tolerance(tol)
     unit = diameter if diameter > 0.0 else 1.0
     sq = (dist / unit) ** 2
-    keep = np.zeros((n, n), dtype=bool)
-    if tree is not None:
-        if tree.n != n:
-            raise UsageError("tree and cloud disagree on the number of points")
-        ti, tj = tree.edges[:, :2].T.astype(np.intp)
-        keep[ti, tj] = True
-        dist[ti, tj] = tree.edges[:, 2]
-
     # pairs live in the upper triangle of n x n masks, whose row-major
     # nonzero entries come sorted by (i, j)
     r = (radii + tol) / unit
-    keep = np.triu(keep, 1)
-    i, j = np.nonzero(np.triu(~(keep | _midpoint_far(sq, r, tol / unit)), 1))
+    keep = np.triu(~_midpoint_far(sq, r, tol / unit), 1)
+    i, j = np.nonzero(keep)
     keep[i, j] = _covered(sq[i, j], sq, i, j, r, tol / unit)
     del sq, i, j  # freed before the edge array is built
     return WeightedGraph(n, np.column_stack((*np.nonzero(keep), dist[keep])))
+
+
+def _weight_matrix(graph: WeightedGraph) -> np.ndarray:
+    """Dense symmetric weights: the lightest of any duplicate edges, inf for
+    a missing edge, zero on the diagonal."""
+    i, j = graph.edges[:, :2].T.astype(np.intp)
+    w = graph.edges[:, 2]
+    dense = np.full((graph.n, graph.n), np.inf)
+    np.minimum.at(dense, (i, j), w)
+    np.minimum.at(dense, (j, i), w)
+    np.fill_diagonal(dense, 0.0)
+    return dense
 
 
 def _floyd_warshall(dist: np.ndarray) -> np.ndarray:
@@ -254,18 +218,17 @@ def shortest_path_distances(graph: WeightedGraph) -> np.ndarray:
 
 
 def geodesic_pipeline(cloud, tol: Optional[float] = None) -> GeodesicResult:
-    """Full estimation chain: pairwise distances, spanning tree, coverage
-    graph, then all-pairs shortest-path distances.
+    """Full estimation chain: spanning tree, ball radii, coverage graph, then
+    all-pairs shortest-path distances.
 
     A single point short-circuits to an empty tree and a 1x1 zero matrix.
     """
     pts = _cloud(cloud)
-    n = pts.shape[0]
     tol = None if tol is None else _tolerance(tol)
-    if n == 1:
+    if pts.shape[0] == 1:
         return GeodesicResult(WeightedGraph(1, []), WeightedGraph(1, []), np.zeros((1, 1)))
-    tree = _prim(_pairwise_distances(pts))
-    graph = build_coverage_graph(pts, ball_radii(tree), tol=tol, tree=tree)
+    tree = compute_emst(pts)
+    graph = build_coverage_graph(pts, ball_radii(tree), tol=tol)
     return GeodesicResult(tree, graph, shortest_path_distances(graph))
 
 

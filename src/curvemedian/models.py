@@ -6,8 +6,8 @@ Models shipped here:
   shifts a_i drawn uniformly from an interval;
 * three-parameter warp: rows are A_i * f(B_i * t_j - C_i) with uniform
   amplitude, time scale, and time shift;
-* noisy parabola cloud: 2-D points along x2 = 2 * x1**2 with optional
-  Gaussian coordinate noise.
+* noisy parabola cloud: 2-D points along x2 = 2 * x1**2 with Gaussian
+  coordinate noise (none at sd 0).
 
 For the pure shift model the curves trace a one-dimensional path in R^m
 parametrized by the shift, and the exact geodesic distance between two
@@ -161,9 +161,10 @@ class CurvePanel:
 
 
 def _check_range(name, pair) -> Tuple[float, float]:
+    """An interval lo < hi whose width is finite, refused otherwise."""
     lo, hi = float(pair[0]), float(pair[1])
-    if not lo < hi:
-        raise UsageError(f"{name} must be an interval (lo < hi), got ({lo}, {hi})")
+    if not (lo < hi and hi - lo < np.inf):
+        raise UsageError(f"{name} must be a finite interval (lo < hi), got ({lo}, {hi})")
     return lo, hi
 
 
@@ -190,7 +191,6 @@ class Sim1Config:
     n: int = 300
     noise_sd: float = 0.1
     seed: int = 0
-    noiseless: bool = False
 
 
 @dataclass
@@ -261,12 +261,11 @@ def sim1_truth(n: int) -> np.ndarray:
 
 
 def generate_sim1(cfg: Sim1Config) -> np.ndarray:
-    """Parabola cloud with i.i.d. Gaussian coordinate noise (default sd 0.1)."""
+    """Parabola cloud with i.i.d. Gaussian coordinate noise (default sd 0.1;
+    sd 0 gives `sim1_truth` exactly)."""
     base = sim1_truth(cfg.n)
-    if cfg.noiseless:
-        return base
-    if cfg.noise_sd < 0:
-        raise UsageError(f"noise_sd must be nonnegative, got {cfg.noise_sd}")
+    if not 0.0 <= cfg.noise_sd < np.inf:
+        raise UsageError(f"noise_sd must be finite and nonnegative, got {cfg.noise_sd}")
     rng = np.random.default_rng(cfg.seed)
     noise = rng.normal(0.0, cfg.noise_sd, size=base.shape)
     return base + noise

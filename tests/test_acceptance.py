@@ -18,7 +18,6 @@ from curvemedian import (
     Sim1Config,
     UsageError,
     WeightedGraph,
-    build_complete_graph,
     compute_emst,
     euclidean_medoid,
     generate_shift_sample,
@@ -106,7 +105,7 @@ def test_criterion_2_pipeline_median_recovery(shift_instances):
 
 def test_criterion_3_parabola_arc_length():
     analytic = math.sqrt(17.0) + math.asinh(4.0) / 4.0
-    clean = generate_sim1(Sim1Config(n=300, noiseless=True))
+    clean = generate_sim1(Sim1Config(n=300, noise_sd=0.0))
     result = geodesic_pipeline(clean)
     got = float(result.distances[0, -1])
     rel = abs(got - analytic) / analytic
@@ -137,7 +136,7 @@ def test_criterion_4_emst_weight_exact():
         n = int(rng.integers(2, 9))
         p = int(rng.choice([2, 3]))
         pts = rng.normal(0.0, 1.0, size=(n, p))
-        tree = compute_emst(build_complete_graph(pts))
+        tree = compute_emst(pts)
         got = math.fsum(w for _, _, w in tree.edges)
         want = min_spanning_weight_exhaustive(pts)
         hits += math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)

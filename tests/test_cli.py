@@ -48,7 +48,7 @@ def test_simulate_sim2_writes_panel_and_truth(tmp_path, capsys):
 
 def test_simulate_sim1_noiseless_is_exact_parabola(tmp_path, capsys):
     code, _, _ = run(
-        capsys, "simulate", "--model", "sim1", "--n", "30", "--noiseless",
+        capsys, "simulate", "--model", "sim1", "--n", "30", "--noise-sd", "0",
         "--out", str(tmp_path / "par"),
     )
     assert code == 0
@@ -76,6 +76,27 @@ def test_simulate_repeats_are_byte_identical(tmp_path, capsys):
         )
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
     assert (tmp_path / "one.truth.csv").read_bytes() == (tmp_path / "two.truth.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "sim1", "--noise-sd", "nan"],
+        ["--model", "sim1", "--noise-sd", "inf"],
+        ["--model", "sim1", "--noise-sd", "-0.1"],
+        ["--model", "shift", "--shift-range", "0", "inf"],
+        ["--model", "shift", "--t-range", "0", "inf"],
+        ["--model", "shift", "--shift-range", "nan", "1"],
+        ["--model", "sim2", "--amp-range", "0", "inf"],
+        ["--model", "sim2", "--scale-range", "0", "inf"],
+    ],
+    ids=["noise-nan", "noise-inf", "noise-negative", "shift-inf", "t-inf", "shift-nan",
+         "amp-inf", "scale-inf"],
+)
+def test_simulate_bad_parameter_exits_2_writing_nothing(tmp_path, capsys, argv):
+    code, out, err = run(capsys, "simulate", "--n", "5", "--out", str(tmp_path / "x"), *argv)
+    assert code == 2 and err.startswith("error: ") and out == ""
+    assert not list(tmp_path.iterdir())
 
 
 # --------------------------------------------------------------- distances

@@ -11,7 +11,6 @@ from curvemedian import (
     UsageError,
     WeightedGraph,
     ball_radii,
-    build_complete_graph,
     build_coverage_graph,
     cloud_diameter,
     compute_emst,
@@ -40,21 +39,24 @@ def random_cloud(rng, n=None, p=None):
 
 
 # ----------------------------------------------------------- complete graph
+# On a line every chord lies in the balls of the points it passes, so the
+# coverage graph is the complete graph.
 
 def test_complete_graph_collinear():
-    g = build_complete_graph(np.array([[0.0], [1.0], [3.0]]))
+    g = geodesic_pipeline(np.array([[0.0], [1.0], [3.0]])).graph
     assert g.edges.tolist() == [[0, 1, 1.0], [0, 2, 3.0], [1, 2, 2.0]]
 
 
 def test_complete_graph_single_point():
-    g = build_complete_graph(np.array([[5.0, 5.0]]))
+    g = build_coverage_graph(np.array([[5.0, 5.0]]), [0.0])
     assert g.n == 1 and g.edges.tolist() == []
 
 
 def test_complete_graph_weights_match_independent_norms():
+    # balls as wide as the cloud keep every chord
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(40, 3))
-    g = build_complete_graph(pts)
+    g = build_coverage_graph(pts, np.full(40, cloud_diameter(pts)))
     assert len(g.edges) == 40 * 39 // 2
     for i, j, w in _int_ends(g):
         assert w == pytest.approx(float(np.linalg.norm(pts[i] - pts[j])), rel=1e-12)
@@ -62,19 +64,19 @@ def test_complete_graph_weights_match_independent_norms():
 
 def test_complete_graph_rejects_empty():
     with pytest.raises(UsageError):
-        build_complete_graph(np.empty((0, 2)))
+        build_coverage_graph(np.empty((0, 2)), [])
 
 
 # -------------------------------------------------------------------- EMST
 
 def test_emst_collinear_drops_longest_edge():
-    tree = compute_emst(build_complete_graph(np.array([[0.0], [1.0], [3.0]])))
+    tree = compute_emst(np.array([[0.0], [1.0], [3.0]]))
     assert tree.edges.tolist() == [[0, 1, 1.0], [1, 2, 2.0]]
 
 
 def test_emst_unit_square_ties_break_lexicographically():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    tree = compute_emst(build_complete_graph(pts))
+    tree = compute_emst(pts)
     assert [(i, j) for i, j, _ in tree.edges] == [(0, 1), (0, 3), (1, 2)]
     assert sum(w for _, _, w in tree.edges) == pytest.approx(3.0)
     assert min_spanning_weight_exhaustive(pts) == pytest.approx(3.0)
@@ -84,19 +86,14 @@ def test_emst_weight_matches_exhaustive_enumeration():
     rng = np.random.default_rng(11)
     for _ in range(10):
         pts = random_cloud(rng, n=int(rng.integers(2, 7)), p=2)
-        tree = compute_emst(build_complete_graph(pts))
+        tree = compute_emst(pts)
         got = sum(w for _, _, w in tree.edges)
         assert got == pytest.approx(min_spanning_weight_exhaustive(pts), rel=1e-12)
 
 
 def test_emst_empty_graph_rejected():
     with pytest.raises(UsageError):
-        compute_emst(WeightedGraph(0, []))
-
-
-def test_emst_disconnected_rejected():
-    with pytest.raises(UsageError):
-        compute_emst(WeightedGraph(3, [(0, 1, 1.0)]))
+        compute_emst(np.empty((0, 2)))
 
 
 def test_emst_matches_sorted_kruskal_on_tied_clouds():
@@ -105,8 +102,9 @@ def test_emst_matches_sorted_kruskal_on_tied_clouds():
     rng = np.random.default_rng(47)
     for _ in range(20):
         pts = np.round(rng.normal(size=(int(rng.integers(2, 25)), 2)), 0)
-        complete = build_complete_graph(pts)
-        parent = list(range(len(pts)))
+        n = len(pts)
+        complete = [(i, j, float(np.linalg.norm(pts[i] - pts[j]))) for i in range(n) for j in range(i + 1, n)]
+        parent = list(range(n))
 
         def find(x):
             while parent[x] != x:
@@ -114,16 +112,16 @@ def test_emst_matches_sorted_kruskal_on_tied_clouds():
             return x
 
         want = []
-        for i, j, w in sorted(_int_ends(complete), key=lambda e: (e[2], e[0], e[1])):
+        for i, j, w in sorted(complete, key=lambda e: (e[2], e[0], e[1])):
             if find(i) != find(j):
                 parent[find(i)] = find(j)
                 want.append([i, j, w])
-        assert compute_emst(complete).edges.tolist() == want
+        assert compute_emst(pts).edges.tolist() == want
         assert geodesic_pipeline(pts).tree.edges.tolist() == want
 
 
 def test_emst_duplicate_points_zero_weight_edges():
-    tree = compute_emst(build_complete_graph(np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 1.0]])))
+    tree = compute_emst(np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 1.0]]))
     weights = sorted(w for _, _, w in tree.edges)
     assert weights == [0.0, 1.0]
 
@@ -131,12 +129,12 @@ def test_emst_duplicate_points_zero_weight_edges():
 # -------------------------------------------------------------- ball radii
 
 def test_ball_radii_collinear():
-    tree = compute_emst(build_complete_graph(np.array([[0.0], [1.0], [3.0]])))
+    tree = compute_emst(np.array([[0.0], [1.0], [3.0]]))
     assert ball_radii(tree).tolist() == [1.0, 2.0, 2.0]
 
 
 def test_ball_radii_two_points():
-    tree = compute_emst(build_complete_graph(np.array([[0.0], [5.0]])))
+    tree = compute_emst(np.array([[0.0], [5.0]]))
     assert ball_radii(tree).tolist() == [5.0, 5.0]
 
 
@@ -148,7 +146,7 @@ def test_ball_radii_single_vertex_rejected():
 def test_ball_radii_equal_max_incident_weight():
     rng = np.random.default_rng(5)
     pts = random_cloud(rng, n=20, p=3)
-    tree = compute_emst(build_complete_graph(pts))
+    tree = compute_emst(pts)
     radii = ball_radii(tree)
     for v in range(20):
         incident = [w for i, j, w in tree.edges if v in (i, j)]
@@ -159,34 +157,51 @@ def test_ball_radii_equal_max_incident_weight():
 
 def test_coverage_graph_collinear_long_chord_admitted():
     pts = np.array([[0.0], [1.0], [3.0]])
-    tree = compute_emst(build_complete_graph(pts))
-    g = build_coverage_graph(pts, ball_radii(tree), tree=tree)
+    tree = compute_emst(pts)
+    g = build_coverage_graph(pts, ball_radii(tree))
     assert [(i, j) for i, j, _ in g.edges] == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_coverage_graph_collinear_far_point_still_admitted():
     pts = np.array([[0.0], [1.0], [10.0]])
-    tree = compute_emst(build_complete_graph(pts))
-    g = build_coverage_graph(pts, ball_radii(tree), tree=tree)
+    tree = compute_emst(pts)
+    g = build_coverage_graph(pts, ball_radii(tree))
     assert [(i, j) for i, j, _ in g.edges] == [(0, 1), (0, 2), (1, 2)]
 
 
-def test_coverage_graph_contains_tree_without_tree_hint():
-    # tree edges pass the coverage test on their own merits too
+def _tree_inputs():
+    """Clouds and tolerances on which every tree edge must be kept: random
+    clouds, sim1 clouds and rounded clouds with duplicate points, each at
+    tol = 0 and by default, and scaled by 1e-100 and 1e100."""
     rng = np.random.default_rng(23)
-    pts = random_cloud(rng, n=25, p=2)
-    tree = compute_emst(build_complete_graph(pts))
-    g = build_coverage_graph(pts, ball_radii(tree), tree=None)
-    edge_set = {(i, j) for i, j, _ in g.edges}
-    for i, j, _ in tree.edges:
-        assert (i, j) in edge_set
+    clouds = [random_cloud(rng, n=25, p=2)] + [random_cloud(rng) for _ in range(4)]
+    clouds += [generate_sim1(Sim1Config(n=n, seed=seed)) for n, seed in ((2, 0), (30, 1), (90, 2))]
+    for _ in range(4):
+        pts = np.round(rng.normal(size=(int(rng.integers(2, 20)), 2)), 1)
+        clouds.append(np.vstack([pts, pts[: len(pts) // 2 + 1]]))
+    clouds.append(np.zeros((4, 3)))
+    for pts in clouds:
+        for scale in (1.0, 1e-100, 1e100):
+            for rel_tol in (None, 0.0):
+                yield scale * pts, rel_tol
+
+
+def test_coverage_graph_contains_tree_without_tree_hint():
+    # ball i holds the whole chord to each tree neighbour of i, so no tree
+    # edge can be rejected, whatever the tolerance and the scale
+    for pts, tol in _tree_inputs():
+        tree = compute_emst(pts)
+        g = build_coverage_graph(pts, ball_radii(tree), tol=tol)
+        kept = {(i, j): w for i, j, w in g.edges.tolist()}
+        for i, j, w in tree.edges.tolist():
+            assert kept.get((i, j)) == w, (len(pts), tol, i, j)
 
 
 def test_tree_edges_covered_by_their_two_endpoint_balls():
     rng = np.random.default_rng(29)
     for _ in range(5):
         pts = random_cloud(rng)
-        tree = compute_emst(build_complete_graph(pts))
+        tree = compute_emst(pts)
         radii = ball_radii(tree)
         for i, j, _ in _int_ends(tree):
             balls = [Ball(pts[i], radii[i]), Ball(pts[j], radii[j])]
@@ -377,7 +392,7 @@ def test_coverage_graph_duplicates_and_zero_tolerance_match_exact_oracle():
     for _ in range(4):
         pts = np.round(rng.normal(size=(12, 2)), 1)
         pts = np.vstack([pts, pts[:4]])
-        radii = ball_radii(compute_emst(build_complete_graph(pts))) * rng.uniform(0.5, 1.5, len(pts))
+        radii = ball_radii(compute_emst(pts)) * rng.uniform(0.5, 1.5, len(pts))
         for tol in (0.0, 1e-3 * cloud_diameter(pts)):
             kept = _kept(build_coverage_graph(pts, radii, tol=tol))
             assert kept == _oracle_chords(pts, radii, tol)
@@ -401,7 +416,7 @@ def test_coverage_graph_matches_exact_oracle_under_scaled_radii(seed, kind, rel_
     else:
         pts = np.round(rng.normal(size=(n, 2)), 1)
         pts = np.vstack([pts, pts[: n // 3]])
-    radii = ball_radii(compute_emst(build_complete_graph(pts))) * rng.uniform(0.5, 1.5, len(pts))
+    radii = ball_radii(compute_emst(pts)) * rng.uniform(0.5, 1.5, len(pts))
     tol = (1e-9 if rel_tol is None else rel_tol) * cloud_diameter(pts)
     graph = build_coverage_graph(pts, radii, tol=None if rel_tol is None else tol)
     assert _kept(graph) == _oracle_chords(pts, radii, tol)
@@ -541,12 +556,25 @@ def test_graph_routines_match_scipy_csgraph():
         got = shortest_path_distances(g)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
         assert np.array_equal(got, got.T)
+    # spanning trees of clouds: normal ones, whose tree is unique, and
+    # rounded ones with duplicate points and tied weights
+    for k in range(40):
+        pts = random_cloud(rng)
+        if k % 2:
+            pts = np.round(pts, 0)
+            pts = np.vstack([pts, pts[: len(pts) // 3]])
+        n = len(pts)
         # scipy's spanning tree drops zero weights, so shift every weight by
         # one; each spanning tree has n - 1 edges, so the optimum is unchanged
-        shifted = minimum_spanning_tree(csgraph_from_dense(dense + 1.0, null_value=np.inf))
-        tree = compute_emst(g)
+        dense = np.linalg.norm(pts[:, None] - pts[None, :], axis=2) + 1.0
+        np.fill_diagonal(dense, np.inf)
+        shifted = minimum_spanning_tree(csgraph_from_dense(dense, null_value=np.inf)).tocoo()
+        tree = compute_emst(pts)
         assert len(tree.edges) == n - 1
-        assert sum(w for _, _, w in tree.edges) == pytest.approx(shifted.sum() - (n - 1), abs=1e-12)
+        assert tree.edges[:, 2].sum() == pytest.approx(shifted.data.sum() - (n - 1), rel=1e-12)
+        if not k % 2:
+            ends = np.sort(np.column_stack((shifted.row, shifted.col)), axis=1)
+            assert sorted(_kept(tree)) == sorted(map(tuple, ends.tolist()))
 
 
 BAD_EDGES = {
@@ -559,11 +587,7 @@ BAD_EDGES = {
 }
 
 
-@pytest.mark.parametrize(
-    "routine",
-    [compute_emst, shortest_path_distances],
-    ids=["compute_emst", "shortest_path_distances"],
-)
+@pytest.mark.parametrize("routine", [shortest_path_distances], ids=["shortest_path_distances"])
 @pytest.mark.parametrize("bad", BAD_EDGES.values(), ids=BAD_EDGES.keys())
 def test_bad_edges_are_usage_errors(routine, bad):
     with pytest.raises(UsageError, match="edge"):
@@ -578,11 +602,7 @@ BAD_COUNTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "routine",
-    [compute_emst, shortest_path_distances],
-    ids=["compute_emst", "shortest_path_distances"],
-)
+@pytest.mark.parametrize("routine", [shortest_path_distances], ids=["shortest_path_distances"])
 @pytest.mark.parametrize("n, edges", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
 def test_bad_vertex_counts_are_usage_errors(routine, n, edges):
     with pytest.raises(UsageError, match="vertex count"):
@@ -638,10 +658,7 @@ def test_pipeline_sandwich_bounds():
     rng = np.random.default_rng(19)
     pts = random_cloud(rng, n=30, p=3)
     res = geodesic_pipeline(pts)
-    complete = build_complete_graph(pts)
-    euclid = np.zeros_like(res.distances)
-    for i, j, w in _int_ends(complete):
-        euclid[i, j] = euclid[j, i] = w
+    euclid = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
     tree_paths = shortest_path_distances(
         WeightedGraph(res.tree.n, list(res.tree.edges))
     )
@@ -697,5 +714,5 @@ def test_pipeline_refuses_a_cloud_too_large_for_memory(monkeypatch):
 def test_cloud_diameter_matches_complete_graph_max():
     rng = np.random.default_rng(43)
     pts = random_cloud(rng, n=20, p=4)
-    complete = build_complete_graph(pts)
-    assert cloud_diameter(pts) == max(w for _, _, w in complete.edges)
+    euclid = [np.linalg.norm(pts[i] - pts[j]) for i in range(20) for j in range(i + 1, 20)]
+    assert cloud_diameter(pts) == pytest.approx(max(euclid), rel=1e-12)

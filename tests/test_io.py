@@ -11,7 +11,7 @@ from curvemedian import (
     DataFormatError,
     UsageError,
     WeightedGraph,
-    build_complete_graph,
+    compute_emst,
     extract_templates,
     fmt,
     read_classifier_config,
@@ -111,7 +111,7 @@ def test_matrix_round_trip(tmp_path):
 
 
 def test_edges_round_trip(tmp_path):
-    g = build_complete_graph(np.array([[0.0], [1.0], [3.0]]))
+    g = compute_emst(np.array([[0.0], [1.0], [3.0]]))
     path = tmp_path / "edges.csv"
     write_edges(path, g)
     back = read_edges(path, n=3)

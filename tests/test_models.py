@@ -125,8 +125,9 @@ def test_sim1_truth_small():
 
 
 def test_sim1_noiseless_equals_truth():
-    cloud = generate_sim1(Sim1Config(n=30, noiseless=True, seed=99))
-    assert np.array_equal(cloud, sim1_truth(30))
+    for n in (2, 3, 30, 301):
+        for seed in (0, 1, 99):
+            assert np.array_equal(generate_sim1(Sim1Config(n=n, noise_sd=0.0, seed=seed)), sim1_truth(n))
 
 
 def test_sim1_noise_level():
@@ -140,6 +141,34 @@ def test_sim1_noise_level():
 def test_sim1_rejects_tiny_n():
     with pytest.raises(UsageError):
         sim1_truth(1)
+
+
+@pytest.mark.parametrize("sd", [float("nan"), float("inf"), -1.0])
+def test_sim1_rejects_bad_noise_sd(sd):
+    with pytest.raises(UsageError, match="noise_sd"):
+        generate_sim1(Sim1Config(n=5, noise_sd=sd))
+
+
+BAD_RANGES = {
+    "infinite": (0.0, float("inf")),
+    "minus infinite": (float("-inf"), 0.0),
+    "nan": (float("nan"), 1.0),
+    "overflowing width": (-1e308, 1e308),
+    "empty": (1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("pair", BAD_RANGES.values(), ids=BAD_RANGES.keys())
+@pytest.mark.parametrize(
+    "config, field",
+    [(ShiftConfig, "t_range"), (ShiftConfig, "shift_range"), (Sim2Config, "t_range"),
+     (Sim2Config, "amp_range"), (Sim2Config, "scale_range"), (Sim2Config, "shift_range")],
+    ids=["shift-t", "shift-shift", "sim2-t", "sim2-amp", "sim2-scale", "sim2-shift"],
+)
+def test_bad_ranges_are_usage_errors(config, field, pair):
+    generate = generate_shift_sample if config is ShiftConfig else generate_sim2
+    with pytest.raises(UsageError, match=f"{field} must be a finite interval"):
+        generate(config(n=3, m=5, **{field: pair}))
 
 
 # --------------------------------------------------------------- sim2 warp

@@ -50,16 +50,18 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text(encoding="utf-8"))
     assert set(report["summary"]) == {"a", "b"}
-    stages = ("geodesic_pipeline", "build_coverage_graph", "_midpoint_far", "_covered", "shortest_path_distances")
+    stages = (
+        "geodesic_pipeline", "compute_emst", "ball_radii", "build_coverage_graph", "_midpoint_far", "_covered",
+        "shortest_path_distances",
+    )
     for name, n in (("sim1-30", 30), ("tsin-12", 12)):
         for env in ("default", "mmap_threshold_131072"):
             a, b = report["summary"]["a"][name][env], report["summary"]["b"][name][env]
             for stage in stages:
                 assert a[stage]["wall_s_median"] > 0 and a[stage]["minflt_median"] >= 0
-            # kept edges are the n - 1 tree edges, which skip the kernel, and
-            # the candidate chords it does not reject
-            assert 0 <= a["kernel_rejected"] <= a["candidate_chords"]
-            assert a["kept_edges"] == n - 1 + a["candidate_chords"] - a["kernel_rejected"]
+            # the kernel decides every kept edge, the n - 1 tree edges too
+            assert n - 1 <= a["candidate_chords"] - a["kernel_rejected"] <= a["candidate_chords"]
+            assert a["kept_edges"] == a["candidate_chords"] - a["kernel_rejected"]
             # the same tree gives the same graph and d_hat in every process
             for key in ("candidate_chords", "kernel_rejected", "edges_sha256", "d_hat_sha256"):
                 assert a[key] == b[key]
