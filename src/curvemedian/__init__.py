@@ -30,7 +30,6 @@ from .classify import (
     predict_labels,
 )
 from .errors import DataFormatError, NumericError, UsageError
-from .geometry import Ball, euclidean_distance, segment_ball_intersection, segment_covered
 from .graphs import (
     GeodesicResult,
     WeightedGraph,

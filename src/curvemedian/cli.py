@@ -15,6 +15,7 @@ of locale, and every seeded run is bit-identical across invocations.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -41,20 +42,18 @@ from .models import (
 )
 from .stats import _alpha, intrinsic_estimate
 
+# argparse reads only plain decimals such as -10 as negative numbers and takes
+# -1e1 or -inf for an option name; the subcommands read these as numbers too
+_NEGATIVE_NUMBER = re.compile(r"^-(inf(inity)?|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)$", re.IGNORECASE)
+
 # exit code for each error the commands report; anything else is a bug
 _EXIT_CODES = {UsageError: 2, DataFormatError: 3, OSError: 3, NumericError: 4}
 
 
 def cmd_simulate(args) -> int:
-    prefix = Path(args.out)
-    if prefix.parent and not prefix.parent.exists():
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-    data_path = prefix.with_name(prefix.name + ".csv")
-    truth_path = prefix.with_name(prefix.name + ".truth.csv")
     if args.model == "sim1":
         cloud = generate_sim1(Sim1Config(n=args.n, noise_sd=args.noise_sd, seed=args.seed))
-        panel_io.write_cloud(data_path, cloud)
-        panel_io.write_cloud(truth_path, sim1_truth(args.n))
+        writes = [(panel_io.write_cloud, cloud), (panel_io.write_cloud, sim1_truth(args.n))]
     elif args.model == "shift":
         shift_range = tuple(args.shift_range) if args.shift_range else (-2.0, 2.0)
         cfg = ShiftConfig(
@@ -66,8 +65,7 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
         )
         panel = generate_shift_sample(cfg)
-        panel_io.write_panel(data_path, panel)
-        panel_io.write_shifts(truth_path, panel.shifts)
+        writes = [(panel_io.write_panel, panel), (panel_io.write_shifts, panel.shifts)]
     else:  # sim2
         shift_range = tuple(args.shift_range) if args.shift_range else (-10.0, 10.0)
         cfg = Sim2Config(
@@ -81,8 +79,14 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
         )
         panel = generate_sim2(cfg)
-        panel_io.write_panel(data_path, panel)
-        panel_io.write_warp_params(truth_path, panel.warp_params)
+        writes = [(panel_io.write_panel, panel), (panel_io.write_warp_params, panel.warp_params)]
+    # only a run that generated its data makes the output directory
+    prefix = Path(args.out)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    data_path = prefix.with_name(prefix.name + ".csv")
+    truth_path = prefix.with_name(prefix.name + ".truth.csv")
+    for (write, data), path in zip(writes, (data_path, truth_path)):
+        write(path, data)
     print(f"model: {args.model}")
     print(f"seed: {args.seed}")
     print(f"wrote {data_path} and {truth_path}")
@@ -222,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="classifier config JSON")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_classify)
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -1,10 +1,10 @@
-"""Segment-and-ball geometry for deciding admissible chords of a point cloud.
+"""Chord-and-ball geometry for deciding admissible chords of a point cloud.
 
-Everything here reduces to one question: does the straight segment between
-two sample points stay inside a union of balls centered at the sample?
-Intersecting a segment with one ball is a quadratic in the segment
-parameter with squared distances for coefficients, so the union test is a
-translation- and scale-free interval-union sweep on [0, 1].
+Everything here reduces to one question: which chords between sample
+points stay inside the union of balls centered at the sample?  Intersecting
+a chord with one ball is a quadratic in the chord parameter with squared
+distances for coefficients, so the union test is a translation- and
+scale-free interval-union sweep on [0, 1].
 
 Balls are treated as closed, with a small additive tolerance on the radius
 and on permitted gaps.  Open boundaries are not representable in floating
@@ -15,56 +15,10 @@ always covered by the balls around its own two endpoints.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NumericError, UsageError
-
-__all__ = [
-    "Ball",
-    "euclidean_distance",
-    "segment_ball_intersection",
-    "segment_covered",
-]
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Closed ball with a nonnegative radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", float(self.radius))
-        if center.ndim != 1:
-            raise UsageError("ball center must be a single point")
-        if not np.all(np.isfinite(center)):
-            raise UsageError("ball center must be finite")
-        if not (np.isfinite(self.radius) and self.radius >= 0.0):
-            raise UsageError(f"ball radius must be finite and nonnegative, got {self.radius}")
-
-
-def _point(x) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.ndim != 1:
-        raise UsageError("a point must be a flat coordinate vector")
-    return p
-
-
-def euclidean_distance(a, b) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    pa, pb = _point(a), _point(b)
-    if pa.shape != pb.shape:
-        raise UsageError(
-            f"dimension mismatch: point of dim {pa.size} vs point of dim {pb.size}"
-        )
-    d = pa - pb
-    return float(np.sqrt(np.dot(d, d)))
 
 
 # float64 elements per block of the chunked n^2 passes (distances, prefilter)
@@ -76,7 +30,7 @@ _BLOCK = 1 << 18
 # at n=1200.  With n >= 2 balls a chunk holds at most _CHUNK // 2 chords: rows fit uint16
 _CHUNK = 1 << 16
 
-# default coverage tolerance, as a fraction of the cloud diameter or segment length
+# default coverage tolerance, as a fraction of the cloud diameter
 _REL_TOL = 1e-9
 
 # n x n float64 matrices live at the peak of `graphs.geodesic_pipeline`, inside
@@ -136,16 +90,6 @@ def _tolerance(tol) -> float:
     return float(tol)
 
 
-def _kernel_buffers(rows, n):
-    """Scratch of `_chord_intervals` for up to `rows` chords against n balls:
-    four float arrays from one block, then the boolean hit mask.
-
-    Allocated once per call and refilled chunk by chunk: fresh multi-MB
-    temporaries would come back from the allocator as newly zeroed pages.
-    """
-    return list(np.empty((4, rows, n))) + [np.empty((rows, n), dtype=bool)]
-
-
 def _chord_intervals(A, sq, i, j, r, buf):
     """Nonempty parameter intervals of chords inside balls, from squared distances.
 
@@ -156,7 +100,7 @@ def _chord_intervals(A, sq, i, j, r, buf):
     so a radius above 1 holds any chord and radii are capped at 2.  The
     point a + t(e - a) is in the ball where A t^2 + 2 h t + w - r^2 <= 0,
     with h = (e - a).(a - c) = (v - A - w) / 2: no coordinate enters.  `buf`
-    comes from `_kernel_buffers` with at least A.size rows.  Returns (row,
+    is `_covered`'s scratch with at least A.size rows.  Returns (row,
     lo, hi) of the pairs that meet, clipped to [0, 1] and sorted by lo, then
     stably by row; a zero-length chord meets a ball holding its point on [0, 1].
     """
@@ -182,7 +126,7 @@ def _chord_intervals(A, sq, i, j, r, buf):
     lo = np.where(flat, 0.0, (-h - root) / a)
     hi = np.where(flat, 1.0, (-h + root) / a)
     # intersect with [0, 1] before clipping, else an interval entirely
-    # outside the segment would collapse onto an endpoint
+    # outside the chord would collapse onto an endpoint
     meets = (hi >= 0.0) & (lo <= 1.0)
     row, lo, hi = row[meets], np.clip(lo[meets], 0.0, 1.0), np.clip(hi[meets], 0.0, 1.0)
     order = np.argsort(lo)
@@ -204,7 +148,11 @@ def _covered(A, sq, i, j, r, tol):
     """
     covered = np.empty(A.size, dtype=bool)
     rows = max(1, _CHUNK // sq.shape[1])
-    buf = _kernel_buffers(min(rows, A.size), sq.shape[1])
+    # four float arrays from one block, then the boolean hit mask: allocated
+    # once and refilled chunk by chunk, as fresh multi-MB temporaries would
+    # come back from the allocator as newly zeroed pages
+    shape = (min(rows, A.size), sq.shape[1])
+    buf = list(np.empty((4, *shape))) + [np.empty(shape, dtype=bool)]
     for start in range(0, A.size, rows):
         chunk = slice(start, start + rows)
         row, lo, hi = _chord_intervals(A[chunk], sq, i[chunk], j[chunk], r, buf)
@@ -271,57 +219,3 @@ def _midpoint_far(sq, r, tol):
             m = 0.5 * sums.min(axis=2) - 0.25 * A
             far[i0:i1, j0:j1] = (m - 2.0 * tol) * A > rounding
     return far
-
-
-def _segment_terms(a, b, centers):
-    """Kernel terms of the one chord a->b against ball centers, from direct
-    coordinate differences scaled by the largest distance: A, the (2, k)
-    rows w and v, and the unit."""
-    diff = np.concatenate([(b - a)[None, :], a - centers, b - centers])
-    if not np.isfinite(diff).all():
-        raise NumericError("coordinate differences overflow float64; rescale the points")
-    unit = float(np.hypot.reduce(diff, axis=1, initial=0.0).max()) or 1.0
-    diff /= unit
-    sq = np.einsum("ip,ip->i", diff, diff)
-    return sq[:1], sq[1:].reshape(2, centers.shape[0]), unit
-
-
-def segment_ball_intersection(a, b, ball: Ball, tol: float = 0.0) -> Optional[Tuple[float, float]]:
-    """Parameter interval of the part of segment a->b inside the ball.
-
-    Returns (lo, hi) in [0, 1], or None when the intersection is empty.  The
-    ball radius is inflated by `tol`, which must be finite and nonnegative.
-    For a zero-length segment the answer is (0, 1) when the point lies in
-    the ball, None otherwise.
-    """
-    pa, pb = _point(a), _point(b)
-    if pa.shape != pb.shape or pa.shape != ball.center.shape:
-        raise UsageError("segment endpoints and ball center must share one dimension")
-    tol = _tolerance(tol)
-    A, ends, unit = _segment_terms(pa, pb, ball.center[None, :])
-    r = np.array([(ball.radius + tol) / unit])
-    _, lo, hi = _chord_intervals(A, ends, [0], [1], r, _kernel_buffers(1, 1))
-    return (float(lo[0]), float(hi[0])) if lo.size else None
-
-
-def segment_covered(a, b, balls: Sequence[Ball], tol: Optional[float] = None) -> bool:
-    """Whether segment a->b lies inside the union of the given closed balls.
-
-    `tol` (finite, nonnegative, by default 1e-9 times the segment length)
-    inflates every radius and bounds the permitted total gap.  An empty ball
-    list never covers anything.  Adding a ball can only turn False into
-    True, and translating or scaling everything together changes nothing.
-    """
-    pa, pb = _point(a), _point(b)
-    if pa.shape != pb.shape:
-        raise UsageError("segment endpoints must share one dimension")
-    tol = None if tol is None else _tolerance(tol)
-    if len(balls) == 0:
-        return False
-    centers = np.stack([ball.center for ball in balls])
-    if centers.shape[1] != pa.size:
-        raise UsageError("ball centers must match the segment dimension")
-    radii = np.array([ball.radius for ball in balls])
-    A, ends, unit = _segment_terms(pa, pb, centers)
-    scaled_tol = _REL_TOL * np.sqrt(A[0]) if tol is None else tol / unit
-    return bool(_covered(A, ends, [0], [1], radii / unit + scaled_tol, scaled_tol)[0])

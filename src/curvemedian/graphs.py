@@ -75,7 +75,10 @@ class GeodesicResult(NamedTuple):
 
 
 def _cloud(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        raise UsageError("a point cloud must be an (n, p) array of numbers") from None
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1:

@@ -17,21 +17,22 @@ from itertools import product
 import numpy as np
 
 
-def mc_segment_covered(a, b, balls, tol, samples=10_000):
+def mc_segment_covered(a, b, centres, radii, tol, samples=10_000):
     """Dense-parameter membership check of a segment against a ball union."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     lam = np.linspace(0.0, 1.0, samples)
     pts = a[None, :] + lam[:, None] * (b - a)[None, :]
     inside = np.zeros(samples, dtype=bool)
-    for ball in balls:
-        d2 = ((pts - np.asarray(ball.center)[None, :]) ** 2).sum(axis=1)
-        inside |= d2 <= (ball.radius + tol) ** 2
+    for centre, radius in zip(np.asarray(centres, dtype=float), radii):
+        d2 = ((pts - centre[None, :]) ** 2).sum(axis=1)
+        inside |= d2 <= (radius + tol) ** 2
     return bool(inside.all())
 
 
-def exact_segment_covered(a, b, balls, tol):
-    """Exact coverage verdict of segment a->b, with the package's conventions.
+def exact_segment_covered(a, b, centres, radii, tol):
+    """Exact coverage verdict of segment a->b against the balls of the given
+    centres and radii, with the package's conventions.
 
     Plain Python floats: one quadratic per ball from direct coordinate
     differences (radius inflated by `tol`), then a sequential sweep over the
@@ -40,17 +41,18 @@ def exact_segment_covered(a, b, balls, tol):
     Every input is first multiplied by one power of two, which is exact, so
     clouds at scales like 1e100 or 1e-100 neither overflow nor underflow.
     """
-    values = [*a, *b, tol, *(ball.radius for ball in balls)]
-    values += [x for ball in balls for x in ball.center]
+    centres = [[float(x) for x in c] for c in centres]
+    radii = [float(r) for r in radii]
+    values = [*a, *b, tol, *radii, *(x for c in centres for x in c)]
     scale = 2.0 ** -math.frexp(max(abs(float(x)) for x in values))[1]
     a = [float(x) * scale for x in a]
     u = [float(y) * scale - x for x, y in zip(a, b)]
     tol *= scale
     seg_sq = sum(t * t for t in u)
     intervals = []
-    for ball in balls:
-        d = [x - float(c) * scale for x, c in zip(a, ball.center)]
-        c_term = sum(t * t for t in d) - (ball.radius * scale + tol) ** 2
+    for centre, radius in zip(centres, radii):
+        d = [x - c * scale for x, c in zip(a, centre)]
+        c_term = sum(t * t for t in d) - (radius * scale + tol) ** 2
         if seg_sq == 0.0:
             if c_term <= 0.0:
                 intervals.append((0.0, 1.0))
@@ -72,6 +74,18 @@ def exact_segment_covered(a, b, balls, tol):
             return False
         reach = max(reach, hi)
     return reach >= 1.0 - gap
+
+
+def oracle_chords(pts, radii, tol):
+    """The chords (i, j), i < j, of a cloud with a ball on every point that
+    `exact_segment_covered` accepts."""
+    n = len(pts)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if exact_segment_covered(pts[i], pts[j], pts, radii, tol)
+    ]
 
 
 def bellman_ford(n, edges):

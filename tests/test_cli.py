@@ -15,7 +15,7 @@ from curvemedian import (
     write_json,
     write_panel,
 )
-from curvemedian.cli import main
+from curvemedian.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -89,14 +89,36 @@ def test_simulate_repeats_are_byte_identical(tmp_path, capsys):
         ["--model", "shift", "--shift-range", "nan", "1"],
         ["--model", "sim2", "--amp-range", "0", "inf"],
         ["--model", "sim2", "--scale-range", "0", "inf"],
+        ["--model", "shift", "--shift-range", "-1e308", "1e308"],
     ],
     ids=["noise-nan", "noise-inf", "noise-negative", "shift-inf", "t-inf", "shift-nan",
-         "amp-inf", "scale-inf"],
+         "amp-inf", "scale-inf", "shift-overflow"],
 )
 def test_simulate_bad_parameter_exits_2_writing_nothing(tmp_path, capsys, argv):
-    code, out, err = run(capsys, "simulate", "--n", "5", "--out", str(tmp_path / "x"), *argv)
+    # a refused run makes neither the files nor the directory of its prefix
+    code, out, err = run(capsys, "simulate", "--n", "5", "--out", str(tmp_path / "o" / "x"), *argv)
     assert code == 2 and err.startswith("error: ") and out == ""
     assert not list(tmp_path.iterdir())
+
+
+def test_simulate_negative_bound_in_exponent_notation(tmp_path, capsys):
+    for name, lo, hi in (("exp", "-1e1", "1e1"), ("plain", "-10", "10")):
+        code, _, err = run(
+            capsys, "simulate", "--model", "shift", "--n", "5", "--t-range", lo, hi,
+            "--out", str(tmp_path / name),
+        )
+        assert code == 0, err
+    for suffix in (".csv", ".truth.csv"):
+        assert (tmp_path / f"exp{suffix}").read_bytes() == (tmp_path / f"plain{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["-1e1", "-1.5E+2", "-.5e-1", "-inf"])
+def test_negative_numbers_parse_as_values(value):
+    parser = build_parser()
+    args = parser.parse_args(["simulate", "--model", "shift", "--n", "3", "--out", "x", "--t-range", value, "1"])
+    assert args.t_range == [float(value), 1.0]
+    args = parser.parse_args(["classify", "--train", "a", "--test", "b", "--outdir", "c", "--truncate-at", value])
+    assert args.truncate_at == float(value)
 
 
 # --------------------------------------------------------------- distances
@@ -258,6 +280,17 @@ def test_non_finite_tolerance_exits_2(tmp_path, capsys):
         )
         assert code == 2
         assert "tolerance" in err
+    assert not (tmp_path / "d" / "graph.csv").exists()
+
+
+def test_negative_tolerance_in_exponent_notation_exits_2(tmp_path, capsys):
+    src = tmp_path / "cloud.csv"
+    write_cloud(src, np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]]))
+    code, _, err = run(
+        capsys, "distances", "--input", str(src), "--tol", "-1e-3", "--outdir", str(tmp_path / "d")
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "tolerance" in err
     assert not (tmp_path / "d" / "graph.csv").exists()
 
 

@@ -1,11 +1,21 @@
+"""The coverage kernel, pinned through its one public entry.
+
+Every verdict here is that of `build_coverage_graph` on a small cloud with an
+explicit `tol`: a chord is kept when it lies in the union of the balls on
+all the points, each inflated by `tol`.  A ball that stands for a lone
+segment endpoint in a figure is a point of radius zero, whose ball is then
+of radius `tol`.  No verdict pinned here hinges on an exact tangency.
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvemedian import Ball, UsageError, euclidean_distance, segment_ball_intersection, segment_covered
+from curvemedian import UsageError, build_coverage_graph
+from curvemedian.geometry import _pairwise_distances
 
-from oracles import mc_segment_covered
+from oracles import mc_segment_covered, oracle_chords
 
 
 def coords(dim, lo=-100.0, hi=100.0):
@@ -16,75 +26,92 @@ def coords(dim, lo=-100.0, hi=100.0):
     )
 
 
+def kept(pts, radii, tol):
+    """The chords (i, j), i < j, the coverage graph keeps, checked against
+    the exact oracle."""
+    pts = np.asarray(pts, dtype=float)
+    got = [(int(i), int(j)) for i, j, _ in build_coverage_graph(pts, radii, tol=tol).edges]
+    assert got == oracle_chords(pts, radii, tol)
+    return got
+
+
 # ---------------------------------------------------------------- distance
+# A kept chord weighs its Euclidean length, read off the pairwise distances.
 
 def test_distance_345():
-    assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
+    assert build_coverage_graph([[0.0, 0.0], [3.0, 4.0]], [5.0, 5.0]).edges.tolist() == [[0.0, 1.0, 5.0]]
 
 
 def test_distance_identical_points():
-    assert euclidean_distance([1.5, -2.0, 7.0], [1.5, -2.0, 7.0]) == 0.0
+    graph = build_coverage_graph([[1.5, -2.0, 7.0]] * 2, [0.0, 0.0], tol=0.0)
+    assert graph.edges.tolist() == [[0.0, 1.0, 0.0]]
 
 
 def test_distance_one_dimensional():
-    assert euclidean_distance([2.0], [-1.0]) == 3.0
+    assert build_coverage_graph([2.0, -1.0], [3.0, 3.0]).edges.tolist() == [[0.0, 1.0, 3.0]]
 
 
 def test_distance_dimension_mismatch():
-    with pytest.raises(UsageError):
-        euclidean_distance([0.0, 0.0], [1.0, 2.0, 3.0])
+    with pytest.raises(UsageError, match="point cloud"):
+        build_coverage_graph([[0.0, 0.0], [1.0, 2.0, 3.0]], [1.0, 1.0])
 
 
 @given(st.integers(1, 4).flatmap(lambda d: st.tuples(coords(d), coords(d), coords(d))))
 def test_distance_metric_axioms(triple):
-    a, b, c = triple
-    dab = euclidean_distance(a, b)
-    assert dab >= 0.0
-    assert dab == euclidean_distance(b, a)
-    assert euclidean_distance(a, a) == 0.0
-    dac, dbc = euclidean_distance(a, c), euclidean_distance(b, c)
+    dist = _pairwise_distances(np.array(triple, dtype=float))
+    assert (dist >= 0.0).all()
+    assert (dist == dist.T).all()
+    assert (np.diag(dist) == 0.0).all()
+    dab, dac, dbc = dist[0, 1], dist[0, 2], dist[1, 2]
     scale = max(dab, dac, dbc, 1.0)
     assert dac <= dab + dbc + 1e-9 * scale
 
 
 # ------------------------------------------------------------ intersection
+# Each ball meets a chord in one parameter interval; these pin where.
 
 def test_intersection_half_covered():
-    lo, hi = segment_ball_intersection([0.0, 0.0], [2.0, 0.0], Ball([0.0, 0.0], 1.0))
-    assert lo == pytest.approx(0.0, abs=1e-12)
-    assert hi == pytest.approx(0.5, abs=1e-12)
+    # a ball of radius 1 on the start of a chord of length 2 holds its first
+    # half: the end's ball closes the chord once it reaches past the middle
+    pts = [[0.0, 0.0], [2.0, 0.0]]
+    assert kept(pts, [1.0, 0.99], 0.0) == []
+    assert kept(pts, [1.0, 1.01], 0.0) == [(0, 1)]
 
 
 def test_intersection_whole_segment():
-    assert segment_ball_intersection([0.0, 0.0], [2.0, 0.0], Ball([1.0, 0.0], 10.0)) == (0.0, 1.0)
+    assert kept([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]], [0.0, 0.0, 10.0], 0.0) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_intersection_miss():
-    assert segment_ball_intersection([0.0, 0.0], [2.0, 0.0], Ball([0.0, 2.0], 1.0)) is None
+    # the end balls leave the middle fifth of the chord open
+    pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0]])
+    assert (0, 1) not in kept(pts, [0.9, 0.9, 1.0], 0.0)
+    pts[2, 1] = 0.5
+    assert (0, 1) in kept(pts, [0.9, 0.9, 1.0], 0.0)
 
 
 def test_intersection_tangent_point():
-    # ball touches the segment at exactly one parameter value
-    got = segment_ball_intersection([0.0, 0.0], [2.0, 0.0], Ball([1.0, 1.0], 1.0))
-    assert got is not None
-    lo, hi = got
-    assert lo == pytest.approx(0.5, abs=1e-7)
-    assert hi == pytest.approx(0.5, abs=1e-7)
+    # a ball touching the chord in one point leaves the hole on either side
+    # of it open; a slightly larger one closes the hole
+    pts = [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]]
+    assert (0, 1) not in kept(pts, [0.9, 0.9, 1.0], 1e-9)
+    assert (0, 1) in kept(pts, [0.9, 0.9, 1.2], 1e-9)
 
 
 def test_intersection_outside_unit_interval():
-    # the ball covers the line's extension beyond the segment, not the segment
-    assert segment_ball_intersection([0.0, 0.0], [1.0, 0.0], Ball([3.0, 0.0], 0.5)) is None
+    # a ball on the line beyond the chord's end counts only for what it
+    # holds of the chord itself
+    pts = [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]
+    assert (0, 1) not in kept(pts, [0.4, 0.4, 0.5], 0.0)
+    assert (0, 1) in kept(pts, [0.4, 0.4, 2.7], 0.0)
 
 
 def test_intersection_degenerate_segment():
-    assert segment_ball_intersection([1.0, 1.0], [1.0, 1.0], Ball([1.0, 1.2], 0.5)) == (0.0, 1.0)
-    assert segment_ball_intersection([1.0, 1.0], [1.0, 1.0], Ball([9.0, 9.0], 0.5)) is None
-
-
-def test_intersection_negative_tol_rejected():
-    with pytest.raises(UsageError):
-        segment_ball_intersection([0.0], [1.0], Ball([0.0], 1.0), tol=-1e-3)
+    # duplicated points give a zero-length chord, kept with radius and tol
+    # zero; the chord to a third point is kept when that point's ball holds
+    # the duplicated point
+    assert kept([[1.0, 1.0], [1.0, 1.0], [1.0, 1.2]], [0.0, 0.0, 0.5], 0.0) == [(0, 1), (0, 2), (1, 2)]
+    assert kept([[1.0, 1.0], [1.0, 1.0], [9.0, 9.0]], [0.0, 0.0, 0.5], 0.0) == [(0, 1)]
 
 
 @given(
@@ -93,48 +120,46 @@ def test_intersection_negative_tol_rejected():
     st.floats(min_value=0.0, max_value=0.1),
 )
 def test_intersection_endpoints_lie_near_sphere(pts, radius, tol):
-    a, b, center = pts
-    got = segment_ball_intersection(a, b, Ball(center, radius), tol=tol)
-    if got is None:
+    # a kept chord strays from the balls by at most its forgiven gaps
+    pts = np.array(pts, dtype=float)
+    radii = np.array([0.0, 0.0, radius])
+    if (0, 1) not in kept(pts, radii, tol):
         return
-    a = np.asarray(a)
-    b = np.asarray(b)
-    for lam in got:
-        point = a + lam * (b - a)
-        assert euclidean_distance(point, center) <= radius + 2.0 * tol + 1e-9 * (radius + 1.0)
+    slack = 1e-9 * (radius + 1.0 + np.ptp(pts))
+    assert mc_segment_covered(pts[0], pts[1], pts, radii, tol=2.0 * tol + slack)
 
 
 # --------------------------------------------------------------- coverage
 
 def test_covered_two_overlapping_balls():
-    balls = [Ball([0.0, 0.0], 1.1), Ball([2.0, 0.0], 1.1)]
-    assert segment_covered([0.0, 0.0], [2.0, 0.0], balls) is True
+    assert kept([[0.0, 0.0], [2.0, 0.0]], [1.1, 1.1], 1e-9) == [(0, 1)]
 
 
 def test_covered_gap_between_balls():
-    balls = [Ball([0.0, 0.0], 0.9), Ball([2.0, 0.0], 0.9)]
-    assert segment_covered([0.0, 0.0], [2.0, 0.0], balls) is False
+    assert kept([[0.0, 0.0], [2.0, 0.0]], [0.9, 0.9], 1e-9) == []
 
 
 def test_covered_single_ball_spans_all():
-    assert segment_covered([0.0, 0.0], [2.0, 0.0], [Ball([1.0, 0.0], 1.0)]) is True
+    assert kept([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]], [0.0, 0.0, 1.0], 1e-9) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_covered_empty_ball_list():
-    assert segment_covered([0.0, 0.0], [2.0, 0.0], []) is False
-    assert segment_covered([1.0, 1.0], [1.0, 1.0], []) is False
+    # with tol zero, radius-zero balls hold their own points and nothing more
+    assert kept([[0.0, 0.0], [2.0, 0.0]], [0.0, 0.0], 0.0) == []
 
 
 def test_covered_degenerate_segment_point_membership():
-    assert segment_covered([1.0, 1.0], [1.0, 1.0], [Ball([1.1, 1.0], 0.2)]) is True
-    assert segment_covered([1.0, 1.0], [1.0, 1.0], [Ball([5.0, 5.0], 0.2)]) is False
+    pts = [[1.0, 1.0], [1.0, 1.0], [1.1, 1.0], [5.0, 5.0]]
+    assert kept(pts, [0.0, 0.0, 0.2, 0.2], 0.0) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_covered_gap_exactly_at_tolerance():
-    # uncovered middle piece of length 0.2; a tol that big forgives it
-    balls = [Ball([0.0], 0.9), Ball([2.0], 0.9)]
-    assert segment_covered([0.0], [2.0], balls, tol=0.0) is False
-    assert segment_covered([0.0], [2.0], balls, tol=0.21) is True
+    # inflated by tol, the balls leave a hole of length 0.2: forgiven by a
+    # tol above that, not by one below it
+    pts = [[0.0], [2.0]]
+    assert kept(pts, [0.9, 0.9], 0.0) == []
+    assert kept(pts, [0.9 - 0.19] * 2, 0.19) == []
+    assert kept(pts, [0.9 - 0.21] * 2, 0.21) == [(0, 1)]
 
 
 def test_covered_gap_survives_translation_and_scale():
@@ -142,27 +167,24 @@ def test_covered_gap_survives_translation_and_scale():
     # and at extreme scales
     a, b = np.array([0.0, 0.0]), np.array([2.0, 0.0])
     for shift, scale in ((1e8, 1.0), (0.0, 1e-100), (0.0, 1e100), (1e8, 1e100)):
-        balls = [Ball(scale * (a + shift), scale * 0.9), Ball(scale * (b + shift), scale * 0.9)]
-        assert segment_covered(scale * (a + shift), scale * (b + shift), balls) is False
-        balls.append(Ball(scale * (a + b + 2.0 * shift) / 2.0, scale * 0.2))
-        assert segment_covered(scale * (a + shift), scale * (b + shift), balls) is True
+        ends, tol = scale * (np.array([a, b]) + shift), 1e-9 * scale
+        assert kept(ends, [scale * 0.9] * 2, tol) == []
+        pts = np.vstack([ends, ends.mean(axis=0)])
+        assert kept(pts, [scale * 0.9] * 2 + [scale * 0.2], tol) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_covered_monotone_under_extra_balls():
+    # a new point brings a new ball: every chord kept among the old points
+    # stays kept
     rng = np.random.default_rng(7)
     for _ in range(200):
-        p = int(rng.integers(1, 4))
-        a = rng.normal(size=p)
-        b = rng.normal(size=p)
-        balls = [
-            Ball(rng.normal(size=p), float(rng.uniform(0.05, 1.0)))
-            for _ in range(int(rng.integers(1, 6)))
-        ]
-        before = segment_covered(a, b, balls)
-        balls.append(Ball(rng.normal(size=p), float(rng.uniform(0.05, 1.0))))
-        after = segment_covered(a, b, balls)
-        if before:
-            assert after
+        p, n = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+        pts = rng.normal(size=(n + 1, p))
+        radii = rng.uniform(0.05, 1.0, size=n + 1)
+        tol = float(rng.choice([0.0, 1e-9, 1e-3]))
+        before = build_coverage_graph(pts[:n], radii[:n], tol=tol).edges[:, :2]
+        after = build_coverage_graph(pts, radii, tol=tol).edges[:, :2]
+        assert {tuple(e) for e in before.tolist()} <= {tuple(e) for e in after.tolist()}
 
 
 def test_covered_chain_of_small_balls_along_segment():
@@ -170,9 +192,11 @@ def test_covered_chain_of_small_balls_along_segment():
     a = np.array([0.0, 0.0])
     b = np.array([1.0, 0.0])
     lam = np.linspace(0.0, 1.0, 200)
-    balls = [Ball(a + l * (b - a), 0.02) for l in lam]
-    assert segment_covered(a, b, balls) is True
-    assert mc_segment_covered(a, b, balls, tol=1e-9) is True
+    pts = np.vstack([a, b, a + lam[:, None] * (b - a)])
+    radii = np.concatenate([[0.0, 0.0], np.full(200, 0.02)])
+    graph = build_coverage_graph(pts, radii, tol=1e-9)
+    assert [0.0, 1.0] in graph.edges[:, :2].tolist()
+    assert mc_segment_covered(a, b, pts, radii, tol=1e-9) is True
 
 
 def test_covered_agrees_with_sampling_oracle():
@@ -188,11 +212,10 @@ def test_covered_agrees_with_sampling_oracle():
         lam = rng.uniform(-0.1, 1.1, size=k)
         centers = a[None, :] + lam[:, None] * (b - a)[None, :]
         centers += rng.normal(0.0, 0.05, size=centers.shape)
-        radii = rng.uniform(0.05, 0.6, size=k)
-        balls = [Ball(centers[i], float(radii[i])) for i in range(k)]
-        seg_len = euclidean_distance(a, b)
-        tol = 1e-9 * seg_len
-        got = segment_covered(a, b, balls, tol=tol)
-        want = mc_segment_covered(a, b, balls, tol=tol)
+        pts = np.vstack([a, b, centers])
+        radii = np.concatenate([[0.0, 0.0], rng.uniform(0.05, 0.6, size=k)])
+        tol = 1e-9 * float(np.linalg.norm(b - a))
+        got = [0.0, 1.0] in build_coverage_graph(pts, radii, tol=tol).edges[:, :2].tolist()
+        want = mc_segment_covered(a, b, pts, radii, tol=tol)
         agree += got == want
     assert agree == total

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curvemedian import (
-    Ball,
     NumericError,
     ShiftConfig,
     Sim1Config,
@@ -18,13 +17,11 @@ from curvemedian import (
     generate_sim1,
     geodesic_pipeline,
     intrinsic_estimate,
-    segment_ball_intersection,
-    segment_covered,
     shortest_path_distances,
 )
 
 from curvemedian import geometry
-from oracles import exact_segment_covered, floyd_warshall, mc_segment_covered, min_spanning_weight_exhaustive
+from oracles import floyd_warshall, mc_segment_covered, min_spanning_weight_exhaustive, oracle_chords
 
 
 def _int_ends(graph):
@@ -204,8 +201,9 @@ def test_tree_edges_covered_by_their_two_endpoint_balls():
         tree = compute_emst(pts)
         radii = ball_radii(tree)
         for i, j, _ in _int_ends(tree):
-            balls = [Ball(pts[i], radii[i]), Ball(pts[j], radii[j])]
-            assert segment_covered(pts[i], pts[j], balls) is True
+            # on two points the default tol is 1e-9 of the tree edge's length
+            pair = [i, j]
+            assert build_coverage_graph(pts[pair], radii[pair]).edges[:, :2].tolist() == [[0, 1]]
 
 
 def test_coverage_graph_edge_count_between_tree_and_complete():
@@ -226,10 +224,10 @@ def test_coverage_graph_chords_covered_on_criterion_2_miss(shift_instances):
     assert pts.shape[0] == 15
     res = geodesic_pipeline(pts)
     tol = 1e-9 * cloud_diameter(pts)
-    balls = [Ball(c, r) for c, r in zip(pts, ball_radii(res.tree))]
+    radii = ball_radii(res.tree)
     assert len(res.graph.edges) > len(res.tree.edges)
     for i, j, _ in _int_ends(res.graph):
-        assert mc_segment_covered(pts[i], pts[j], balls, tol=tol, samples=4001), (i, j)
+        assert mc_segment_covered(pts[i], pts[j], pts, radii, tol=tol, samples=4001), (i, j)
 
 
 def test_coverage_graph_radii_length_checked():
@@ -250,18 +248,6 @@ def _verdict_inputs():
         yield np.vstack([pts, pts[:5]])
 
 
-def _oracle_chords(pts, radii, tol):
-    """The chords (i, j), i < j, that `exact_segment_covered` accepts."""
-    balls = [Ball(c, r) for c, r in zip(pts, radii)]
-    n = len(pts)
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if exact_segment_covered(pts[i], pts[j], balls, tol)
-    ]
-
-
 def _kept(graph):
     return [(i, j) for i, j, _ in graph.edges]
 
@@ -270,7 +256,7 @@ def test_coverage_graph_keeps_exactly_the_chords_the_exact_oracle_accepts():
     for pts in _verdict_inputs():
         res = geodesic_pipeline(pts)
         tol = 1e-9 * cloud_diameter(pts)
-        assert _kept(res.graph) == _oracle_chords(pts, ball_radii(res.tree), tol)
+        assert _kept(res.graph) == oracle_chords(pts, ball_radii(res.tree), tol)
 
 
 _DEFAULT_CHUNK = geometry._CHUNK
@@ -315,21 +301,25 @@ def test_coverage_kernel_chunk_size_changes_nothing(monkeypatch, pts):
 def test_coverage_verdicts_with_tied_interval_starts(f):
     tol = 1e-3
     side = (1.0 - (2.0 + f) * tol) / 2.0
-    # balls holding the start meet the chord on [0, hi], all with lo = 0 (one
-    # ball twice); only the longest hi can come within the allowance of the
-    # balls holding the end, which meet it on [lo, 1]
-    balls = [Ball([0.0, 0.0], 0.2), Ball([0.0, 0.0], side), Ball([0.0, 0.1], 0.3),
-             Ball([0.0, 0.0], side), Ball([1.0, 0.0], side), Ball([1.0, 0.0], 0.1)]
-    a, b = np.zeros(2), np.array([1.0, 0.0])
-    for shift in range(len(balls)):
-        for order in (balls[shift:] + balls[:shift], balls[::-1][shift:] + balls[::-1][:shift]):
-            assert segment_covered(a, b, order, tol=tol) == exact_segment_covered(a, b, order, tol) == (f < 1)
+    # chord (0, 1) runs between points with balls of radius tol alone.  The
+    # balls holding its start meet it on [0, hi], all with lo = 0 (one ball
+    # twice); only the longest hi can come within the allowance of the balls
+    # holding its end, which meet it on [lo, 1].  Every order of them agrees
+    ends = np.array([[0.0, 0.0], [1.0, 0.0]])
+    centres = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.1], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    sizes = np.array([0.2, side, 0.3, side, side, 0.1])
+    for shift in range(len(sizes)):
+        for order in (np.roll(np.arange(6), shift), np.roll(np.arange(6)[::-1], shift)):
+            pts, radii = np.vstack([ends, centres[order]]), np.concatenate([[0.0, 0.0], sizes[order]])
+            kept = _kept(build_coverage_graph(pts, radii, tol=tol))
+            assert kept == oracle_chords(pts, radii, tol)
+            assert ((0, 1) in kept) == (f < 1)
     # the same chord between duplicated points: chords (0, 2), (0, 3), (1, 2)
     # and (1, 3) carry tied lo = 0 at one end and tied hi = 1 at the other
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.1]])
     radii = np.array([0.2, side, side, 0.1, 0.3])
     kept = _kept(build_coverage_graph(pts, radii, tol=tol))
-    assert kept == _oracle_chords(pts, radii, tol)
+    assert kept == oracle_chords(pts, radii, tol)
     spans = {(0, 2), (0, 3), (1, 2), (1, 3)}
     assert spans & set(kept) == (spans if f < 1 else set())
     assert (0, 1) in kept and (2, 3) in kept
@@ -348,7 +338,7 @@ def test_coverage_graph_near_gap_chords_match_exact_oracle(f):
             tol = rel_tol * scale
             radii = np.full(2, (scale - (2.0 + f) * tol) / 2.0)
             graph = build_coverage_graph(pts, radii, tol=tol)
-            assert _kept(graph) == _oracle_chords(pts, radii, tol) == ([(0, 1)] if f < 1 else [])
+            assert _kept(graph) == oracle_chords(pts, radii, tol) == ([(0, 1)] if f < 1 else [])
 
 
 @pytest.mark.parametrize("ulps", [-1, 0, 1])
@@ -366,7 +356,7 @@ def test_coverage_graph_ball_tangent_at_midpoint(ulps):
                 middle = np.nextafter(middle, np.sign(ulps) * np.inf)
             radii = np.array([(1.0 - 2.5e-4) * scale - tol] * 2 + [middle])
             kept = _kept(build_coverage_graph(pts, radii, tol=tol))
-            assert kept == _oracle_chords(pts, radii, tol)
+            assert kept == oracle_chords(pts, radii, tol)
             assert ((0, 1) in kept) == (rel_tol > 0.0)
 
 
@@ -382,7 +372,7 @@ def test_coverage_graph_keeps_covered_chord_with_rounded_positive_clearance():
     radii = [3.880247312475002e-33, 3.880247312475002e-33, 1.6482530446618226e-35]
     kept = _kept(build_coverage_graph(pts, radii, tol=0.0))
     assert (0, 1) in kept
-    assert kept == _oracle_chords(pts, radii, 0.0)
+    assert kept == oracle_chords(pts, radii, 0.0)
 
 
 def test_coverage_graph_duplicates_and_zero_tolerance_match_exact_oracle():
@@ -395,7 +385,7 @@ def test_coverage_graph_duplicates_and_zero_tolerance_match_exact_oracle():
         radii = ball_radii(compute_emst(pts)) * rng.uniform(0.5, 1.5, len(pts))
         for tol in (0.0, 1e-3 * cloud_diameter(pts)):
             kept = _kept(build_coverage_graph(pts, radii, tol=tol))
-            assert kept == _oracle_chords(pts, radii, tol)
+            assert kept == oracle_chords(pts, radii, tol)
             assert {(k, k + 12) for k in range(4)} <= set(kept)
 
 
@@ -419,7 +409,7 @@ def test_coverage_graph_matches_exact_oracle_under_scaled_radii(seed, kind, rel_
     radii = ball_radii(compute_emst(pts)) * rng.uniform(0.5, 1.5, len(pts))
     tol = (1e-9 if rel_tol is None else rel_tol) * cloud_diameter(pts)
     graph = build_coverage_graph(pts, radii, tol=None if rel_tol is None else tol)
-    assert _kept(graph) == _oracle_chords(pts, radii, tol)
+    assert _kept(graph) == oracle_chords(pts, radii, tol)
 
 
 @given(
@@ -453,15 +443,13 @@ def test_pipeline_invariant_under_motion_and_scale(seed, parabola, shift, expone
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
-@pytest.mark.parametrize("routine", ["coverage", "pipeline", "single_point", "covered", "intersection"])
+@pytest.mark.parametrize("routine", ["coverage", "pipeline", "single_point"])
 def test_bad_tolerance_is_usage_error(routine, tol):
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     call = {
         "coverage": lambda: build_coverage_graph(pts, [1.0, 2.0, 2.0], tol=tol),
         "pipeline": lambda: geodesic_pipeline(pts, tol=tol),
         "single_point": lambda: geodesic_pipeline(pts[:1], tol=tol),
-        "covered": lambda: segment_covered(pts[0], pts[2], [Ball(pts[1], 2.0)], tol=tol),
-        "intersection": lambda: segment_ball_intersection(pts[0], pts[2], Ball(pts[1], 2.0), tol=tol),
     }[routine]
     with pytest.raises(UsageError, match="tolerance"):
         call()
@@ -472,8 +460,6 @@ def test_bad_radius_is_usage_error(radius):
     pts = np.array([[0.0], [1.0], [3.0]])
     with pytest.raises(UsageError, match="radi"):
         build_coverage_graph(pts, [1.0, radius, 2.0])
-    with pytest.raises(UsageError, match="radi"):
-        Ball(pts[1], radius)
 
 
 # ------------------------------------------------------------ shortest paths

@@ -2,6 +2,7 @@
 directory, exits 0 and writes the files it documents."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -71,3 +72,24 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
                 assert side["tracemalloc_peak_matrices_median"] > 1.0
             runs = report["runs"]["a"][name][env]
             assert all(r["tracemalloc_peak_matrices"] > 1.0 for r in runs)
+
+
+def test_perfbench_traced_run_is_correct_and_times_every_stage(tmp_path):
+    # a copy of the checkout keeps the benchmark's work directory out of the
+    # tree; it runs the public stages the tracer wraps by name, so a renamed
+    # or removed stage shows here as a zero time
+    for part in ("perfbench", "src", "configs"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("work", "__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload", "batch-small", "--seed", "3",
+         "--seconds", "0.5", "--trace", "1", "--scale", "smoke"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stdout
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    for stage in ("emst", "radii", "coverage", "apsp"):
+        assert metrics[f"graphs.{stage}_s"] > 0, stage
+    for count in ("graphs.pairs", "graphs.tree_edges", "graphs.kept_edges", "geometry.ball_tests"):
+        assert metrics[count] > 0, count
