@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Large-n stage benchmark of the geodesic pipeline, written to a BENCH json file.
+"""Stage benchmark of the geodesic pipeline and the classifiers, written to a BENCH json file.
 
     python3 scripts/bench.py --out BENCH.json
     python3 scripts/bench.py --src parent=OLD/src --src change=src --out BENCH.json
@@ -28,6 +28,13 @@ all of them alike.
 Inputs: sim1 clouds (noise sd 0.1) and tsin shift panels (m=100, shifts
 U(-2, 2)), all drawn with seed 1000, the seed of perfbench's first
 cloud-dense input at benchmark seed 1.
+
+The classification input `classify-N` runs `run_benchmark` on
+configs/benchmark_2class.json with N training and 2N test curves per class
+(the file's own sizes at N=50), once at each of the seeds 1500-1502, the
+class seeds of perfbench's batch-small workload at benchmark seed 1.  It
+times `extract_templates` and `predict_labels` per method, summed over the
+seeds, and records sha256 digests of every prediction and confusion matrix.
 """
 
 import argparse
@@ -52,6 +59,9 @@ STAGES = (
     "shortest_path_distances",
 )
 ENVIRONMENTS = {"default": {}, "mmap_threshold_131072": {"MALLOC_MMAP_THRESHOLD_": "131072"}}
+CLASS_SEEDS = (1500, 1501, 1502)
+# the stage whose wall time the progress line shows, per input kind
+HEAD = {"sim1": STAGES[0], "tsin": STAGES[0], "classify": "run_benchmark"}
 
 
 def minflt() -> int:
@@ -103,6 +113,51 @@ def measure(kind: str, n: int) -> dict:
     return record
 
 
+def measure_classify(n: int) -> dict:
+    """`run_benchmark` at each class seed, run inside the child interpreter."""
+    import dataclasses
+
+    import curvemedian as cm
+    from curvemedian import benchmark, classify
+
+    record, predictions, confusions = {}, [], []
+
+    def timed(stage, fn, method_of=None):
+        """fn, timed into record[stage], or record[stage[method]] per method."""
+
+        def wrapper(*args, **kwargs):
+            faults, start = minflt(), time.perf_counter()
+            out = fn(*args, **kwargs)
+            key = stage if method_of is None else f"{stage}[{method_of(*args, **kwargs)}]"
+            entry = record.setdefault(key, {"wall_s": 0.0, "minflt": 0})
+            entry["wall_s"] += time.perf_counter() - start
+            entry["minflt"] += minflt() - faults
+            return out
+
+        return wrapper
+
+    predict_labels = classify.predict_labels
+
+    def predicted(*args, **kwargs):
+        predictions.append(predict_labels(*args, **kwargs))
+        return predictions[-1]
+
+    # benchmark imported extract_templates by name; evaluate looks
+    # predict_labels up in the classify namespace
+    benchmark.extract_templates = timed(
+        "extract_templates", benchmark.extract_templates, lambda train, method, **_: method
+    )
+    classify.predict_labels = timed("predict_labels", predicted, lambda c, *_: getattr(c, "method", "knn"))
+    base = cm.load_benchmark_config(ROOT / "configs" / "benchmark_2class.json")
+    for seed in CLASS_SEEDS:
+        cfg = dataclasses.replace(base, seed=seed, n_train=n, n_test=2 * n)
+        for method, res in timed("run_benchmark", cm.run_benchmark)(cfg).items():
+            confusions.append([method, res["confusion"].labels, res["confusion"].counts.tolist()])
+    for name, value in (("predictions", predictions), ("confusions", confusions)):
+        record[f"{name}_sha256"] = hashlib.sha256(json.dumps(value).encode()).hexdigest()
+    return record
+
+
 def run_child(src: Path, kind: str, n: int, extra_env: dict) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), **extra_env)
     proc = subprocess.run(
@@ -115,19 +170,22 @@ def run_child(src: Path, kind: str, n: int, extra_env: dict) -> dict:
 
 
 def summarize(runs: list) -> dict:
-    """Per stage: median wall seconds and median minor faults over the runs."""
-    out = {
-        stage: {
-            "wall_s_median": statistics.median(r[stage]["wall_s"] for r in runs),
-            "minflt_median": statistics.median(r[stage]["minflt"] for r in runs),
-        }
-        for stage in STAGES
-        if all(stage in r for r in runs)
-    }
-    out["tracemalloc_peak_matrices_median"] = statistics.median(r["tracemalloc_peak_matrices"] for r in runs)
-    for key in ("candidate_chords", "kernel_rejected", "kept_edges", "edges_sha256", "d_hat_sha256"):
-        values = {r[key] for r in runs}
-        out[key] = values.pop() if len(values) == 1 else sorted(values)
+    """Per stage: median wall seconds and median minor faults over the runs;
+    the tracemalloc peak's median; every other record as its one value, or
+    the sorted distinct values if the runs disagree."""
+    out = {}
+    for key, value in runs[0].items():
+        if isinstance(value, dict):
+            if all(key in r for r in runs):
+                out[key] = {
+                    "wall_s_median": statistics.median(r[key]["wall_s"] for r in runs),
+                    "minflt_median": statistics.median(r[key]["minflt"] for r in runs),
+                }
+        elif key == "tracemalloc_peak_matrices":
+            out["tracemalloc_peak_matrices_median"] = statistics.median(r[key] for r in runs)
+        else:
+            values = {r[key] for r in runs}
+            out[key] = values.pop() if len(values) == 1 else sorted(values)
     return out
 
 
@@ -137,6 +195,8 @@ def main() -> int:
                     help="directory holding the curvemedian package (repeatable; default: this repo's src)")
     ap.add_argument("--sim1", type=int, nargs="*", default=[240, 600, 1200], help="sim1 cloud sizes")
     ap.add_argument("--tsin", type=int, nargs="*", default=[400], help="tsin panel sizes")
+    ap.add_argument("--classify", type=int, nargs="*", default=[50],
+                    help="training curves per class of the 2-class benchmark (twice as many test curves)")
     ap.add_argument("--repeats", type=int, default=3, help="fresh processes per input, source and environment")
     ap.add_argument("--out", required=True, help="BENCH json file to write")
     args = ap.parse_args()
@@ -153,6 +213,7 @@ def main() -> int:
         label, _, path = spec.rpartition("=")
         sources[label or "current"] = Path(path).resolve()
     inputs = [("sim1", n) for n in args.sim1] + [("tsin", n) for n in args.tsin]
+    inputs += [("classify", n) for n in args.classify]
     runs = {label: {f"{k}-{n}": {e: [] for e in ENVIRONMENTS} for k, n in inputs} for label in sources}
     for rep in range(args.repeats):
         for kind, n in inputs:
@@ -161,9 +222,9 @@ def main() -> int:
                 for label, src in order:
                     record = run_child(src, kind, n, extra_env)
                     runs[label][f"{kind}-{n}"][env_name].append(record)
+                    head = record[HEAD[kind]]
                     print(f"{label:>8} {kind}-{n:<5} {env_name:<22} "
-                          f"{record[STAGES[0]]['wall_s']:8.3f} s {record[STAGES[0]]['minflt']:>9} faults",
-                          flush=True)
+                          f"{head['wall_s']:8.3f} s {head['minflt']:>9} faults", flush=True)
 
     report = {
         "environment": {
@@ -174,6 +235,7 @@ def main() -> int:
             "blas_threads": BLAS_THREADS,
             "repeats": args.repeats,
             "seed": SEED,
+            "class_seeds": list(CLASS_SEEDS),
         },
         "summary": {
             label: {name: {e: summarize(r) for e, r in by_env.items()} for name, by_env in by_input.items()}
@@ -188,6 +250,7 @@ def main() -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        print(json.dumps(measure(sys.argv[2], int(sys.argv[3]))))
+        kind, n = sys.argv[2], int(sys.argv[3])
+        print(json.dumps(measure_classify(n) if kind == "classify" else measure(kind, n)))
         sys.exit(0)
     sys.exit(main())

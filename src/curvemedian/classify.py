@@ -166,6 +166,52 @@ def _active_columns(grid: np.ndarray, truncate_at: Optional[float]) -> np.ndarra
     return mask
 
 
+def _distances(refs: np.ndarray, queries: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(queries x refs) Euclidean distances over the active columns.
+
+    One einsum per row of the shorter side.  einsum sums a single row in
+    another order than a stack of two or more, so a lone query or a lone
+    reference is summed as a one-query call sums it: against the stack of
+    references.
+    """
+    swap = len(queries) > len(refs) > 1
+    outer, inner = (refs, queries) if swap else (queries, refs)
+    inner = inner[:, cols]
+    d, diff = np.empty((len(outer), len(inner))), np.empty_like(inner)
+    for r, row in enumerate(outer[:, cols]):
+        np.subtract(inner, row, out=diff)  # ref - query or its exact negation: the same squares
+        np.einsum("nk,nk->n", diff, diff, out=d[r])
+    np.sqrt(d, out=d)
+    return d.T if swap else d
+
+
+def _predict(classifier, queries: np.ndarray, truncate_at: Optional[float]) -> List[str]:
+    """Labels of a stack of query rows, from one distance matrix."""
+    if isinstance(classifier, TemplateSet):
+        refs, grid, what = classifier.curves, classifier.grid, "the template grid"
+    elif isinstance(classifier, KnnClassifier):
+        train, k = classifier.train, classifier.k
+        labels = _require_labels(train, "training")
+        if not 1 <= k <= train.n:
+            raise UsageError(f"k must be in [1, {train.n}], got {k}")
+        refs, grid, what = train.values, train.grid, "the panel grid"
+    else:
+        raise UsageError(f"cannot classify with {type(classifier).__name__}")
+    if queries.shape[1:] != grid.shape:
+        raise UsageError(f"query length {queries.shape[1:]} does not match {what} ({grid.size})")
+    d = _distances(refs, queries, _active_columns(grid, truncate_at))
+    if isinstance(classifier, TemplateSet):
+        return [classifier.labels[c] for c in d.argmin(axis=1)]
+    order = _class_order(labels)
+    code = {label: c for c, label in enumerate(order)}
+    codes = np.array([code[label] for label in labels])
+    nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+    cells = np.arange(len(queries))[:, None] * len(order) + codes[nearest]
+    votes = np.bincount(cells.ravel(), minlength=d.shape[0] * len(order)).reshape(-1, len(order))
+    # argmax takes the first of equal counts: the earliest label in sorted order
+    return [order[c] for c in votes.argmax(axis=1)]
+
+
 def classify_nearest_template(
     templates: TemplateSet, query, truncate_at: Optional[float] = None
 ) -> str:
@@ -174,15 +220,7 @@ def classify_nearest_template(
     With `truncate_at`, only grid points strictly before the cutoff enter
     the comparison.  Exact ties resolve in template label order.
     """
-    q = np.asarray(query, dtype=float)
-    if q.shape != (templates.grid.size,):
-        raise UsageError(
-            f"query length {q.shape} does not match the template grid ({templates.grid.size})"
-        )
-    cols = _active_columns(templates.grid, truncate_at)
-    diff = templates.curves[:, cols] - q[cols][None, :]
-    d = np.sqrt(np.einsum("lk,lk->l", diff, diff))
-    return templates.labels[int(np.argmin(d))]
+    return _predict(templates, np.asarray(query, dtype=float)[None], truncate_at)[0]
 
 
 def knn_classify(
@@ -193,25 +231,7 @@ def knn_classify(
     Neighbor ties at equal distance take the smaller row index; vote ties
     take the label earliest in sorted label order.
     """
-    labels = _require_labels(train, "training")
-    if not 1 <= k <= train.n:
-        raise UsageError(f"k must be in [1, {train.n}], got {k}")
-    q = np.asarray(query, dtype=float)
-    if q.shape != (train.m,):
-        raise UsageError(f"query length {q.shape} does not match the panel grid ({train.m})")
-    cols = _active_columns(train.grid, truncate_at)
-    diff = train.values[:, cols] - q[cols][None, :]
-    d = np.sqrt(np.einsum("nk,nk->n", diff, diff))
-    nearest = np.argsort(d, kind="stable")[:k]
-    votes: dict = {}
-    for idx in nearest:
-        lab = labels[int(idx)]
-        votes[lab] = votes.get(lab, 0) + 1
-    best = max(votes.values())
-    for label in _class_order(labels):
-        if votes.get(label, 0) == best:
-            return label
-    raise AssertionError("unreachable: some label must hold the top vote count")
+    return _predict(KnnClassifier(train, k), np.asarray(query, dtype=float)[None], truncate_at)[0]
 
 
 def predict_labels(
@@ -219,17 +239,9 @@ def predict_labels(
     test: CurvePanel,
     truncate_at: Optional[float] = None,
 ) -> List[str]:
-    if isinstance(classifier, TemplateSet):
-        return [
-            classify_nearest_template(classifier, row, truncate_at)
-            for row in test.values
-        ]
-    if isinstance(classifier, KnnClassifier):
-        return [
-            knn_classify(classifier.train, row, classifier.k, truncate_at)
-            for row in test.values
-        ]
-    raise UsageError(f"cannot classify with {type(classifier).__name__}")
+    """One label per test row, with the tie rules of `classify_nearest_template`
+    and `knn_classify`, from one distance pass over the whole panel."""
+    return _predict(classifier, test.values, truncate_at)
 
 
 def confusion_from_predictions(labels, references, predictions) -> ConfusionMatrix:

@@ -8,8 +8,10 @@ template   pick the representative (intrinsic-median) curve of a panel
 classify   nearest-template or k-NN classification of labeled panels
 
 Exit codes: 0 success, 2 usage error, 3 data/parse/I-O error, 4 numeric
-failure.  All output files are decimal text with '.' separators regardless
-of locale, and every seeded run is bit-identical across invocations.
+failure.  A refused run writes nothing: each command computes all its
+outputs before it makes the output directory.  All output files are
+decimal text with '.' separators regardless of locale, and every seeded
+run is bit-identical across invocations.
 """
 
 from __future__ import annotations
@@ -102,13 +104,13 @@ def _load_points(path):
 
 def cmd_distances(args) -> int:
     points, _ = _load_points(args.input)
+    result = geodesic_pipeline(points, tol=args.tol)
+    diag = pipeline_diagnostics(points, result, tol=args.tol)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = geodesic_pipeline(points, tol=args.tol)
     panel_io.write_edges(outdir / "graph.emst.csv", result.tree)
     panel_io.write_edges(outdir / "graph.csv", result.graph)
     panel_io.write_matrix(outdir / "distances.csv", result.distances)
-    diag = pipeline_diagnostics(points, result, tol=args.tol)
     panel_io.write_json(outdir / "diagnostics.json", diag)
     print(
         f"n={diag['n']} tree_edges={diag['tree_edges']} "
@@ -121,10 +123,10 @@ def cmd_distances(args) -> int:
 def cmd_template(args) -> int:
     _alpha(args.alpha)
     panel = panel_io.read_panel(args.input)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     result = geodesic_pipeline(panel.values, tol=args.tol)
     est = intrinsic_estimate(result.distances, alpha=args.alpha)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     panel_io.write_json(
         outdir / "estimate.json",
         {"index": est.index, "objective": est.objective, "alpha": est.alpha},
@@ -158,20 +160,21 @@ def cmd_classify(args) -> int:
 
     train = panel_io.read_panel(args.train)
     test = panel_io.read_panel(args.test)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     if cfg.method == "knn":
         classifier = KnnClassifier(train=train, k=cfg.k)
         order = sorted(set(train.labels or []))
     else:
         classifier = extract_templates(train, method=cfg.method, alpha=cfg.alpha, tol=cfg.tol)
         order = classifier.labels
-        panel_io.write_templates(outdir / "templates.csv", classifier)
     if test.labels is None:
         raise UsageError("test panel carries no class labels")
     preds = predict_labels(classifier, test, truncate_at=cfg.truncate_at)
     cm = confusion_from_predictions(order, test.labels, preds)
+
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    if cfg.method != "knn":
+        panel_io.write_templates(outdir / "templates.csv", classifier)
     panel_io.write_predictions(outdir / "predictions.csv", test.labels, preds)
     panel_io.write_confusion(outdir / "confusion.csv", cm)
     panel_io.write_json(outdir / "classifier.json", cfg.to_dict())

@@ -94,30 +94,34 @@ def compute_emst(cloud) -> WeightedGraph:
     Edges compare on the strict key (w, i, j), i < j, under which the tree
     is unique, so equal-weight inputs always yield the same tree; its edges
     come sorted by that key.  A single point gives an empty tree.
+
+    Each vertex outside the tree keeps its lightest edge into it as
+    (weight, parent).  Two candidate edges into u share u, so at equal
+    weight the (i, j) key prefers the smaller parent: for p < q it orders
+    edge {p, u} before {q, u} wherever u lies relative to p and q.  The
+    full key is read only when the lightest weight is tied across vertices.
     """
     weights = _pairwise_distances(_cloud(cloud))
     n = weights.shape[0]
-    vertex = np.arange(n)
-    inside = np.zeros(n, dtype=bool)
+    outside = np.ones(n, dtype=bool)
     best_w = np.full(n, np.inf)
-    best_i = np.zeros(n, dtype=int)
-    best_j = np.zeros(n, dtype=int)
-    picked = []
+    parent = np.zeros(n, dtype=np.intp)
+    picked = np.zeros(n - 1, dtype=np.intp)
     v = 0
-    for _ in range(n - 1):
-        inside[v] = True
+    for step in range(n - 1):
+        outside[v], best_w[v] = False, np.inf
         w = weights[v]
-        i, j = np.minimum(vertex, v), np.maximum(vertex, v)
-        better = ~inside & (
-            (w < best_w) | ((w == best_w) & ((i < best_i) | ((i == best_i) & (j < best_j))))
-        )
-        best_w[better], best_i[better], best_j[better] = w[better], i[better], j[better]
-        open_w = np.where(inside, np.inf, best_w)
-        tied = np.flatnonzero(open_w == open_w.min())
-        v = tied[np.lexsort((best_j[tied], best_i[tied]))[0]]
-        picked.append(v)
-    picked = np.array(picked, dtype=int)
-    w, i, j = best_w[picked], best_i[picked], best_j[picked]
+        better = outside & ((w < best_w) | ((w == best_w) & (v < parent)))
+        np.copyto(best_w, w, where=better)
+        parent[better] = v
+        v = int(best_w.argmin())
+        tied = np.flatnonzero(best_w == best_w[v])
+        if tied.size > 1:
+            p = parent[tied]
+            v = int(tied[np.lexsort((np.maximum(tied, p), np.minimum(tied, p)))[0]])
+        picked[step] = v
+    i, j = np.minimum(picked, parent[picked]), np.maximum(picked, parent[picked])
+    w = weights[i, j]
     return WeightedGraph(n, np.column_stack((i, j, w))[np.lexsort((j, i, w))])
 
 

@@ -4,10 +4,12 @@ Most oracles deliberately take a different algorithmic route than the code
 under test: dense parameter sampling and a per-ball, per-chord sweep in
 plain Python over coordinates instead of vectorized interval arithmetic on
 pairwise distances, per-source Bellman-Ford instead of Floyd-Warshall,
-exhaustive labeled-tree enumeration instead of a greedy spanning tree, and
-plain Riemann sums instead of adaptive quadrature.  `floyd_warshall` is the
-exception: the package runs the same cubic relaxation, so it checks the
-graph-to-matrix bookkeeping rather than the algorithm.  scipy's csgraph
+exhaustive labeled-tree enumeration and sorted Kruskal instead of Prim,
+one query at a time in plain Python instead of a panel-wide distance
+matrix, and plain Riemann sums instead of adaptive quadrature.
+`floyd_warshall` is the exception: the package runs the same cubic
+relaxation, so it checks the graph-to-matrix bookkeeping rather than the
+algorithm.  scipy's csgraph
 checks shortest paths and spanning-tree weights too, in `test_graphs.py`.
 """
 
@@ -157,6 +159,53 @@ def min_spanning_weight_exhaustive(points):
         if w < best:
             best = w
     return best
+
+
+def kruskal_tree(points):
+    """Minimum spanning tree as [i, j, w] rows, i < j: every pair in plain
+    Python, sorted by the strict (w, i, j) key, joined by union-find."""
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1).tolist()
+    n = len(pts)
+    pairs = sorted(
+        (math.sqrt(sum((a - b) ** 2 for a, b in zip(pts[i], pts[j]))), i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    tree = []
+    for w, i, j in pairs:
+        if find(i) != find(j):
+            root[find(i)] = find(j)
+            tree.append([i, j, w])
+    return tree
+
+
+def _squared_distance(a, b, cols):
+    return sum((float(a[c]) - float(b[c])) ** 2 for c in cols)
+
+
+def nearest_template_label(curves, labels, query, cols):
+    """Label of the template with the smallest squared distance over the
+    column indices `cols`; a tie goes to the earlier template."""
+    d = [_squared_distance(curve, query, cols) for curve in curves]
+    return labels[d.index(min(d))]
+
+
+def knn_label(values, labels, query, k, cols):
+    """Majority label of the k rows nearest to the query over `cols`, the
+    smaller row first at equal distance; a vote tie goes to the label first
+    in sorted order."""
+    ranked = sorted(range(len(values)), key=lambda r: (_squared_distance(values[r], query, cols), r))
+    votes = {}
+    for r in ranked[:k]:
+        votes[labels[r]] = votes.get(labels[r], 0) + 1
+    return min(votes, key=lambda label: (-votes[label], label))
 
 
 def riemann_shift_geodesic(derivative, grid, a1, a2, steps=1_000_000, chunk=20_000):

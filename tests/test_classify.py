@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curvemedian import (
     ClassifierConfig,
     CurvePanel,
     KnnClassifier,
     ShiftConfig,
+    TemplateSet,
     UsageError,
     classify_nearest_template,
     confusion_from_predictions,
@@ -16,6 +19,8 @@ from curvemedian import (
     knn_classify,
     predict_labels,
 )
+from curvemedian import classify
+from oracles import knn_label, nearest_template_label
 
 
 GRID = np.array([0.0, 1.0, 2.0, 3.0])
@@ -214,12 +219,56 @@ def test_unknown_test_label_rejected():
         evaluate(ts, test)
 
 
-def test_predict_labels_matches_scalar_calls():
-    train = two_class_shift_panel()
-    test = two_class_shift_panel(seed=3)
-    ts = extract_templates(train, "medoid")
-    preds = predict_labels(ts, test)
-    assert preds == [classify_nearest_template(ts, row) for row in test.values]
+# integer curves: squared distances are exact, so equal distances are true
+# ties and the tie rules alone decide them
+
+
+def _int_rows(data, n, m):
+    return data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+def _test_panel(data):
+    """A grid of 2..5 points, a cutoff (or None) with the active column
+    indices it leaves, and 1..6 integer test curves."""
+    m = data.draw(st.integers(2, 5), label="m")
+    grid = np.arange(m, dtype=float)
+    truncate_at = data.draw(st.sampled_from([None, *grid[1:]]), label="truncate_at")
+    cols = range(m) if truncate_at is None else range(int(truncate_at))
+    return grid, truncate_at, cols, CurvePanel(grid, _int_rows(data, data.draw(st.integers(1, 6)), m))
+
+
+@given(st.data())
+def test_predict_labels_matches_per_query_template_oracle(data):
+    grid, truncate_at, cols, test = _test_panel(data)
+    labels = sorted(data.draw(st.sets(st.sampled_from("abcd"), min_size=1), label="labels"))
+    curves = np.array(_int_rows(data, len(labels), grid.size), dtype=float)
+    ts = TemplateSet("mean", grid, labels, curves, [None] * len(labels))
+    want = [nearest_template_label(curves, labels, row, cols) for row in test.values]
+    assert predict_labels(ts, test, truncate_at) == want
+
+
+@given(st.data())
+def test_predict_labels_matches_per_query_knn_oracle(data):
+    grid, truncate_at, cols, test = _test_panel(data)
+    n = data.draw(st.integers(1, 8), label="n")
+    labels = data.draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n), label="labels")
+    train = CurvePanel(grid, _int_rows(data, n, grid.size), labels=labels)
+    k = data.draw(st.integers(1, n), label="k")
+    want = [knn_label(train.values, labels, row, k, cols) for row in test.values]
+    assert predict_labels(KnnClassifier(train, k), test, truncate_at) == want
+
+
+def test_panel_distances_match_one_query_sums():
+    # a panel's distances are bit-identical to those of its rows one at a
+    # time, including a lone query or a lone reference
+    rng = np.random.default_rng(5)
+    for refs, queries in ((7, 30), (30, 7), (1, 9), (9, 1), (1, 1)):
+        r, q = rng.normal(size=(refs, 101)) * 1e3, rng.normal(size=(queries, 101)) * 1e3
+        cols = np.arange(101) < 77
+        d = classify._distances(r, q, cols)
+        for t in range(queries):
+            diff = r[:, cols] - q[t, cols][None, :]
+            assert d[t].tobytes() == np.sqrt(np.einsum("nk,nk->n", diff, diff)).tobytes()
 
 
 # ------------------------------------------------------------------ config

@@ -340,9 +340,9 @@ def test_template_extreme_alpha_is_refused(tmp_path, capsys, shifts, alpha, want
     )
     assert code == want
     assert "alpha" in err and out == ""
-    # a bad alpha is refused before the pipeline runs or anything is written
-    assert (tmp_path / "t").exists() == (want == 4)
-    assert not (tmp_path / "t" / "estimate.json").exists()
+    # a bad alpha is refused before the pipeline runs, an overflowing
+    # objective after it; either way nothing is written
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("alpha", ["inf", "nan"])
@@ -393,3 +393,26 @@ def test_unlabeled_test_panel_exits_2(tmp_path, capsys):
         "--method", "mean", "--outdir", str(tmp_path / "c"),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distances", "--input", "{cloud}", "--tol", "-1"],
+        ["template", "--input", "{panel}", "--tol", "-1"],
+        ["classify", "--train", "{panel}", "--test", "{bare}", "--method", "mean"],
+        ["classify", "--train", "{panel}", "--test", "{panel}", "--method", "knn", "--k", "50"],
+        ["classify", "--train", "{panel}", "--test", "{panel}", "--tol", "-1"],
+    ],
+    ids=["distances-tol", "template-tol", "classify-unlabeled-test", "classify-k-above-n", "classify-tol"],
+)
+def test_refused_run_leaves_nothing_on_disk(tmp_path, capsys, argv):
+    panel = labeled_two_class_panel()
+    paths = {name: tmp_path / f"{name}.csv" for name in ("cloud", "panel", "bare")}
+    write_cloud(paths["cloud"], np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]]))
+    write_panel(paths["panel"], panel)
+    write_panel(paths["bare"], CurvePanel(panel.grid, panel.values))
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run(capsys, *argv, "--outdir", str(tmp_path / "out"))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

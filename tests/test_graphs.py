@@ -21,7 +21,13 @@ from curvemedian import (
 )
 
 from curvemedian import geometry
-from oracles import floyd_warshall, mc_segment_covered, min_spanning_weight_exhaustive, oracle_chords
+from oracles import (
+    floyd_warshall,
+    kruskal_tree,
+    mc_segment_covered,
+    min_spanning_weight_exhaustive,
+    oracle_chords,
+)
 
 
 def _int_ends(graph):
@@ -99,22 +105,21 @@ def test_emst_matches_sorted_kruskal_on_tied_clouds():
     rng = np.random.default_rng(47)
     for _ in range(20):
         pts = np.round(rng.normal(size=(int(rng.integers(2, 25)), 2)), 0)
-        n = len(pts)
-        complete = [(i, j, float(np.linalg.norm(pts[i] - pts[j]))) for i in range(n) for j in range(i + 1, n)]
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        want = []
-        for i, j, w in sorted(complete, key=lambda e: (e[2], e[0], e[1])):
-            if find(i) != find(j):
-                parent[find(i)] = find(j)
-                want.append([i, j, w])
+        want = kruskal_tree(pts)
         assert compute_emst(pts).edges.tolist() == want
         assert geodesic_pipeline(pts).tree.edges.tolist() == want
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda p: st.lists(st.lists(st.integers(-3, 3), min_size=p, max_size=p), min_size=1, max_size=40)
+    )
+)
+def test_emst_equals_kruskal_on_rounded_clouds_with_duplicates(coords):
+    # half-integer coordinates: squared distances are exact, so equal
+    # weights are true ties and only the (i, j) key can break them
+    pts = np.array(coords, dtype=float) / 2.0
+    assert compute_emst(pts).edges.tolist() == kruskal_tree(pts)
 
 
 def test_emst_duplicate_points_zero_weight_edges():

@@ -46,7 +46,7 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
     out = tmp_path / "BENCH.json"
     proc = run_script(
         "bench.py", tmp_path, "--src", f"a={ROOT / 'src'}", "--src", f"b={ROOT / 'src'}",
-        "--sim1", "30", "--tsin", "12", "--repeats", "1", "--out", str(out),
+        "--sim1", "30", "--tsin", "12", "--classify", "3", "--repeats", "1", "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text(encoding="utf-8"))
@@ -72,6 +72,19 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
                 assert side["tracemalloc_peak_matrices_median"] > 1.0
             runs = report["runs"]["a"][name][env]
             assert all(r["tracemalloc_peak_matrices"] > 1.0 for r in runs)
+    # the classification input: both stages per method, summed over the
+    # three class seeds, and the same predictions from the same tree
+    methods = ("manifold", "mean", "medoid", "knn")
+    for env in ("default", "mmap_threshold_131072"):
+        a, b = report["summary"]["a"]["classify-3"][env], report["summary"]["b"]["classify-3"][env]
+        timed = ["run_benchmark", *(f"predict_labels[{m}]" for m in methods)]
+        timed += [f"extract_templates[{m}]" for m in methods if m != "knn"]
+        assert sorted(key for key, value in a.items() if isinstance(value, dict)) == sorted(timed)
+        for stage in timed:
+            assert a[stage]["wall_s_median"] > 0 and a[stage]["minflt_median"] >= 0
+        for key in ("predictions_sha256", "confusions_sha256"):
+            assert len(a[key]) == 64 and a[key] == b[key]
+    assert report["environment"]["class_seeds"] == [1500, 1501, 1502]
 
 
 def test_perfbench_traced_run_is_correct_and_times_every_stage(tmp_path):
