@@ -3,6 +3,7 @@
 
     python3 scripts/bench.py --out BENCH.json
     python3 scripts/bench.py --src parent=OLD/src --src change=src --out BENCH.json
+    python3 scripts/bench.py --cap default none 4 3 2 1.5 --quality --out BENCH.json
 
 Each input is a fresh interpreter running one `geodesic_pipeline` call, as
 `curvemedian distances` does, with perfbench's one-BLAS-thread environment
@@ -11,7 +12,8 @@ stages each record wall seconds and minor page faults (the change in
 `ru_minflt`): `compute_emst`, `ball_radii`, `build_coverage_graph`, within
 it the midpoint prefilter `_midpoint_far` and the coverage kernel
 `_covered`, and `shortest_path_distances`.  A stage the given tree's
-pipeline does not call is left out of its record and summary.  The run
+pipeline does not call is left out of its record and summary: with a chord
+cap the prefilter is skipped.  The run
 also records the number of candidate chords the kernel decides and how
 many of them it rejects, the kept edge count, and sha256 digests of the
 kept (i, j, weight) rows and of d_hat, so that two trees can be checked
@@ -24,6 +26,24 @@ default so that allocations of 128 KiB or more are not served from a heap
 the earlier frees have grown.
 Sources alternate within each repeat, so a drift in host speed falls on
 all of them alike.
+
+Each input runs once per `--cap` value: `default` calls the pipeline
+without a cap argument, as the CLI does without --cap, so every tree runs
+it; `none` (the uncapped rule) and numbers pass `cap=` and run only on a
+tree whose pipeline takes one.  Inputs under a cap value are named
+`INPUT cap=VALUE`; under `default` they keep their plain name.
+
+`--quality` adds, per source and cap value, one fresh interpreter that
+measures how well the estimate recovers known truth:
+- criterion 2 of the acceptance tests on its seeded tsin shift panels: how
+  often the graph estimate picks the median-shift curve exactly and within
+  one shift rank, and the median relative error of d_hat against
+  `exact_geodesic_matrix` over every pair of every panel;
+- the sim1 endpoint distance d_hat[0, n-1] against the parabola's arc
+  length: its relative error on the clean cloud, and its signed and
+  absolute mean relative error at noise sd 0.05, 0.1 and 0.2 over seeds
+  0..S-1 (n=300, S=30 by default);
+- criterion 7's manifold-template accuracy on configs/benchmark_2class.json.
 
 Inputs: sim1 clouds (noise sd 0.1) and tsin shift panels (m=100, shifts
 U(-2, 2)), all drawn with seed 1000, the seed of perfbench's first
@@ -38,8 +58,11 @@ seeds, and records sha256 digests of every prediction and confusion matrix.
 """
 
 import argparse
+import functools
 import hashlib
+import inspect
 import json
+import math
 import os
 import platform
 import resource
@@ -62,13 +85,80 @@ ENVIRONMENTS = {"default": {}, "mmap_threshold_131072": {"MALLOC_MMAP_THRESHOLD_
 CLASS_SEEDS = (1500, 1501, 1502)
 # the stage whose wall time the progress line shows, per input kind
 HEAD = {"sim1": STAGES[0], "tsin": STAGES[0], "classify": "run_benchmark"}
+# noise sds of the sim1 endpoint errors in quality mode, and the arc length
+# of y = 2 x^2 over [-1, 1], from the clean cloud's first to its last point
+ENDPOINT_SDS = (0.05, 0.1, 0.2)
+ARC_LENGTH = math.sqrt(17.0) + math.asinh(4.0) / 4.0
 
 
 def minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def measure(kind: str, n: int) -> dict:
+def cap_kwargs(cap: str) -> dict:
+    """Keyword arguments of the pipeline for a --cap value."""
+    return {} if cap == "default" else {"cap": None if cap == "none" else float(cap)}
+
+
+def criterion_2_instances(count: int):
+    """The first `count` of the acceptance tests' criterion-2 instances, as
+    (panel, index of the median-shift curve) pairs: odd n in 3..51, m=100
+    on [-10, 10], shifts U(-2, 2), one generator seeded 20260819."""
+    import curvemedian as cm
+
+    rng = np.random.default_rng(20260819)
+    instances = []
+    for _ in range(count):
+        n = int(rng.choice(np.arange(3, 52, 2)))
+        shifts = rng.uniform(-2.0, 2.0, n)
+        panel = cm.generate_shift_sample(cm.ShiftConfig(target="tsin", m=100, t_range=(-10.0, 10.0), shifts=shifts))
+        instances.append((panel, int(np.argsort(shifts, kind="stable")[(n - 1) // 2])))
+    return instances
+
+
+def measure_quality(cap: str, panels: int, endpoint_n: int, endpoint_seeds: int) -> dict:
+    """The quality measures of one cap value, run inside the child interpreter."""
+    import curvemedian as cm
+    from curvemedian import benchmark
+
+    kwargs = cap_kwargs(cap)
+    exact = within_one = 0
+    rel = []
+    for panel, median_idx in criterion_2_instances(panels):
+        d_hat = cm.geodesic_pipeline(panel.values, **kwargs).distances
+        index = cm.intrinsic_estimate(d_hat).index
+        ranks = np.argsort(np.argsort(panel.shifts, kind="stable"), kind="stable")
+        exact += index == median_idx
+        within_one += abs(int(ranks[index]) - int(ranks[median_idx])) <= 1
+        truth = cm.exact_geodesic_matrix("tsin", panel.grid, panel.shifts)
+        iu = np.triu_indices(len(d_hat), 1)
+        rel.append(np.abs(d_hat[iu] - truth[iu]) / truth[iu])
+    record = {
+        "criterion_2_panels": panels,
+        "criterion_2_exact": exact,
+        "criterion_2_within_one": within_one,
+        "tsin_dhat_rel_err_median": float(np.median(np.concatenate(rel))),
+    }
+
+    def endpoint_err(sd, seed):
+        pts = cm.generate_sim1(cm.Sim1Config(n=endpoint_n, noise_sd=sd, seed=seed))
+        return (float(cm.geodesic_pipeline(pts, **kwargs).distances[0, -1]) - ARC_LENGTH) / ARC_LENGTH
+
+    record["sim1_endpoint"] = {"n": endpoint_n, "seeds": endpoint_seeds, "clean_rel_err": endpoint_err(0.0, 0)}
+    for sd in ENDPOINT_SDS:
+        errs = [endpoint_err(sd, seed) for seed in range(endpoint_seeds)]
+        record["sim1_endpoint"][f"sd_{sd}"] = {
+            "signed_rel_err_mean": statistics.fmean(errs),
+            "abs_rel_err_mean": statistics.fmean(abs(e) for e in errs),
+        }
+    # run_benchmark reads extract_templates from the benchmark namespace
+    benchmark.extract_templates = functools.partial(benchmark.extract_templates, **kwargs)
+    config = cm.load_benchmark_config(ROOT / "configs" / "benchmark_2class.json")
+    record["criterion_7_accuracy"] = cm.run_benchmark(config, methods=("manifold",))["manifold"]["accuracy"]
+    return record
+
+
+def measure(kind: str, n: int, cap: str) -> dict:
     """One pipeline call on a fresh input, run inside the child interpreter."""
     import curvemedian as cm
     from curvemedian import graphs
@@ -94,7 +184,7 @@ def measure(kind: str, n: int) -> dict:
     originals = {name: getattr(graphs, name) for name in STAGES[1:]}
     for name, fn in originals.items():
         setattr(graphs, name, timed(name, fn))
-    result = timed(STAGES[0], graphs.geodesic_pipeline)(pts)
+    result = timed(STAGES[0], graphs.geodesic_pipeline)(pts, **cap_kwargs(cap))
     covered = outputs["_covered"]
     record["candidate_chords"] = int(covered.size)
     record["kernel_rejected"] = int(covered.size - covered.sum())
@@ -107,7 +197,7 @@ def measure(kind: str, n: int) -> dict:
     for name, fn in originals.items():
         setattr(graphs, name, fn)
     tracemalloc.start()
-    graphs.geodesic_pipeline(pts)
+    graphs.geodesic_pipeline(pts, **cap_kwargs(cap))
     record["tracemalloc_peak_matrices"] = tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
     tracemalloc.stop()
     return record
@@ -158,10 +248,12 @@ def measure_classify(n: int) -> dict:
     return record
 
 
-def run_child(src: Path, kind: str, n: int, extra_env: dict) -> dict:
+def run_child(src: Path, kind: str, n: int, extra_env: dict, *extra) -> dict:
+    """The child's record, or None where a cap was asked of a tree whose
+    pipeline takes none."""
     env = dict(os.environ, PYTHONPATH=str(src), **extra_env)
     proc = subprocess.run(
-        [sys.executable, __file__, "--child", kind, str(n)],
+        [sys.executable, __file__, "--child", kind, str(n), *map(str, extra)],
         env=env, capture_output=True, text=True, check=False,
     )
     if proc.returncode != 0:
@@ -197,11 +289,17 @@ def main() -> int:
     ap.add_argument("--tsin", type=int, nargs="*", default=[400], help="tsin panel sizes")
     ap.add_argument("--classify", type=int, nargs="*", default=[50],
                     help="training curves per class of the 2-class benchmark (twice as many test curves)")
+    ap.add_argument("--cap", nargs="+", default=["default"], type=cap_value,
+                    help="pipeline cap values to run each input under: default, none or a number >= 1")
+    ap.add_argument("--quality", action="store_true", help="also record the quality measures per source and cap")
+    ap.add_argument("--panels", type=int, default=100, help="criterion-2 panels of the quality measures")
+    ap.add_argument("--endpoint-n", type=int, default=300, help="sim1 cloud size of the endpoint errors")
+    ap.add_argument("--endpoint-seeds", type=int, default=30, help="sim1 seeds per noise sd of the endpoint errors")
     ap.add_argument("--repeats", type=int, default=3, help="fresh processes per input, source and environment")
     ap.add_argument("--out", required=True, help="BENCH json file to write")
     args = ap.parse_args()
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
+    if min(args.repeats, args.panels, args.endpoint_seeds) < 1 or args.endpoint_n < 2:
+        ap.error("--repeats, --panels and --endpoint-seeds must be at least 1, --endpoint-n at least 2")
     # perfbench's children run with this environment; the import stays out
     # of the measured child, as perfbench/run.py pulls in its scipy checks
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -212,19 +310,30 @@ def main() -> int:
     for spec in args.src or [str(ROOT / "src")]:
         label, _, path = spec.rpartition("=")
         sources[label or "current"] = Path(path).resolve()
-    inputs = [("sim1", n) for n in args.sim1] + [("tsin", n) for n in args.tsin]
-    inputs += [("classify", n) for n in args.classify]
-    runs = {label: {f"{k}-{n}": {e: [] for e in ENVIRONMENTS} for k, n in inputs} for label in sources}
+    inputs = [(k, n, cap) for cap in args.cap for k, ns in (("sim1", args.sim1), ("tsin", args.tsin)) for n in ns]
+    inputs += [("classify", n, "default") for n in args.classify]
+    runs = {label: {} for label in sources}
     for rep in range(args.repeats):
-        for kind, n in inputs:
+        for kind, n, cap in inputs:
+            name = f"{kind}-{n}" + ("" if cap == "default" else f" cap={cap}")
             for env_name, extra_env in ENVIRONMENTS.items():
                 order = list(sources.items())[:: -1 if rep % 2 else 1]
                 for label, src in order:
-                    record = run_child(src, kind, n, extra_env)
-                    runs[label][f"{kind}-{n}"][env_name].append(record)
+                    record = run_child(src, kind, n, extra_env, cap)
+                    if record is None:
+                        continue
+                    runs[label].setdefault(name, {e: [] for e in ENVIRONMENTS})[env_name].append(record)
                     head = record[HEAD[kind]]
-                    print(f"{label:>8} {kind}-{n:<5} {env_name:<22} "
+                    print(f"{label:>8} {name:<16} {env_name:<22} "
                           f"{head['wall_s']:8.3f} s {head['minflt']:>9} faults", flush=True)
+    quality = {}
+    for cap in args.cap if args.quality else ():
+        for label, src in sources.items():
+            record = run_child(src, "quality", 0, {}, cap, args.panels, args.endpoint_n, args.endpoint_seeds)
+            if record is not None:
+                quality.setdefault(label, {})[cap] = record
+                print(f"{label:>8} quality cap={cap:<8} criterion 2 {record['criterion_2_exact']}"
+                      f"/{record['criterion_2_within_one']}/{args.panels}", flush=True)
 
     report = {
         "environment": {
@@ -236,6 +345,7 @@ def main() -> int:
             "repeats": args.repeats,
             "seed": SEED,
             "class_seeds": list(CLASS_SEEDS),
+            "caps": args.cap,
         },
         "summary": {
             label: {name: {e: summarize(r) for e, r in by_env.items()} for name, by_env in by_input.items()}
@@ -243,14 +353,34 @@ def main() -> int:
         },
         "runs": runs,
     }
+    if args.quality:
+        report["quality"] = quality
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
 
 
+def cap_value(text: str) -> str:
+    """A --cap value, checked: default, none or a finite number >= 1."""
+    if text not in ("default", "none") and not 1.0 <= float(text) < math.inf:
+        raise ValueError(text)
+    return text
+
+
+def child(kind: str, n: int, extra: list):
+    import curvemedian.graphs
+
+    if kind == "classify":
+        return measure_classify(n)
+    if extra[0] != "default" and "cap" not in inspect.signature(curvemedian.graphs.geodesic_pipeline).parameters:
+        return None
+    if kind == "quality":
+        return measure_quality(extra[0], *map(int, extra[1:]))
+    return measure(kind, n, extra[0])
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        kind, n = sys.argv[2], int(sys.argv[3])
-        print(json.dumps(measure_classify(n) if kind == "classify" else measure(kind, n)))
+        print(json.dumps(child(sys.argv[2], int(sys.argv[3]), sys.argv[4:])))
         sys.exit(0)
     sys.exit(main())

@@ -31,6 +31,7 @@ from .classify import (
 )
 from .errors import DataFormatError, NumericError, UsageError
 from .graphs import (
+    DEFAULT_CAP,
     GeodesicResult,
     WeightedGraph,
     ball_radii,

@@ -16,7 +16,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .errors import UsageError
-from .graphs import geodesic_pipeline
+from .graphs import DEFAULT_CAP, geodesic_pipeline
 from .models import CurvePanel
 from .stats import cross_sectional_mean, intrinsic_estimate, pairwise_euclidean_matrix
 
@@ -65,6 +65,7 @@ _CONFIG_TYPES = {
     "k": (numbers.Integral, "an integer"),
     "truncate_at": ((numbers.Real, type(None)), "a number or null"),
     "tol": ((numbers.Real, type(None)), "a number or null"),
+    "cap": ((numbers.Real, type(None)), "a number or null"),
 }
 
 
@@ -77,6 +78,7 @@ class ClassifierConfig:
     k: int = 5
     truncate_at: Optional[float] = None
     tol: Optional[float] = None
+    cap: Optional[float] = DEFAULT_CAP
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -125,6 +127,7 @@ def extract_templates(
     method: str = "manifold",
     alpha: float = 1.0,
     tol: Optional[float] = None,
+    cap: Optional[float] = DEFAULT_CAP,
 ) -> TemplateSet:
     """Extract one template per class from a labeled training panel."""
     labels = _require_labels(train, "training")
@@ -142,7 +145,7 @@ def extract_templates(
             provenance.append(None)
             continue
         if method == "manifold":
-            result = geodesic_pipeline(members, tol=tol)
+            result = geodesic_pipeline(members, tol=tol, cap=cap)
             est = intrinsic_estimate(result.distances, alpha=alpha)
         else:  # medoid
             est = intrinsic_estimate(pairwise_euclidean_matrix(members), alpha=alpha)
@@ -192,6 +195,8 @@ def _predict(classifier, queries: np.ndarray, truncate_at: Optional[float]) -> L
     elif isinstance(classifier, KnnClassifier):
         train, k = classifier.train, classifier.k
         labels = _require_labels(train, "training")
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise UsageError(f"k must be an integer, got {k!r}")
         if not 1 <= k <= train.n:
             raise UsageError(f"k must be in [1, {train.n}], got {k}")
         refs, grid, what = train.values, train.grid, "the panel grid"

@@ -32,7 +32,7 @@ from .classify import (
     predict_labels,
 )
 from .errors import DataFormatError, NumericError, UsageError
-from .graphs import geodesic_pipeline, pipeline_diagnostics
+from .graphs import DEFAULT_CAP, _cap, geodesic_pipeline, pipeline_diagnostics
 from .models import (
     ShiftConfig,
     Sim1Config,
@@ -104,8 +104,8 @@ def _load_points(path):
 
 def cmd_distances(args) -> int:
     points, _ = _load_points(args.input)
-    result = geodesic_pipeline(points, tol=args.tol)
-    diag = pipeline_diagnostics(points, result, tol=args.tol)
+    result = geodesic_pipeline(points, tol=args.tol, cap=args.cap)
+    diag = pipeline_diagnostics(points, result, tol=args.tol, cap=args.cap)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     panel_io.write_edges(outdir / "graph.emst.csv", result.tree)
@@ -123,7 +123,7 @@ def cmd_distances(args) -> int:
 def cmd_template(args) -> int:
     _alpha(args.alpha)
     panel = panel_io.read_panel(args.input)
-    result = geodesic_pipeline(panel.values, tol=args.tol)
+    result = geodesic_pipeline(panel.values, tol=args.tol, cap=args.cap)
     est = intrinsic_estimate(result.distances, alpha=args.alpha)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -151,12 +151,13 @@ def cmd_classify(args) -> int:
     cfg = ClassifierConfig()
     if args.config:
         cfg = panel_io.read_classifier_config(args.config)
-    for field in fields(cfg):  # explicit flags win over the file
-        if getattr(args, field.name) is not None:
+    for field in fields(cfg):  # flags given on the command line win over the file
+        if hasattr(args, field.name):
             setattr(cfg, field.name, getattr(args, field.name))
     if cfg.method == "knn" and cfg.k < 1:
         raise UsageError(f"k must be >= 1, got {cfg.k}")
     _alpha(cfg.alpha)
+    _cap(cfg.cap)
 
     train = panel_io.read_panel(args.train)
     test = panel_io.read_panel(args.test)
@@ -164,7 +165,7 @@ def cmd_classify(args) -> int:
         classifier = KnnClassifier(train=train, k=cfg.k)
         order = sorted(set(train.labels or []))
     else:
-        classifier = extract_templates(train, method=cfg.method, alpha=cfg.alpha, tol=cfg.tol)
+        classifier = extract_templates(train, method=cfg.method, alpha=cfg.alpha, tol=cfg.tol, cap=cfg.cap)
         order = classifier.labels
     if test.labels is None:
         raise UsageError("test panel carries no class labels")
@@ -182,6 +183,17 @@ def cmd_classify(args) -> int:
     print(f"accuracy: {panel_io.fmt(cm.accuracy())}")
     print(f"wrote {outdir}/confusion.csv")
     return 0
+
+
+def _cap_option(text: str):
+    """A --cap value: a number, or 'none' for the paper's uncapped rule."""
+    try:
+        return None if text.lower() == "none" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'none', got {text!r}") from None
+
+
+_CAP_HELP = f"chord-length cap, in units of the larger end radius (default {DEFAULT_CAP:g}; none: uncapped)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distances", help="estimate geodesic distances over points or curves")
     p.add_argument("--input", required=True, help="panel or cloud CSV")
     p.add_argument("--tol", type=float, default=None, help="coverage tolerance (default 1e-9 x diameter)")
+    p.add_argument("--cap", type=_cap_option, default=DEFAULT_CAP, help=_CAP_HELP)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_distances)
 
@@ -215,17 +228,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="panel CSV")
     p.add_argument("--alpha", type=float, default=1.0, help="objective exponent, positive and finite")
     p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--cap", type=_cap_option, default=DEFAULT_CAP, help=_CAP_HELP)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_template)
 
-    p = sub.add_parser("classify", help="nearest-template / k-NN classification")
+    # a flag left out leaves no attribute, so the config file's value stands
+    p = sub.add_parser("classify", help="nearest-template / k-NN classification", argument_default=argparse.SUPPRESS)
     p.add_argument("--train", required=True, help="labeled panel CSV")
     p.add_argument("--test", required=True, help="labeled panel CSV")
-    p.add_argument("--method", choices=TEMPLATE_METHODS + ("knn",), default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--k", type=int, default=None, help="neighbors for knn")
-    p.add_argument("--truncate-at", type=float, default=None, help="keep grid points with t < cutoff")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--method", choices=TEMPLATE_METHODS + ("knn",))
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--k", type=int, help="neighbors for knn")
+    p.add_argument("--truncate-at", type=float, help="keep grid points with t < cutoff")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--cap", type=_cap_option, help=_CAP_HELP)
     p.add_argument("--config", default=None, help="classifier config JSON")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_classify)

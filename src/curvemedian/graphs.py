@@ -5,7 +5,7 @@ read off that tree (each the longest tree edge incident to its center), a
 coverage graph that keeps every chord lying inside the union of those
 balls, and all-pairs shortest paths on it.  Shortest-path distances on the
 coverage graph estimate geodesic distances along the shape the points were
-sampled from.
+sampled from; the pipeline caps chord length by default (`DEFAULT_CAP`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,11 @@ __all__ = [
     "geodesic_pipeline",
     "cloud_diameter",
     "pipeline_diagnostics",
+    "DEFAULT_CAP",
 ]
+
+# the pipeline's chord-length cap, in units of the larger end radius
+DEFAULT_CAP = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +141,19 @@ def ball_radii(tree: WeightedGraph) -> np.ndarray:
     return radii
 
 
+def _cap(cap) -> Optional[float]:
+    """The chord-length cap as a float, or None; refused unless a finite real >= 1."""
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, numbers.Real) or not 1.0 <= cap < np.inf):
+        raise UsageError(f"cap must be a finite number >= 1 or None, got {cap!r}")
+    return None if cap is None else float(cap)
+
+
 def cloud_diameter(cloud) -> float:
     """Largest pairwise Euclidean distance in the cloud."""
     return float(_pairwise_distances(_cloud(cloud)).max())
 
 
-def build_coverage_graph(cloud, radii, tol: Optional[float] = None) -> WeightedGraph:
+def build_coverage_graph(cloud, radii, tol: Optional[float] = None, cap: Optional[float] = None) -> WeightedGraph:
     """Graph keeping every chord covered by the union of sample-centered balls.
 
     A pair (i, j) becomes an edge, weighted by its length, when the straight
@@ -151,12 +162,15 @@ def build_coverage_graph(cloud, radii, tol: Optional[float] = None) -> WeightedG
     times the cloud diameter).  With radii from `ball_radii` every tree
     edge is kept: ball i holds the whole chord to each tree neighbour of i.
     The test reads only distances in units of the diameter, so translating
-    or scaling the cloud keeps the same pairs.  One (min, +) pass first
+    or scaling the cloud keeps the same pairs.  With `cap` (finite, >= 1)
+    the candidates are the chords with |x_i - x_j| <= cap * max(r_i, r_j)
+    + tol, ties and every tree edge among them; without, one (min, +) pass
     rejects the chords whose midpoint clears every ball by more than the
-    gap allowance; the interval sweep decides the rest.
+    gap allowance.  The interval sweep decides the candidates left.
     """
     pts = _cloud(cloud)
     n = pts.shape[0]
+    cap = _cap(cap)
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (n,):
         raise UsageError("radii must provide one value per point")
@@ -171,7 +185,10 @@ def build_coverage_graph(cloud, radii, tol: Optional[float] = None) -> WeightedG
     # pairs live in the upper triangle of n x n masks, whose row-major
     # nonzero entries come sorted by (i, j)
     r = (radii + tol) / unit
-    keep = np.triu(~_midpoint_far(sq, r, tol / unit), 1)
+    if cap is None:
+        keep = np.triu(~_midpoint_far(sq, r, tol / unit), 1)
+    else:
+        keep = np.triu(dist <= cap * np.maximum.outer(radii, radii) + tol, 1)
     i, j = np.nonzero(keep)
     keep[i, j] = _covered(sq[i, j], sq, i, j, r, tol / unit)
     del sq, i, j  # freed before the edge array is built
@@ -224,23 +241,23 @@ def shortest_path_distances(graph: WeightedGraph) -> np.ndarray:
     return dist
 
 
-def geodesic_pipeline(cloud, tol: Optional[float] = None) -> GeodesicResult:
-    """Full estimation chain: spanning tree, ball radii, coverage graph, then
-    all-pairs shortest-path distances.
+def geodesic_pipeline(cloud, tol: Optional[float] = None, cap: Optional[float] = DEFAULT_CAP) -> GeodesicResult:
+    """Full estimation chain: spanning tree, ball radii, coverage graph (chords
+    capped by `cap`; None is the paper's rule), then all-pairs shortest paths.
 
     A single point short-circuits to an empty tree and a 1x1 zero matrix.
     """
     pts = _cloud(cloud)
-    tol = None if tol is None else _tolerance(tol)
+    tol, cap = None if tol is None else _tolerance(tol), _cap(cap)
     if pts.shape[0] == 1:
         return GeodesicResult(WeightedGraph(1, []), WeightedGraph(1, []), np.zeros((1, 1)))
     tree = compute_emst(pts)
-    graph = build_coverage_graph(pts, ball_radii(tree), tol=tol)
+    graph = build_coverage_graph(pts, ball_radii(tree), tol=tol, cap=cap)
     return GeodesicResult(tree, graph, shortest_path_distances(graph))
 
 
-def pipeline_diagnostics(cloud, result: GeodesicResult, tol: Optional[float] = None) -> dict:
-    """Plain-dict health report for a pipeline run (counts, radii, ratios)."""
+def pipeline_diagnostics(cloud, result: GeodesicResult, tol: Optional[float] = None, cap=DEFAULT_CAP) -> dict:
+    """Plain-dict health report for a pipeline run made with this `tol` and `cap`."""
     pts = _cloud(cloud)
     n = pts.shape[0]
     diameter = cloud_diameter(pts)
@@ -260,4 +277,5 @@ def pipeline_diagnostics(cloud, result: GeodesicResult, tol: Optional[float] = N
         "diameter": diameter,
         "max_radius_over_diameter": (max_radius / diameter) if diameter > 0 else 0.0,
         "tol": float(tol),
+        "cap": _cap(cap),
     }

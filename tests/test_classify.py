@@ -64,10 +64,11 @@ def test_mean_template_is_pointwise_average():
 def test_manifold_template_matches_exact_shift_median():
     sample = generate_shift_sample(ShiftConfig(n=11, seed=4, shift_range=(-0.5, 0.5)))
     train = CurvePanel(sample.grid, sample.values, labels=["s"] * 11, shifts=sample.shifts)
-    ts = extract_templates(train, "manifold")
     exact = intrinsic_median_exact(sample)
-    assert ts.provenance == [exact.index]
-    assert np.array_equal(ts.curves[0], sample.values[exact.index])
+    for cap in (2.0, None):
+        ts = extract_templates(train, "manifold", cap=cap)
+        assert ts.provenance == [exact.index]
+        assert np.array_equal(ts.curves[0], sample.values[exact.index])
 
 
 def test_medoid_template_picks_central_row():
@@ -188,6 +189,14 @@ def test_knn_k_out_of_range():
         knn_classify(train, [0.0] * 4, k=2)
 
 
+@pytest.mark.parametrize("k", [2.5, True])
+def test_knn_non_integer_k_is_usage_error(k):
+    # a float would reach numpy as a slice bound, and True would count as 1
+    train = panel([[0.0] * 4, [1.0] * 4, [10.0] * 4], ["a", "a", "b"])
+    with pytest.raises(UsageError, match="integer"):
+        knn_classify(train, [0.0] * 4, k=k)
+
+
 def test_knn_perfect_on_seen_points():
     train = two_class_shift_panel()
     clf = KnnClassifier(train, k=1)
@@ -276,6 +285,9 @@ def test_panel_distances_match_one_query_sums():
 def test_classifier_config_round_trip():
     cfg = ClassifierConfig(method="knn", alpha=2.0, k=3, truncate_at=1.5)
     assert ClassifierConfig.from_dict(cfg.to_dict()) == cfg
+    for cap in (None, 3.0):
+        cfg = ClassifierConfig(cap=cap)
+        assert cfg.to_dict()["cap"] == cap and ClassifierConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_classifier_config_rejects_unknown_keys():

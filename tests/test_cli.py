@@ -4,9 +4,15 @@ import pytest
 from curvemedian import (
     CurvePanel,
     ShiftConfig,
+    Sim1Config,
+    ball_radii,
+    cloud_diameter,
+    compute_emst,
     generate_shift_sample,
+    generate_sim1,
     read_cloud,
     read_curve,
+    read_edges,
     read_json,
     read_matrix,
     read_panel,
@@ -16,6 +22,7 @@ from curvemedian import (
     write_panel,
 )
 from curvemedian.cli import build_parser, main
+from oracles import oracle_chords
 
 
 def run(capsys, *argv):
@@ -159,6 +166,23 @@ def test_distances_accepts_panel_input(tmp_path, capsys):
     assert diag["tree_edges"] == 5
     assert diag["tree_edges"] <= diag["graph_edges"] <= diag["complete_edges"]
     assert 0.0 < diag["max_radius_over_diameter"] <= 2.0
+    assert diag["cap"] == 2.0
+
+
+def test_distances_cap_none_writes_the_chords_the_exact_oracle_accepts(tmp_path, capsys):
+    # the paper's rule, uncapped: at the default cap some of these chords go
+    src = tmp_path / "pts.csv"
+    write_cloud(src, generate_sim1(Sim1Config(n=30, seed=1)))
+    pts = read_cloud(src)
+    want = oracle_chords(pts, ball_radii(compute_emst(pts)), 1e-9 * cloud_diameter(pts))
+    kept = {}
+    for cap in ("none", "2"):
+        code, _, _ = run(capsys, "distances", "--input", str(src), "--cap", cap, "--outdir", str(tmp_path / cap))
+        assert code == 0
+        kept[cap] = [(int(i), int(j)) for i, j, _ in read_edges(tmp_path / cap / "graph.csv").edges]
+        assert read_json(tmp_path / cap / "diagnostics.json")["cap"] == (None if cap == "none" else 2.0)
+    assert kept["none"] == want
+    assert set(kept["2"]) < set(want)
 
 
 # ---------------------------------------------------------------- template
@@ -220,7 +244,7 @@ def test_classify_manifold_writes_templates(tmp_path, capsys):
     templates = read_panel(tmp_path / "c" / "templates.csv")
     assert templates.labels == ["a", "b"]
     saved = read_json(tmp_path / "c" / "classifier.json")
-    assert saved["method"] == "manifold"
+    assert saved["method"] == "manifold" and saved["cap"] == 2.0
 
 
 def test_classify_flags_override_config_file(tmp_path, capsys):
@@ -228,14 +252,15 @@ def test_classify_flags_override_config_file(tmp_path, capsys):
     train = tmp_path / "train.csv"
     write_panel(train, panel)
     cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"method": "mean", "k": 2})
+    write_json(cfg, {"method": "mean", "k": 2, "cap": 3})
     code, out, _ = run(
         capsys, "classify", "--train", str(train), "--test", str(train),
-        "--config", str(cfg), "--method", "knn", "--outdir", str(tmp_path / "c"),
+        "--config", str(cfg), "--method", "knn", "--cap", "none", "--outdir", str(tmp_path / "c"),
     )
     assert code == 0
     assert "method: knn" in out
-    assert read_json(tmp_path / "c" / "classifier.json")["k"] == 2
+    saved = read_json(tmp_path / "c" / "classifier.json")
+    assert saved["k"] == 2 and saved["cap"] is None
 
 
 # -------------------------------------------------------------- exit codes
@@ -364,8 +389,10 @@ def test_classify_non_finite_alpha_exits_2(tmp_path, capsys, alpha):
         {"tol": "x"},
         {"k": 2.5, "method": "knn"},
         {"truncate_at": "a"},
+        {"cap": "2"},
+        {"cap": True},
     ],
-    ids=["k-string", "alpha-string", "tol-string", "k-float", "truncate_at-string"],
+    ids=["k-string", "alpha-string", "tol-string", "k-float", "truncate_at-string", "cap-string", "cap-bool"],
 )
 def test_wrong_typed_classifier_config_exits_3(tmp_path, capsys, config):
     panel = tmp_path / "panel.csv"
@@ -380,6 +407,28 @@ def test_wrong_typed_classifier_config_exits_3(tmp_path, capsys, config):
     assert code == 3 and out == ""
     assert repr(key) in err and "must be" in err
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("cap", ["nan", "inf", "0.5", "two"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distances", "--input", "{cloud}"],
+        ["template", "--input", "{panel}"],
+        ["classify", "--train", "{panel}", "--test", "{panel}"],
+        ["classify", "--train", "{panel}", "--test", "{panel}", "--method", "knn"],
+    ],
+    ids=["distances", "template", "classify", "classify-knn"],
+)
+def test_bad_cap_exits_2_writing_nothing(tmp_path, capsys, argv, cap):
+    # knn never runs the pipeline: the cap is checked up front all the same
+    paths = {"cloud": tmp_path / "cloud.csv", "panel": tmp_path / "panel.csv"}
+    write_cloud(paths["cloud"], np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]]))
+    write_panel(paths["panel"], labeled_two_class_panel())
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run(capsys, *argv, "--cap", cap, "--outdir", str(tmp_path / "out"))
+    assert code == 2 and out == "" and "cap" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unlabeled_test_panel_exits_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from curvemedian import (
     generate_sim1,
     geodesic_pipeline,
     intrinsic_estimate,
+    pipeline_diagnostics,
     shortest_path_distances,
 )
 
@@ -259,7 +262,7 @@ def _kept(graph):
 
 def test_coverage_graph_keeps_exactly_the_chords_the_exact_oracle_accepts():
     for pts in _verdict_inputs():
-        res = geodesic_pipeline(pts)
+        res = geodesic_pipeline(pts, cap=None)
         tol = 1e-9 * cloud_diameter(pts)
         assert _kept(res.graph) == oracle_chords(pts, ball_radii(res.tree), tol)
 
@@ -280,7 +283,7 @@ def test_coverage_kernel_chunk_size_changes_nothing(monkeypatch, pts):
     # chunks of 1 chord, of 7 chords (the last one partial), of 300 chords
     # (row indices past 255) and the default share one set of kernel buffers
     # per call: a stale row leaking from one chunk into the next would
-    # change a verdict
+    # change a verdict.  Uncapped, so that the chords span several chunks
     n = len(pts)
     intervals, chunks = geometry._chord_intervals, []
 
@@ -292,7 +295,7 @@ def test_coverage_kernel_chunk_size_changes_nothing(monkeypatch, pts):
     outputs = []
     for chunk in (1, 7 * n, 300 * n, _DEFAULT_CHUNK):
         monkeypatch.setattr(geometry, "_CHUNK", chunk)
-        res = geodesic_pipeline(pts)
+        res = geodesic_pipeline(pts, cap=None)
         bare = build_coverage_graph(pts, ball_radii(res.tree))
         outputs.append((res.graph.edges.tobytes(), res.distances.tobytes(), bare.edges.tobytes()))
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
@@ -403,18 +406,81 @@ def test_coverage_graph_matches_exact_oracle_under_scaled_radii(seed, kind, rel_
     # the paper's radii scaled by U(0.5, 1.5) put many chords near the
     # decision boundary, where the prefilter and the kernel must agree
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 21))
-    if kind == "sim1":
-        pts = generate_sim1(Sim1Config(n=n, seed=seed))
-    elif kind == "tsin":
-        pts = generate_shift_sample(ShiftConfig(target="tsin", n=n, m=30, seed=seed)).values
-    else:
-        pts = np.round(rng.normal(size=(n, 2)), 1)
-        pts = np.vstack([pts, pts[: n // 3]])
+    pts = _cloud_of_kind(rng, seed, kind)
     radii = ball_radii(compute_emst(pts)) * rng.uniform(0.5, 1.5, len(pts))
     tol = (1e-9 if rel_tol is None else rel_tol) * cloud_diameter(pts)
     graph = build_coverage_graph(pts, radii, tol=None if rel_tol is None else tol)
     assert _kept(graph) == oracle_chords(pts, radii, tol)
+
+
+def _cloud_of_kind(rng, seed, kind):
+    """A sim1 cloud, tsin panel or rounded cloud with duplicates, of 3 to 20
+    curves or points (plus the duplicates)."""
+    n = int(rng.integers(3, 21))
+    if kind == "sim1":
+        return generate_sim1(Sim1Config(n=n, seed=seed))
+    if kind == "tsin":
+        return generate_shift_sample(ShiftConfig(target="tsin", n=n, m=30, seed=seed)).values
+    pts = np.round(rng.normal(size=(n, 2)), 1)
+    return np.vstack([pts, pts[: n // 3]])
+
+
+# ------------------------------------------------------------ locality cap
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["sim1", "tsin", "rounded"]),
+    st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+)
+def test_capped_coverage_keeps_the_uncapped_chords_within_the_cap(seed, kind, cap):
+    # each chord's verdict reads only its own intervals, so the cap removes
+    # the longer chords and changes no other verdict; every tree edge passes
+    pts = _cloud_of_kind(np.random.default_rng(seed), seed, kind)
+    tree = compute_emst(pts)
+    radii = ball_radii(tree)
+    tol = 1e-9 * cloud_diameter(pts)
+    full = build_coverage_graph(pts, radii)
+    capped = build_coverage_graph(pts, radii, cap=cap)
+    within = [(i, j) for i, j, w in _int_ends(full) if w <= cap * max(radii[i], radii[j]) + tol]
+    assert _kept(capped) == within
+    assert {(i, j) for i, j, _ in _int_ends(tree)} <= set(within)
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(1.0, 1e3))
+def test_capped_pipeline_keeps_every_tree_edge(seed, cap):
+    pts = random_cloud(np.random.default_rng(seed))
+    res = geodesic_pipeline(pts, cap=cap)
+    assert {(i, j) for i, j, _ in res.tree.edges} <= {(i, j) for i, j, _ in res.graph.edges}
+
+
+@pytest.mark.parametrize("exponent", [-100, -37, 0, 11, 100])
+def test_chord_exactly_at_the_cap_is_kept(exponent):
+    # radii 2, 2, 1, 2, 2 (times the scale) on a line, where every chord is
+    # covered with overlap to spare.  At tol = 0 and cap 2 the chords (0, 3)
+    # and (1, 4), of length 4 = 2 max(r_i, r_j), are exact ties: kept.
+    # Only (0, 4), of length 6, is dropped.  Scaling by a power of ten keeps
+    # the ties exact, as every coordinate is the scale times 0, +-1, 2 or 4
+    scale = 10.0**exponent
+    pts = scale * np.array([[-2.0], [0.0], [1.0], [2.0], [4.0]])
+    radii = ball_radii(compute_emst(pts))
+    assert radii.tolist() == [2 * scale, 2 * scale, scale, 2 * scale, 2 * scale]
+    assert _kept(build_coverage_graph(pts, radii, tol=0.0)) == list(itertools.combinations(range(5), 2))
+    kept = _kept(build_coverage_graph(pts, radii, tol=0.0, cap=2.0))
+    assert kept == [pair for pair in itertools.combinations(range(5), 2) if pair != (0, 4)]
+
+
+@pytest.mark.parametrize("cap", [float("nan"), float("inf"), 0.5, True, "2"])
+@pytest.mark.parametrize("routine", ["coverage", "pipeline", "single_point", "diagnostics"])
+def test_bad_cap_is_usage_error(routine, cap):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    call = {
+        "coverage": lambda: build_coverage_graph(pts, [1.0, 2.0, 2.0], cap=cap),
+        "pipeline": lambda: geodesic_pipeline(pts, cap=cap),
+        "single_point": lambda: geodesic_pipeline(pts[:1], cap=cap),
+        "diagnostics": lambda: pipeline_diagnostics(pts, geodesic_pipeline(pts), cap=cap),
+    }[routine]
+    with pytest.raises(UsageError, match="cap"):
+        call()
 
 
 @given(
@@ -426,7 +492,7 @@ def test_coverage_graph_matches_exact_oracle_under_scaled_radii(seed, kind, rel_
 def test_pipeline_invariant_under_motion_and_scale(seed, parabola, shift, exponent):
     # permute, rotate, translate by up to 1e8 and scale by 1e-100..1e100:
     # the kept chords map onto each other, d_hat scales with the cloud and
-    # the template stays the same curve
+    # the template stays the same curve, uncapped and at the default cap
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 40))
     if parabola:
@@ -437,14 +503,15 @@ def test_pipeline_invariant_under_motion_and_scale(seed, parabola, shift, expone
     perm = rng.permutation(n)
     rot, _ = np.linalg.qr(rng.normal(size=(pts.shape[1],) * 2))
     scale = 10.0**exponent
-    base = geodesic_pipeline(pts)
-    moved = geodesic_pipeline(scale * (pts[perm] @ rot.T + shift))
-    kept = {tuple(sorted((int(perm[i]), int(perm[j])))) for i, j, _ in _int_ends(moved.graph)}
-    assert kept == {(i, j) for i, j, _ in base.graph.edges}
-    want = base.distances[np.ix_(perm, perm)]
-    assert np.allclose(moved.distances / scale, want, rtol=0.0, atol=1e-7 * want.max())
-    index = intrinsic_estimate(moved.distances).index
-    assert perm[index] == intrinsic_estimate(base.distances).index
+    for cap in (None, 2.0):
+        base = geodesic_pipeline(pts, cap=cap)
+        moved = geodesic_pipeline(scale * (pts[perm] @ rot.T + shift), cap=cap)
+        kept = {tuple(sorted((int(perm[i]), int(perm[j])))) for i, j, _ in _int_ends(moved.graph)}
+        assert kept == {(i, j) for i, j, _ in base.graph.edges}
+        want = base.distances[np.ix_(perm, perm)]
+        assert np.allclose(moved.distances / scale, want, rtol=0.0, atol=1e-7 * want.max())
+        index = intrinsic_estimate(moved.distances).index
+        assert perm[index] == intrinsic_estimate(base.distances).index
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])

@@ -1,11 +1,14 @@
 """Smoke tests of the scripts under scripts/: each runs in a scratch
 directory, exits 0 and writes the files it documents."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,7 +49,8 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
     out = tmp_path / "BENCH.json"
     proc = run_script(
         "bench.py", tmp_path, "--src", f"a={ROOT / 'src'}", "--src", f"b={ROOT / 'src'}",
-        "--sim1", "30", "--tsin", "12", "--classify", "3", "--repeats", "1", "--out", str(out),
+        "--sim1", "30", "--tsin", "12", "--classify", "3", "--cap", "default", "none", "2", "--repeats", "1",
+        "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text(encoding="utf-8"))
@@ -55,10 +59,15 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
         "geodesic_pipeline", "compute_emst", "ball_radii", "build_coverage_graph", "_midpoint_far", "_covered",
         "shortest_path_distances",
     )
-    for name, n in (("sim1-30", 30), ("tsin-12", 12)):
+    assert report["environment"]["caps"] == ["default", "none", "2"]
+    for name, n in [(f"{kind}-{n}{cap}", n) for kind, n in (("sim1", 30), ("tsin", 12)) for cap in ("", " cap=none")]:
         for env in ("default", "mmap_threshold_131072"):
             a, b = report["summary"]["a"][name][env], report["summary"]["b"][name][env]
+            # the midpoint prefilter runs only under the uncapped rule
             for stage in stages:
+                if stage == "_midpoint_far" and not name.endswith("cap=none"):
+                    assert stage not in a
+                    continue
                 assert a[stage]["wall_s_median"] > 0 and a[stage]["minflt_median"] >= 0
             # the kernel decides every kept edge, the n - 1 tree edges too
             assert n - 1 <= a["candidate_chords"] - a["kernel_rejected"] <= a["candidate_chords"]
@@ -72,6 +81,11 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
                 assert side["tracemalloc_peak_matrices_median"] > 1.0
             runs = report["runs"]["a"][name][env]
             assert all(r["tracemalloc_peak_matrices"] > 1.0 for r in runs)
+            # the default cap is 2, and the cap only drops chords
+            if not name.endswith("cap=none"):
+                capped = report["summary"]["a"][f"{name} cap=2"][env]
+                assert capped["edges_sha256"] == a["edges_sha256"]
+                assert a["kept_edges"] <= report["summary"]["a"][f"{name} cap=none"][env]["kept_edges"]
     # the classification input: both stages per method, summed over the
     # three class seeds, and the same predictions from the same tree
     methods = ("manifold", "mean", "medoid", "knn")
@@ -85,6 +99,49 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
         for key in ("predictions_sha256", "confusions_sha256"):
             assert len(a[key]) == 64 and a[key] == b[key]
     assert report["environment"]["class_seeds"] == [1500, 1501, 1502]
+
+
+def _bench_module():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_builds_the_criterion_2_instances(shift_instances):
+    ours = _bench_module().criterion_2_instances(len(shift_instances))
+    for (panel, median_idx), (want, want_idx) in zip(ours, shift_instances, strict=True):
+        assert median_idx == want_idx
+        assert np.array_equal(panel.values, want.values) and np.array_equal(panel.shifts, want.shifts)
+
+
+def test_bench_quality_mode_records_every_measure_per_cap(tmp_path):
+    out = tmp_path / "BENCH.json"
+    proc = run_script(
+        "bench.py", tmp_path, "--sim1", "--tsin", "--classify", "--cap", "default", "none", "1.5",
+        "--quality", "--panels", "4", "--endpoint-n", "40", "--endpoint-seeds", "2", "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    quality = json.loads(out.read_text(encoding="utf-8"))["quality"]["current"]
+    assert sorted(quality) == ["1.5", "default", "none"]
+    for record in quality.values():
+        assert record["criterion_2_panels"] == 4
+        assert 0 <= record["criterion_2_exact"] <= record["criterion_2_within_one"] <= 4
+        assert 0.0 < record["tsin_dhat_rel_err_median"] < 1.0
+        assert 0.0 <= record["criterion_7_accuracy"] <= 1.0
+        endpoint = record["sim1_endpoint"]
+        assert (endpoint["n"], endpoint["seeds"]) == (40, 2) and abs(endpoint["clean_rel_err"]) < 0.1
+        for sd in ("sd_0.05", "sd_0.1", "sd_0.2"):
+            assert endpoint[sd]["abs_rel_err_mean"] >= abs(endpoint[sd]["signed_rel_err_mean"])
+    # a cap only removes edges, so it never shortens d_hat
+    assert quality["1.5"]["sim1_endpoint"]["clean_rel_err"] >= quality["none"]["sim1_endpoint"]["clean_rel_err"]
+
+
+def test_bench_refuses_a_bad_cap(tmp_path):
+    for cap in ("0.5", "nan", "two"):
+        proc = run_script("bench.py", tmp_path, "--cap", cap, "--out", str(tmp_path / "BENCH.json"))
+        assert proc.returncode == 2 and "--cap" in proc.stderr
+    assert not (tmp_path / "BENCH.json").exists()
 
 
 def test_perfbench_traced_run_is_correct_and_times_every_stage(tmp_path):
