@@ -8,8 +8,10 @@
 Each input is a fresh interpreter running one `geodesic_pipeline` call, as
 `curvemedian distances` does, with perfbench's one-BLAS-thread environment
 and the package imported from the given source tree.  The call and its
-stages each record wall seconds and minor page faults (the change in
-`ru_minflt`): `compute_emst`, `ball_radii`, `build_coverage_graph`, within
+stages each record wall seconds, minor page faults (the change in
+`ru_minflt`) and calls, each summed over the stage's calls:
+`_pairwise_distances` (the n x n distance matrix, wherever the pipeline
+builds it), `compute_emst`, `ball_radii`, `build_coverage_graph`, within
 it the midpoint prefilter `_midpoint_far` and the coverage kernel
 `_covered`, and `shortest_path_distances`.  A stage the given tree's
 pipeline does not call is left out of its record and summary: with a chord
@@ -78,8 +80,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1000
 STAGES = (
-    "geodesic_pipeline", "compute_emst", "ball_radii", "build_coverage_graph", "_midpoint_far", "_covered",
-    "shortest_path_distances",
+    "geodesic_pipeline", "_pairwise_distances", "compute_emst", "ball_radii", "build_coverage_graph",
+    "_midpoint_far", "_covered", "shortest_path_distances",
 )
 ENVIRONMENTS = {"default": {}, "mmap_threshold_131072": {"MALLOC_MMAP_THRESHOLD_": "131072"}}
 CLASS_SEEDS = (1500, 1501, 1502)
@@ -174,13 +176,16 @@ def measure(kind: str, n: int, cap: str) -> dict:
         def wrapper(*args, **kwargs):
             faults, start = minflt(), time.perf_counter()
             out = outputs[name] = fn(*args, **kwargs)
-            record[name] = {"wall_s": time.perf_counter() - start, "minflt": minflt() - faults}
+            entry = record.setdefault(name, {"wall_s": 0.0, "minflt": 0, "calls": 0})
+            entry["wall_s"] += time.perf_counter() - start
+            entry["minflt"] += minflt() - faults
+            entry["calls"] += 1
             return out
 
         return wrapper
 
-    # graphs imported the two geometry helpers by name, so wrapping them in
-    # its namespace times the calls build_coverage_graph makes
+    # graphs imported the geometry helpers by name, so wrapping them in its
+    # namespace times the calls its stages make
     originals = {name: getattr(graphs, name) for name in STAGES[1:]}
     for name, fn in originals.items():
         setattr(graphs, name, timed(name, fn))
@@ -262,9 +267,15 @@ def run_child(src: Path, kind: str, n: int, extra_env: dict, *extra) -> dict:
 
 
 def summarize(runs: list) -> dict:
-    """Per stage: median wall seconds and median minor faults over the runs;
-    the tracemalloc peak's median; every other record as its one value, or
-    the sorted distinct values if the runs disagree."""
+    """Per stage: median wall seconds and median minor faults over the runs,
+    and its calls per pipeline call where counted; the tracemalloc peak's
+    median; every other record as its one value.  A count or record the runs
+    disagree on is given as the sorted distinct values."""
+
+    def one(values):
+        values = set(values)
+        return values.pop() if len(values) == 1 else sorted(values)
+
     out = {}
     for key, value in runs[0].items():
         if isinstance(value, dict):
@@ -273,11 +284,12 @@ def summarize(runs: list) -> dict:
                     "wall_s_median": statistics.median(r[key]["wall_s"] for r in runs),
                     "minflt_median": statistics.median(r[key]["minflt"] for r in runs),
                 }
+                if "calls" in value:
+                    out[key]["calls"] = one(r[key]["calls"] for r in runs)
         elif key == "tracemalloc_peak_matrices":
             out["tracemalloc_peak_matrices_median"] = statistics.median(r[key] for r in runs)
         else:
-            values = {r[key] for r in runs}
-            out[key] = values.pop() if len(values) == 1 else sorted(values)
+            out[key] = one(r[key] for r in runs)
     return out
 
 

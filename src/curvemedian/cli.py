@@ -32,6 +32,7 @@ from .classify import (
     predict_labels,
 )
 from .errors import DataFormatError, NumericError, UsageError
+from .geometry import _tolerance
 from .graphs import DEFAULT_CAP, _cap, geodesic_pipeline, pipeline_diagnostics
 from .models import (
     ShiftConfig,
@@ -158,6 +159,8 @@ def cmd_classify(args) -> int:
         raise UsageError(f"k must be >= 1, got {cfg.k}")
     _alpha(cfg.alpha)
     _cap(cfg.cap)
+    if cfg.tol is not None:
+        _tolerance(cfg.tol)
 
     train = panel_io.read_panel(args.train)
     test = panel_io.read_panel(args.test)

@@ -14,6 +14,7 @@ always covered by the balls around its own two endpoints.
 
 from __future__ import annotations
 
+import numbers
 import os
 
 import numpy as np
@@ -21,8 +22,17 @@ import numpy as np
 from .errors import NumericError, UsageError
 
 
-# float64 elements per block of the chunked n^2 passes (distances, prefilter)
+# float64 elements of the (rows x cols x n) sums per block of the midpoint
+# prefilter's (min, +) pass
 _BLOCK = 1 << 18
+
+# float64 elements of the coordinate-difference tensor per row block of
+# `_pairwise_distances`: 512 KB, well inside a 4 MB L2.  Against the former
+# 2^18, with the whole square in one block whenever n * n * p <= 2^18, one
+# call went 0.46 -> 0.32 ms at n=50, p=100, 5.3 -> 4.2 ms at n=240, p=100,
+# 8.6 -> 6.1 ms at n=600, p=2 and 23.3 -> 22.9 ms at n=1200, p=2 (2-vCPU
+# Xeon, one BLAS thread); 2^14, 2^15 and 2^17 were slower at some size
+_DIST_BLOCK = 1 << 16
 
 # float64 elements (chords x balls) per chunk of the coverage kernel: small, so that
 # the per-hit arrays stay small too, yet large enough that the fixed cost per chunk
@@ -33,16 +43,19 @@ _CHUNK = 1 << 16
 # default coverage tolerance, as a fraction of the cloud diameter
 _REL_TOL = 1e-9
 
-# n x n float64 matrices live at the peak of `graphs.geodesic_pipeline`, inside
-# the coverage kernel (the pipeline's own distance matrix is freed once the
-# tree is built): coverage's distance matrix and its squares make two; the
-# candidate chords' index pairs (two int64 halves) and squared lengths add one
-# and a half when the prefilter rejects nothing; the masks and the kernel's
-# scratch and per-hit arrays (up to about 12 MB) add the rest.  Shortest paths
-# peak lower: the (E, 3) edge array, 1.5 for a complete graph, the dense
-# weights and Floyd-Warshall's buffer.  tracemalloc reads 4.3, 3.6 and 3.3
-# on sim1 clouds of 600, 1000 and 2000 points, and 5.1 on 1000 collinear
-# points, where every chord is kept.
+# n x n float64 matrices live at the peak of `graphs.geodesic_pipeline`,
+# inside `build_coverage_graph`: the pipeline's one distance matrix, lent to
+# the tree and coverage stages, and its squares make two.  A cap's mask is
+# built before the squares (distances, threshold and mask: 2.1), and its few
+# candidates and the kernel's scratch (about 2 MB) add little: tracemalloc
+# reads 2.92, 2.38 and 2.38 on sim1 clouds of 600, 1000 and 2000 points and
+# 2.81 on 1000 collinear points.  Without a cap, the kernel's candidate index
+# pairs (two int64 halves) and squared lengths add one and a half when the
+# prefilter rejects nothing, and its scratch and per-hit arrays (up to about
+# 12 MB) the rest: 4.15 and 3.43 on the sim1 clouds of 600 and 1000 points,
+# 4.98 on the collinear ones, where every chord is kept.  Shortest paths peak
+# lower: the (E, 3) edge array, 1.5 for a complete graph, the dense weights
+# and Floyd-Warshall's buffer.
 _PEAK_MATRICES = 6
 
 
@@ -57,9 +70,13 @@ def _physical_memory() -> float:
 def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix of an (n, p) array of points.
 
-    Built in row chunks from direct coordinate differences, never from the
+    Built from direct coordinate differences, never from the
     |a|^2 - 2a.b + |b|^2 expansion, which cancels badly far from the origin.
-    Only the upper triangle is computed and then mirrored, so the result is
+    Row block [start, stop) holds the distances to points start..n-1, from a
+    difference tensor of about `_DIST_BLOCK` elements, and is mirrored into
+    columns [start, stop), so only the upper triangle and the blocks'
+    diagonal squares are computed.  Entry (i, j) is the same einsum over the
+    same contiguous coordinates whatever the blocking, so the result is
     exactly symmetric with a zero diagonal.  Refuses, before allocating, a
     cloud whose pipeline arrays would not fit in physical memory.
     """
@@ -71,22 +88,25 @@ def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
             f"this machine has {have / 1e9:.3g} GB"
         )
     dist = np.zeros((n, n))
-    rows = max(1, _BLOCK // max(1, n * p))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    most = -(-n // 2)  # no block spans the whole square
+    start = 0
+    while start < n - 1:
+        rows = min(most, max(1, _DIST_BLOCK // max(1, (n - start) * p)))
+        stop = min(n, start + rows)
         diff = pts[start:stop, None, :] - pts[None, start:, :]
-        dist[start:stop, start:] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    if not np.isfinite(dist).all():
+        block = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist[start:stop, start:] = block
+        dist[start:, start:stop] = block.T
+        start = stop
+    if not np.isfinite(dist.max()):  # a reduction, where isfinite(dist) would allocate n x n
         raise NumericError("pairwise distances overflow float64; rescale the points")
-    for i in range(1, n):
-        dist[i, :i] = dist[:i, i]
     return dist
 
 
 def _tolerance(tol) -> float:
-    """The coverage tolerance as a float, refused unless finite and nonnegative."""
-    if not 0.0 <= tol < np.inf:
-        raise UsageError(f"tolerance must be finite and nonnegative, got {tol}")
+    """The coverage tolerance as a float, refused unless a finite nonnegative real (not a bool)."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < np.inf:
+        raise UsageError(f"tolerance must be a finite nonnegative number, got {tol!r}")
     return float(tol)
 
 

@@ -10,6 +10,7 @@ sampled from; the pipeline caps chord length by default (`DEFAULT_CAP`).
 
 from __future__ import annotations
 
+import contextvars
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -34,6 +35,10 @@ __all__ = [
 
 # the pipeline's chord-length cap, in units of the larger end radius
 DEFAULT_CAP = 2.0
+
+# (cloud, its distance matrix) that `geodesic_pipeline` lends its stages for
+# the length of one call; per thread and per task, like any context variable
+_LENT = contextvars.ContextVar("curvemedian_lent_distances", default=(None, None))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +84,9 @@ class GeodesicResult(NamedTuple):
 
 
 def _cloud(points) -> np.ndarray:
+    """The cloud as a finite (n, p) float64 array.  A float64 2-D ndarray
+    comes back itself, not a copy: the stages know the pipeline's lent
+    distance matrix by the identity of its cloud."""
     try:
         pts = np.asarray(points, dtype=float)
     except (TypeError, ValueError):
@@ -90,6 +98,13 @@ def _cloud(points) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise UsageError("point cloud contains non-finite coordinates")
     return pts
+
+
+def _distances(pts: np.ndarray) -> np.ndarray:
+    """Pairwise distances of `pts`: the lent matrix if it was lent for this
+    very array object, else a new one."""
+    lent, dist = _LENT.get()
+    return dist if lent is pts else _pairwise_distances(pts)
 
 
 def compute_emst(cloud) -> WeightedGraph:
@@ -105,7 +120,7 @@ def compute_emst(cloud) -> WeightedGraph:
     edge {p, u} before {q, u} wherever u lies relative to p and q.  The
     full key is read only when the lightest weight is tied across vertices.
     """
-    weights = _pairwise_distances(_cloud(cloud))
+    weights = _distances(_cloud(cloud))
     n = weights.shape[0]
     outside = np.ones(n, dtype=bool)
     best_w = np.full(n, np.inf)
@@ -177,22 +192,25 @@ def build_coverage_graph(cloud, radii, tol: Optional[float] = None, cap: Optiona
     if not (np.isfinite(radii).all() and (radii >= 0).all()):
         raise UsageError("radii must be finite and nonnegative")
 
-    dist = _pairwise_distances(pts)
+    dist = _distances(pts)
     diameter = float(dist.max())
     tol = _REL_TOL * diameter if tol is None else _tolerance(tol)
     unit = diameter if diameter > 0.0 else 1.0
-    sq = (dist / unit) ** 2
-    # pairs live in the upper triangle of n x n masks, whose row-major
-    # nonzero entries come sorted by (i, j)
     r = (radii + tol) / unit
     if cap is None:
-        keep = np.triu(~_midpoint_far(sq, r, tol / unit), 1)
-    else:
-        keep = np.triu(dist <= cap * np.maximum.outer(radii, radii) + tol, 1)
-    i, j = np.nonzero(keep)
-    keep[i, j] = _covered(sq[i, j], sq, i, j, r, tol / unit)
-    del sq, i, j  # freed before the edge array is built
-    return WeightedGraph(n, np.column_stack((*np.nonzero(keep), dist[keep])))
+        sq = (dist / unit) ** 2
+        candidate = ~_midpoint_far(sq, r, tol / unit)
+    else:  # masked before the squares exist, which keeps them out of the peak
+        candidate = dist <= cap * np.maximum.outer(radii, radii) + tol
+        sq = (dist / unit) ** 2
+    # the upper triangle's row-major nonzero entries come sorted by (i, j);
+    # the n x n mask is freed before the kernel runs
+    i, j = np.nonzero(np.triu(candidate, 1))
+    del candidate
+    kept = _covered(sq[i, j], sq, i, j, r, tol / unit)
+    del sq  # freed before the edge array is built
+    i, j = i[kept], j[kept]
+    return WeightedGraph(n, np.column_stack((i, j, dist[i, j])))
 
 
 def _weight_matrix(graph: WeightedGraph) -> np.ndarray:
@@ -245,14 +263,23 @@ def geodesic_pipeline(cloud, tol: Optional[float] = None, cap: Optional[float] =
     """Full estimation chain: spanning tree, ball radii, coverage graph (chords
     capped by `cap`; None is the paper's rule), then all-pairs shortest paths.
 
-    A single point short-circuits to an empty tree and a 1x1 zero matrix.
+    The tree and coverage stages share one distance matrix, built here and
+    lent to them, read-only, for the call.  A single point short-circuits to
+    an empty tree and a 1x1 zero matrix.
     """
     pts = _cloud(cloud)
     tol, cap = None if tol is None else _tolerance(tol), _cap(cap)
     if pts.shape[0] == 1:
         return GeodesicResult(WeightedGraph(1, []), WeightedGraph(1, []), np.zeros((1, 1)))
-    tree = compute_emst(pts)
-    graph = build_coverage_graph(pts, ball_radii(tree), tol=tol, cap=cap)
+    dist = _pairwise_distances(pts)
+    dist.flags.writeable = False
+    lease = _LENT.set((pts, dist))
+    del dist  # freed with the lease, before shortest paths
+    try:
+        tree = compute_emst(pts)
+        graph = build_coverage_graph(pts, ball_radii(tree), tol=tol, cap=cap)
+    finally:
+        _LENT.reset(lease)
     return GeodesicResult(tree, graph, shortest_path_distances(graph))
 
 

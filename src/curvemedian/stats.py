@@ -10,6 +10,7 @@ live here too.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,9 @@ class IntrinsicEstimate:
 
 
 def _alpha(alpha) -> float:
-    """The objective's exponent as a float, refused unless positive and finite."""
-    if not 0.0 < alpha < math.inf:
-        raise UsageError(f"alpha must be positive and finite, got {alpha}")
+    """The objective's exponent as a float, refused unless a positive finite real (not a bool)."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < math.inf:
+        raise UsageError(f"alpha must be a positive finite number, got {alpha!r}")
     return float(alpha)
 
 

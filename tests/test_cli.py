@@ -381,6 +381,39 @@ def test_classify_non_finite_alpha_exits_2(tmp_path, capsys, alpha):
     assert code == 2 and "alpha" in err
 
 
+@pytest.mark.parametrize("method", ["manifold", "mean", "medoid", "knn"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-3"])
+def test_classify_bad_tolerance_exits_2_for_every_method(tmp_path, capsys, method, tol):
+    panel = tmp_path / "panel.csv"
+    write_panel(panel, labeled_two_class_panel())
+    code, out, err = run(
+        capsys, "classify", "--train", str(panel), "--test", str(panel), "--method", method,
+        "--tol", tol, "--outdir", str(tmp_path / "c"),
+    )
+    assert code == 2 and "tolerance" in err and out == ""
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("method", ["mean", "knn"])
+def test_classify_bad_tolerance_in_the_config_file_exits_2(tmp_path, capsys, method):
+    panel = tmp_path / "panel.csv"
+    write_panel(panel, labeled_two_class_panel())
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"method": method, "tol": -1.0})
+    code, _, err = run(
+        capsys, "classify", "--train", str(panel), "--test", str(panel), "--config", str(cfg),
+        "--outdir", str(tmp_path / "c"),
+    )
+    assert code == 2 and "tolerance" in err
+    assert not (tmp_path / "c").exists()
+    # a good flag wins over the file's bad value
+    code, _, _ = run(
+        capsys, "classify", "--train", str(panel), "--test", str(panel), "--config", str(cfg),
+        "--tol", "0", "--outdir", str(tmp_path / "c"),
+    )
+    assert code == 0 and read_json(tmp_path / "c" / "classifier.json")["tol"] == 0.0
+
+
 @pytest.mark.parametrize(
     "config",
     [

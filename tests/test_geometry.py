@@ -7,12 +7,14 @@ segment endpoint in a figure is a point of radius zero, whose ball is then
 of radius `tol`.  No verdict pinned here hinges on an exact tangency.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvemedian import UsageError, build_coverage_graph
+from curvemedian import UsageError, build_coverage_graph, geometry
 from curvemedian.geometry import _pairwise_distances
 
 from oracles import mc_segment_covered, oracle_chords
@@ -65,6 +67,57 @@ def test_distance_metric_axioms(triple):
     dab, dac, dbc = dist[0, 1], dist[0, 2], dist[1, 2]
     scale = max(dab, dac, dbc, 1.0)
     assert dac <= dab + dbc + 1e-9 * scale
+
+
+def _one_block(pts):
+    """Distances by the one-block formula: the difference tensor of every
+    pair and one einsum over its contiguous coordinates, eight rows of it at
+    a time, which leaves every entry's bytes as they are."""
+    out = np.empty((len(pts), len(pts)))
+    for start in range(0, len(pts), 8):
+        diff = pts[start : start + 8, None, :] - pts[None, :, :]
+        out[start : start + 8] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return out
+
+
+def _check_blocked(pts):
+    dist = _pairwise_distances(pts)
+    assert dist.tobytes() == _one_block(pts).tobytes()
+    assert (dist == dist.T).all() and (np.diag(dist) == 0.0).all()
+
+
+@pytest.mark.parametrize("p", [1, 2, 100])
+def test_blocked_distances_equal_the_one_block_formula(monkeypatch, p):
+    rng = np.random.default_rng(p)
+    for n in (1, 2, 3):
+        _check_blocked(rng.normal(size=(n, p)) * 7.0 + 3.0)
+    # rows per block = 12 // (n - start), at most ceil(n / 2): every n here
+    # crosses the block edges at 12, 6, 4, 3 and 2 remaining points, and
+    # n = 11, 12, 13 sit on each side of one block holding the whole row 0
+    monkeypatch.setattr(geometry, "_DIST_BLOCK", 12 * p)
+    for n in range(1, 31):
+        _check_blocked(rng.normal(size=(n, p)) * 7.0 + 3.0)
+
+
+def test_blocked_distances_equal_the_one_block_formula_at_the_real_block():
+    # 2^16 elements: n * p crosses it at n = 655 / 656 and, as the rows per
+    # block go 1 -> 2, at 327 / 328
+    rng = np.random.default_rng(0)
+    for n in (327, 328, 655, 656):
+        _check_blocked(rng.normal(size=(n, 100)) + 1e3)
+
+
+def test_pairwise_distances_refuses_a_cloud_before_allocating(monkeypatch):
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 1e6)
+    pts = np.zeros((4000, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="4000 points need about"):
+            _pairwise_distances(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4000  # not one row of the matrix, let alone n x n
 
 
 # ------------------------------------------------------------ intersection

@@ -23,7 +23,7 @@ from curvemedian import (
     shortest_path_distances,
 )
 
-from curvemedian import geometry
+from curvemedian import geometry, graphs
 from oracles import (
     floyd_warshall,
     kruskal_tree,
@@ -514,7 +514,7 @@ def test_pipeline_invariant_under_motion_and_scale(seed, parabola, shift, expone
         assert perm[index] == intrinsic_estimate(base.distances).index
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3, "1e-9", True, [1e-9]])
 @pytest.mark.parametrize("routine", ["coverage", "pipeline", "single_point"])
 def test_bad_tolerance_is_usage_error(routine, tol):
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
@@ -753,6 +753,80 @@ def test_pipeline_distance_overflow_is_numeric_error():
     # weights would look like missing edges
     with pytest.raises(NumericError, match="overflow"):
         geodesic_pipeline(np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]]))
+
+
+def _count_distance_builds(monkeypatch):
+    """A list whose length counts the pairwise matrices the graphs module builds."""
+    builds, build = [], graphs._pairwise_distances
+    monkeypatch.setattr(graphs, "_pairwise_distances", lambda pts: builds.append(pts) or build(pts))
+    return builds
+
+
+@pytest.mark.parametrize("cap", [None, 2.0])
+def test_pipeline_builds_one_distance_matrix(monkeypatch, cap):
+    builds = _count_distance_builds(monkeypatch)
+    pts = generate_sim1(Sim1Config(n=40, noise_sd=0.1, seed=3))
+    geodesic_pipeline(pts, cap=cap)
+    assert len(builds) == 1 and builds[0] is pts
+    geodesic_pipeline(pts.tolist(), cap=cap)
+    assert len(builds) == 2
+    # a float64 (n, p) array is the cloud itself, which is how the stages
+    # know the lent matrix
+    assert graphs._cloud(pts) is pts
+
+
+def test_stage_alone_or_given_an_equal_copy_builds_its_own_matrix(monkeypatch):
+    builds = _count_distance_builds(monkeypatch)
+    pts = generate_sim1(Sim1Config(n=30, noise_sd=0.1, seed=4))
+    want = geodesic_pipeline(pts)
+    assert len(builds) == 1
+    tree = compute_emst(pts)
+    graph = build_coverage_graph(pts, ball_radii(tree), cap=2.0)
+    assert len(builds) == 3
+    # inside the pipeline, a stage handed an equal array that is not the
+    # pipeline's own builds a matrix too, and the outputs do not change
+    emst, coverage = graphs.compute_emst, graphs.build_coverage_graph
+    monkeypatch.setattr(graphs, "compute_emst", lambda cloud: emst(cloud.copy()))
+    monkeypatch.setattr(graphs, "build_coverage_graph", lambda cloud, *a, **k: coverage(cloud.copy(), *a, **k))
+    got = geodesic_pipeline(pts)
+    assert len(builds) == 6
+    for a, b in ((want.tree, tree), (want.graph, graph), (got.tree, tree), (got.graph, graph)):
+        assert a.edges.tobytes() == b.edges.tobytes()
+    assert got.distances.tobytes() == want.distances.tobytes()
+
+
+def test_lent_matrix_is_reset_after_a_stage_raises(monkeypatch):
+    builds = _count_distance_builds(monkeypatch)
+    pts = generate_sim1(Sim1Config(n=20, noise_sd=0.1, seed=5))
+
+    def failing(tree):
+        assert graphs._LENT.get()[0] is pts
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(graphs, "ball_radii", failing)
+    with pytest.raises(RuntimeError, match="stage failed"):
+        geodesic_pipeline(pts)
+    assert graphs._LENT.get() == (None, None)
+    compute_emst(pts)
+    assert len(builds) == 2
+
+
+def test_lent_matrix_stays_in_its_own_thread(monkeypatch):
+    import threading
+
+    pts = generate_sim1(Sim1Config(n=20, noise_sd=0.1, seed=6))
+    seen, emst = [], graphs.compute_emst
+
+    def peeking(cloud):
+        thread = threading.Thread(target=lambda: seen.append(graphs._LENT.get()))
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        return emst(cloud)
+
+    monkeypatch.setattr(graphs, "compute_emst", peeking)
+    geodesic_pipeline(pts)
+    assert seen == [(None, None)]
 
 
 def test_pipeline_refuses_a_cloud_too_large_for_memory(monkeypatch):

@@ -56,8 +56,8 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert set(report["summary"]) == {"a", "b"}
     stages = (
-        "geodesic_pipeline", "compute_emst", "ball_radii", "build_coverage_graph", "_midpoint_far", "_covered",
-        "shortest_path_distances",
+        "geodesic_pipeline", "_pairwise_distances", "compute_emst", "ball_radii", "build_coverage_graph",
+        "_midpoint_far", "_covered", "shortest_path_distances",
     )
     assert report["environment"]["caps"] == ["default", "none", "2"]
     for name, n in [(f"{kind}-{n}{cap}", n) for kind, n in (("sim1", 30), ("tsin", 12)) for cap in ("", " cap=none")]:
@@ -69,6 +69,9 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
                     assert stage not in a
                     continue
                 assert a[stage]["wall_s_median"] > 0 and a[stage]["minflt_median"] >= 0
+                # one call each: the pipeline's one distance matrix too,
+                # lent to both stages that read it
+                assert a[stage]["calls"] == 1
             # the kernel decides every kept edge, the n - 1 tree edges too
             assert n - 1 <= a["candidate_chords"] - a["kernel_rejected"] <= a["candidate_chords"]
             assert a["kept_edges"] == a["candidate_chords"] - a["kernel_rejected"]

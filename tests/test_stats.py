@@ -72,6 +72,12 @@ def test_intrinsic_estimate_rejects_non_finite_alpha(alpha):
         intrinsic_estimate(DM_PATH, alpha=alpha)
 
 
+@pytest.mark.parametrize("alpha", ["1", True, None, [1.0]])
+def test_intrinsic_estimate_rejects_non_real_alpha(alpha):
+    with pytest.raises(UsageError, match="alpha"):
+        intrinsic_estimate(DM_PATH, alpha=alpha)
+
+
 @pytest.mark.parametrize(
     "dm, alpha, match",
     [
