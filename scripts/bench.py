@@ -51,6 +51,18 @@ Inputs: sim1 clouds (noise sd 0.1) and tsin shift panels (m=100, shifts
 U(-2, 2)), all drawn with seed 1000, the seed of perfbench's first
 cloud-dense input at benchmark seed 1.
 
+The CLI inputs run `curvemedian.cli` in a bare interpreter, one fresh
+process per run: `cli-import` only imports it, `cli-distances-240` runs
+`distances` on the sim1 n=240 cloud (noise sd 0.1, seed 1000) and
+`cli-template-240` runs `template` on the tsin n=240 panel (seed 1000).
+Both input files are written once per bench run, by the first source.
+Each run records the whole process (`process`: interpreter start to exit,
+as perfbench times a CLI call), `import curvemedian.cli` (`import`) and the
+command (`main`), each with its wall seconds and minor faults; the
+curvemedian modules loaded at exit; and one `sha256[FILE]` per output
+file.  `environment.dont_write_bytecode` says whether PYTHONDONTWRITEBYTECODE
+was set: without it, later runs load cached bytecode instead of compiling.
+
 The classification input `classify-N` runs `run_benchmark` on
 configs/benchmark_2class.json with N training and 2N test curves per class
 (the file's own sizes at N=50), once at each of the seeds 1500-1502, the
@@ -71,6 +83,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -86,15 +99,48 @@ STAGES = (
 ENVIRONMENTS = {"default": {}, "mmap_threshold_131072": {"MALLOC_MMAP_THRESHOLD_": "131072"}}
 CLASS_SEEDS = (1500, 1501, 1502)
 # the stage whose wall time the progress line shows, per input kind
-HEAD = {"sim1": STAGES[0], "tsin": STAGES[0], "classify": "run_benchmark"}
+HEAD = {"sim1": STAGES[0], "tsin": STAGES[0], "classify": "run_benchmark", "cli": "process"}
+# CLI input -> its command line, with INPUT standing for the input directory
+CLI_RUNS = {
+    "cli-import": None,
+    "cli-distances-240": ["distances", "--input", "INPUT/sim1-240.csv"],
+    "cli-template-240": ["template", "--input", "INPUT/tsin-240.csv"],
+}
+# The CLI child runs in a bare interpreter, not as bench.py, which imports
+# numpy: that would take numpy's share out of the import time.  It reads
+# argv [outdir, command...] and prints its record as its last line.
+CLI_CHILD = """\
+import resource, sys, time
+def mark():
+    return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def since(start):
+    now = mark()
+    return {"wall_s": now[0] - start[0], "minflt": now[1] - start[1]}
+start = mark()
+import curvemedian.cli
+record = {"import": since(start)}
+outdir, argv = sys.argv[1], sys.argv[2:]
+if argv:
+    start = mark()
+    code = curvemedian.cli.main(argv + ["--outdir", outdir])
+    record["main"] = since(start)
+    if code:
+        sys.exit(f"exit code {code}")
+import hashlib, json, os
+record["modules"] = sorted(m for m in sys.modules if m.partition(".")[0] == "curvemedian")
+for name in sorted(os.listdir(outdir)):
+    with open(os.path.join(outdir, name), "rb") as fh:
+        record[f"sha256[{name}]"] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(record))
+"""
 # noise sds of the sim1 endpoint errors in quality mode, and the arc length
 # of y = 2 x^2 over [-1, 1], from the clean cloud's first to its last point
 ENDPOINT_SDS = (0.05, 0.1, 0.2)
 ARC_LENGTH = math.sqrt(17.0) + math.asinh(4.0) / 4.0
 
 
-def minflt() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def minflt(who=resource.RUSAGE_SELF) -> int:
+    return resource.getrusage(who).ru_minflt
 
 
 def cap_kwargs(cap: str) -> dict:
@@ -266,6 +312,23 @@ def run_child(src: Path, kind: str, n: int, extra_env: dict, *extra) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def run_cli_child(src: Path, inputs: Path, argv, extra_env: dict) -> dict:
+    """One CLI run in a fresh bare interpreter, with the whole process timed
+    as `process`."""
+    env = dict(os.environ, PYTHONPATH=str(src), **extra_env)
+    argv = [arg.replace("INPUT", str(inputs)) for arg in argv or []]
+    with tempfile.TemporaryDirectory() as outdir:
+        faults, start = minflt(resource.RUSAGE_CHILDREN), time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI_CHILD, outdir, *argv],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        process = {"wall_s": time.perf_counter() - start, "minflt": minflt(resource.RUSAGE_CHILDREN) - faults}
+    if proc.returncode != 0:
+        raise SystemExit(f"CLI {argv} from {src} failed:\n{proc.stderr}")
+    return {"process": process, **json.loads(proc.stdout.splitlines()[-1])}
+
+
 def summarize(runs: list) -> dict:
     """Per stage: median wall seconds and median minor faults over the runs,
     and its calls per pipeline call where counted; the tracemalloc peak's
@@ -273,7 +336,7 @@ def summarize(runs: list) -> dict:
     disagree on is given as the sorted distinct values."""
 
     def one(values):
-        values = set(values)
+        values = {tuple(v) if isinstance(v, list) else v for v in values}
         return values.pop() if len(values) == 1 else sorted(values)
 
     out = {}
@@ -324,20 +387,27 @@ def main() -> int:
         sources[label or "current"] = Path(path).resolve()
     inputs = [(k, n, cap) for cap in args.cap for k, ns in (("sim1", args.sim1), ("tsin", args.tsin)) for n in ns]
     inputs += [("classify", n, "default") for n in args.classify]
+    inputs += [("cli", name, "default") for name in CLI_RUNS]  # a CLI input's name stands in for n
+    cli_inputs = tempfile.TemporaryDirectory()
+    run_child(next(iter(sources.values())), "cli_inputs", 0, {}, cli_inputs.name)
     runs = {label: {} for label in sources}
     for rep in range(args.repeats):
         for kind, n, cap in inputs:
-            name = f"{kind}-{n}" + ("" if cap == "default" else f" cap={cap}")
+            name = n if kind == "cli" else f"{kind}-{n}" + ("" if cap == "default" else f" cap={cap}")
             for env_name, extra_env in ENVIRONMENTS.items():
                 order = list(sources.items())[:: -1 if rep % 2 else 1]
                 for label, src in order:
-                    record = run_child(src, kind, n, extra_env, cap)
+                    if kind == "cli":
+                        record = run_cli_child(src, Path(cli_inputs.name), CLI_RUNS[name], extra_env)
+                    else:
+                        record = run_child(src, kind, n, extra_env, cap)
                     if record is None:
                         continue
                     runs[label].setdefault(name, {e: [] for e in ENVIRONMENTS})[env_name].append(record)
                     head = record[HEAD[kind]]
                     print(f"{label:>8} {name:<16} {env_name:<22} "
                           f"{head['wall_s']:8.3f} s {head['minflt']:>9} faults", flush=True)
+    cli_inputs.cleanup()
     quality = {}
     for cap in args.cap if args.quality else ():
         for label, src in sources.items():
@@ -358,6 +428,7 @@ def main() -> int:
             "seed": SEED,
             "class_seeds": list(CLASS_SEEDS),
             "caps": args.cap,
+            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         },
         "summary": {
             label: {name: {e: summarize(r) for e, r in by_env.items()} for name, by_env in by_input.items()}
@@ -379,9 +450,20 @@ def cap_value(text: str) -> str:
     return text
 
 
+def write_cli_inputs(directory: str) -> None:
+    """The input files of the CLI runs, run inside the child interpreter."""
+    import curvemedian as cm
+
+    cm.write_cloud(Path(directory) / "sim1-240.csv", cm.generate_sim1(cm.Sim1Config(n=240, noise_sd=0.1, seed=SEED)))
+    cfg = cm.ShiftConfig(target="tsin", n=240, m=100, shift_range=(-2.0, 2.0), seed=SEED)
+    cm.write_panel(Path(directory) / "tsin-240.csv", cm.generate_shift_sample(cfg))
+
+
 def child(kind: str, n: int, extra: list):
     import curvemedian.graphs
 
+    if kind == "cli_inputs":
+        return write_cli_inputs(extra[0])
     if kind == "classify":
         return measure_classify(n)
     if extra[0] != "default" and "cap" not in inspect.signature(curvemedian.graphs.geodesic_pipeline).parameters:

@@ -21,6 +21,7 @@ from .models import CurvePanel
 from .stats import cross_sectional_mean, intrinsic_estimate, pairwise_euclidean_matrix
 
 __all__ = [
+    "TEMPLATE_METHODS",
     "TemplateSet",
     "KnnClassifier",
     "ClassifierConfig",

@@ -23,27 +23,14 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import panel_io
-from .classify import (
-    TEMPLATE_METHODS,
-    ClassifierConfig,
-    KnnClassifier,
-    confusion_from_predictions,
-    extract_templates,
-    predict_labels,
-)
 from .errors import DataFormatError, NumericError, UsageError
 from .geometry import _tolerance
 from .graphs import DEFAULT_CAP, _cap, geodesic_pipeline, pipeline_diagnostics
-from .models import (
-    ShiftConfig,
-    Sim1Config,
-    Sim2Config,
-    generate_shift_sample,
-    generate_sim1,
-    generate_sim2,
-    sim1_truth,
-)
-from .stats import _alpha, intrinsic_estimate
+
+# classify, models and stats are imported by the commands that run them, so
+# that `distances` loads none of them.  For the same reason classify
+# --method spells out classify.TEMPLATE_METHODS and the k-NN baseline.
+_METHODS = ("manifold", "mean", "medoid", "knn")
 
 # argparse reads only plain decimals such as -10 as negative numbers and takes
 # -1e1 or -inf for an option name; the subcommands read these as numbers too
@@ -54,6 +41,16 @@ _EXIT_CODES = {UsageError: 2, DataFormatError: 3, OSError: 3, NumericError: 4}
 
 
 def cmd_simulate(args) -> int:
+    from .models import (
+        ShiftConfig,
+        Sim1Config,
+        Sim2Config,
+        generate_shift_sample,
+        generate_sim1,
+        generate_sim2,
+        sim1_truth,
+    )
+
     if args.model == "sim1":
         cloud = generate_sim1(Sim1Config(n=args.n, noise_sd=args.noise_sd, seed=args.seed))
         writes = [(panel_io.write_cloud, cloud), (panel_io.write_cloud, sim1_truth(args.n))]
@@ -122,6 +119,8 @@ def cmd_distances(args) -> int:
 
 
 def cmd_template(args) -> int:
+    from .stats import _alpha, intrinsic_estimate
+
     _alpha(args.alpha)
     panel = panel_io.read_panel(args.input)
     result = geodesic_pipeline(panel.values, tol=args.tol, cap=args.cap)
@@ -149,6 +148,15 @@ def cmd_template(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import (
+        ClassifierConfig,
+        KnnClassifier,
+        confusion_from_predictions,
+        extract_templates,
+        predict_labels,
+    )
+    from .stats import _alpha
+
     cfg = ClassifierConfig()
     if args.config:
         cfg = panel_io.read_classifier_config(args.config)
@@ -239,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="nearest-template / k-NN classification", argument_default=argparse.SUPPRESS)
     p.add_argument("--train", required=True, help="labeled panel CSV")
     p.add_argument("--test", required=True, help="labeled panel CSV")
-    p.add_argument("--method", choices=TEMPLATE_METHODS + ("knn",))
+    p.add_argument("--method", choices=_METHODS)
     p.add_argument("--alpha", type=float)
     p.add_argument("--k", type=int, help="neighbors for knn")
     p.add_argument("--truncate-at", type=float, help="keep grid points with t < cutoff")

@@ -4,6 +4,8 @@ The command line maps these onto distinct exit codes, so library code
 raises the most specific type that applies.
 """
 
+__all__ = ["DataFormatError", "NumericError", "UsageError"]
+
 
 class UsageError(ValueError):
     """A caller violated an operation's contract (bad argument or state)."""

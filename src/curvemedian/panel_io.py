@@ -11,14 +11,40 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from .classify import ClassifierConfig, ConfusionMatrix, TemplateSet
 from .errors import DataFormatError, UsageError
 from .graphs import WeightedGraph
-from .models import CurvePanel
+
+if TYPE_CHECKING:  # the readers and writers that build these import them when called
+    from .classify import ClassifierConfig, ConfusionMatrix, TemplateSet
+    from .models import CurvePanel
+
+__all__ = [
+    "fmt",
+    "read_classifier_config",
+    "read_cloud",
+    "read_curve",
+    "read_edges",
+    "read_json",
+    "read_matrix",
+    "read_panel",
+    "read_points_auto",
+    "read_shifts",
+    "write_cloud",
+    "write_confusion",
+    "write_curve",
+    "write_edges",
+    "write_json",
+    "write_matrix",
+    "write_panel",
+    "write_predictions",
+    "write_shifts",
+    "write_templates",
+    "write_warp_params",
+]
 
 
 def fmt(x: float) -> str:
@@ -77,6 +103,8 @@ def read_panel(path) -> CurvePanel:
 
 
 def _parse_panel(path, rows) -> CurvePanel:
+    from .models import CurvePanel
+
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     header = rows[0]
@@ -176,15 +204,26 @@ def write_warp_params(path, warp_params: dict) -> None:
 
 # ------------------------------------------------------ matrices & graphs
 
-# The two large writers format each row with one %-format string and
-# csv.writer's \r\n line end (their fields never need quoting), and stream
-# the rows into the file buffer rather than holding the whole text.
+# The two large writers end lines with csv.writer's \r\n (their fields never
+# need quoting) and stream the rows into the file buffer rather than
+# building the whole file as one string.
 
 def write_matrix(path, matrix) -> None:
+    """One row of %.17g text per matrix row.
+
+    Each distinct 64-bit pattern is formatted once, so a symmetric matrix
+    costs about half the formatting.  Keying on bits, not values, keeps -0.0
+    apart from 0.0.
+    """
     dm = np.asarray(matrix, dtype=float)
-    line = ",".join(["%.17g"] * dm.shape[1]) + "\r\n"
+    if dm.ndim != 2:
+        raise DataFormatError(f"a matrix must be 2-D, got {dm.ndim}-D")
+    keys, inverse = np.unique(dm.ravel().view(np.uint64), return_inverse=True)
+    values = keys.view(float).tolist()
+    # one %-format over all distinct values, split at the commas it put between them
+    text = np.array((("%.17g," * len(values)) % tuple(values)).split(",")[:-1], dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(line % tuple(row) for row in dm.tolist())
+        fh.writelines(",".join(text[row].tolist()) + "\r\n" for row in inverse.reshape(dm.shape))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -259,6 +298,8 @@ def read_json(path) -> dict:
 
 
 def read_classifier_config(path) -> ClassifierConfig:
+    from .classify import ClassifierConfig
+
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: classifier config must be a JSON object")
@@ -272,6 +313,8 @@ def read_classifier_config(path) -> ClassifierConfig:
 
 def write_templates(path, templates: TemplateSet) -> None:
     """Panel-format file whose row labels are the class labels."""
+    from .models import CurvePanel
+
     panel = CurvePanel(
         grid=templates.grid, values=templates.curves, labels=templates.labels
     )

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from curvemedian import (
     ConfusionMatrix,
@@ -146,6 +146,43 @@ def test_matrix_writer_bytes_match_csv_writer(tmp_path):
     assert path.read_bytes().startswith(b"-0,0,4.9406564584124654e-324\r\n")
 
 
+# duplicates are common in a matrix drawn from this pool; it holds both
+# zeros, the smallest subnormal and the extremes
+MATRIX_POOL = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0]
+
+
+@st.composite
+def pooled_matrices(draw):
+    """(matrix, the same matrix as the writer gets it): an array, a transposed
+    or strided view, or nested lists."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    cells = draw(st.lists(st.sampled_from(MATRIX_POOL), min_size=rows * cols, max_size=rows * cols))
+    m = np.array(cells, dtype=float).reshape(rows, cols)
+    form = draw(st.sampled_from(["array", "transposed", "sliced", "lists"]))
+    if form == "transposed":
+        return m, np.ascontiguousarray(m.T).T
+    if form == "sliced":
+        big = np.ones((2 * rows + 1, 2 * cols + 1))
+        big[1::2, 1::2] = m
+        return m, big[1::2, 1::2]
+    if form == "lists" and rows:  # no rows would read as a 1-D list
+        return m, m.tolist()
+    return m, m
+
+
+@given(pooled_matrices())
+@example((np.zeros((0, 0)), np.zeros((0, 0))))
+@example((np.zeros((3, 0)), np.zeros((3, 0)).tolist()))
+@example((np.array([[-0.0]]), [[-0.0]]))
+def test_matrix_writer_bytes_match_per_cell_fmt(tmp_path_factory, drawn):
+    m, matrix = drawn
+    path = tmp_path_factory.mktemp("wm") / "m.csv"
+    ref = path.with_name("ref.csv")
+    write_matrix(path, matrix)
+    _csv_writer_reference(ref, None, [[fmt(v) for v in row] for row in m])
+    assert path.read_bytes() == ref.read_bytes()
+
+
 def test_edge_writer_bytes_match_csv_writer(tmp_path):
     # a graph refuses negative weights, so -3.0 is formatted only by the
     # matrix writer above; -0.0 still passes as a weight
@@ -233,6 +270,16 @@ def test_unsorted_grid_is_a_format_error(tmp_path):
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         read_panel(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize(
+    "matrix", [np.float64(1.5), [1.0, 2.0], np.zeros((2, 2, 2))], ids=["0-D", "1-D", "3-D"]
+)
+def test_matrix_writer_refuses_a_matrix_that_is_not_2d(tmp_path, matrix):
+    path = tmp_path / "m.csv"
+    with pytest.raises(DataFormatError, match="must be 2-D, got"):
+        write_matrix(path, matrix)
+    assert not path.exists()
 
 
 def test_ragged_matrix_rejected(tmp_path):

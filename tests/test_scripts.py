@@ -102,6 +102,35 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
         for key in ("predictions_sha256", "confusions_sha256"):
             assert len(a[key]) == 64 and a[key] == b[key]
     assert report["environment"]["class_seeds"] == [1500, 1501, 1502]
+    # the CLI inputs: fresh interpreters, each loading only what its
+    # command runs, and the same output files from the same tree
+    assert isinstance(report["environment"]["dont_write_bytecode"], bool)
+    distances_modules = [
+        "curvemedian", "curvemedian.cli", "curvemedian.errors", "curvemedian.geometry",
+        "curvemedian.graphs", "curvemedian.panel_io",
+    ]
+    outputs = {
+        "cli-import": [],
+        "cli-distances-240": ["diagnostics.json", "distances.csv", "graph.csv", "graph.emst.csv"],
+        "cli-template-240": ["estimate.json", "plotdata.json", "template.csv"],
+    }
+    for env in ("default", "mmap_threshold_131072"):
+        for name, files in outputs.items():
+            a, b = report["summary"]["a"][name][env], report["summary"]["b"][name][env]
+            timed = ["process", "import"] + (["main"] if files else [])
+            assert sorted(key for key, value in a.items() if isinstance(value, dict)) == sorted(timed)
+            for stage in timed:
+                assert a[stage]["wall_s_median"] > 0 and a[stage]["minflt_median"] >= 0
+            assert a["process"]["wall_s_median"] > a["import"]["wall_s_median"]
+            digests = sorted(key for key in a if key.startswith("sha256["))
+            assert digests == [f"sha256[{f}]" for f in files]
+            for key in digests:
+                assert len(a[key]) == 64 and a[key] == b[key]
+        assert report["summary"]["a"]["cli-import"][env]["modules"] == distances_modules
+        assert report["summary"]["a"]["cli-distances-240"][env]["modules"] == distances_modules
+        assert report["summary"]["a"]["cli-template-240"][env]["modules"] == sorted(
+            distances_modules + ["curvemedian.models", "curvemedian.stats"]
+        )
 
 
 def _bench_module():
