@@ -53,9 +53,11 @@ cloud-dense input at benchmark seed 1.
 
 The CLI inputs run `curvemedian.cli` in a bare interpreter, one fresh
 process per run: `cli-import` only imports it, `cli-distances-240` runs
-`distances` on the sim1 n=240 cloud (noise sd 0.1, seed 1000) and
-`cli-template-240` runs `template` on the tsin n=240 panel (seed 1000).
-Both input files are written once per bench run, by the first source.
+`distances` on the sim1 n=240 cloud (noise sd 0.1, seed 1000),
+`cli-template-240` runs `template` on the tsin n=240 panel (seed 1000) and
+`cli-simulate-240` runs `simulate --model shift --n 240 --m 100 --seed 1000`,
+which writes a panel and its shifts.  The two input files are written once
+per bench run, by the first source.
 Each run records the whole process (`process`: interpreter start to exit,
 as perfbench times a CLI call), `import curvemedian.cli` (`import`) and the
 command (`main`), each with its wall seconds and minor faults; the
@@ -101,14 +103,18 @@ CLASS_SEEDS = (1500, 1501, 1502)
 # the stage whose wall time the progress line shows, per input kind
 HEAD = {"sim1": STAGES[0], "tsin": STAGES[0], "classify": "run_benchmark", "cli": "process"}
 # CLI input -> its command line, with INPUT standing for the input directory
+# and OUTPUT for the output directory
 CLI_RUNS = {
     "cli-import": None,
-    "cli-distances-240": ["distances", "--input", "INPUT/sim1-240.csv"],
-    "cli-template-240": ["template", "--input", "INPUT/tsin-240.csv"],
+    "cli-distances-240": ["distances", "--input", "INPUT/sim1-240.csv", "--outdir", "OUTPUT"],
+    "cli-template-240": ["template", "--input", "INPUT/tsin-240.csv", "--outdir", "OUTPUT"],
+    "cli-simulate-240": ["simulate", "--model", "shift", "--n", "240", "--m", "100", "--seed", str(SEED),
+                         "--out", "OUTPUT/shift"],
 }
 # The CLI child runs in a bare interpreter, not as bench.py, which imports
 # numpy: that would take numpy's share out of the import time.  It reads
-# argv [outdir, command...] and prints its record as its last line.
+# argv [outdir, command...], records a digest of every file the command
+# wrote into outdir and prints its record as its last line.
 CLI_CHILD = """\
 import resource, sys, time
 def mark():
@@ -122,7 +128,7 @@ record = {"import": since(start)}
 outdir, argv = sys.argv[1], sys.argv[2:]
 if argv:
     start = mark()
-    code = curvemedian.cli.main(argv + ["--outdir", outdir])
+    code = curvemedian.cli.main(argv)
     record["main"] = since(start)
     if code:
         sys.exit(f"exit code {code}")
@@ -316,8 +322,8 @@ def run_cli_child(src: Path, inputs: Path, argv, extra_env: dict) -> dict:
     """One CLI run in a fresh bare interpreter, with the whole process timed
     as `process`."""
     env = dict(os.environ, PYTHONPATH=str(src), **extra_env)
-    argv = [arg.replace("INPUT", str(inputs)) for arg in argv or []]
     with tempfile.TemporaryDirectory() as outdir:
+        argv = [arg.replace("INPUT", str(inputs)).replace("OUTPUT", outdir) for arg in argv or []]
         faults, start = minflt(resource.RUSAGE_CHILDREN), time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-c", CLI_CHILD, outdir, *argv],

@@ -132,15 +132,7 @@ def cmd_template(args) -> int:
         {"index": est.index, "objective": est.objective, "alpha": est.alpha},
     )
     panel_io.write_curve(outdir / "template.csv", panel.grid, panel.values[est.index])
-    panel_io.write_json(
-        outdir / "plotdata.json",
-        {
-            "grid": [panel_io.fmt(t) for t in panel.grid],
-            "curves": [[panel_io.fmt(v) for v in row] for row in panel.values],
-            "template_index": est.index,
-            "template": [panel_io.fmt(v) for v in panel.values[est.index]],
-        },
-    )
+    panel_io._write_plotdata(outdir / "plotdata.json", panel, est.index)
     print(f"template index: {est.index}")
     print(f"objective: {panel_io.fmt(est.objective)} (alpha={panel_io.fmt(est.alpha)})")
     print(f"wrote {outdir}/template.csv")

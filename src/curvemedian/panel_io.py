@@ -4,11 +4,20 @@ All floating-point text uses 17 significant digits, so a write/read round
 trip reproduces the exact double.  Output is locale-independent ('.' as the
 decimal separator, ',' as the field separator) and byte-stable: the same
 data always serializes to the same file.
+
+The CSV writers write the bytes csv.writer writes for rows of `fmt` text,
+\r\n line ends included, but build each row of floats with one %-operation
+on a template made once per file shape (%.17g is `fmt`), and stream the rows
+into the file buffer rather than building the whole file as one string.
+Number cells never need quoting; label and header cells still go through
+csv.writer.  Each writer checks its data before it opens the file, so a
+refused write leaves no file behind.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from typing import TYPE_CHECKING, List, Optional, Tuple
@@ -76,6 +85,28 @@ def _rows(path) -> List[List[str]]:
         raise DataFormatError(f"{path}: unreadable CSV ({exc})") from exc
 
 
+def _finite_array(values, ndim, what) -> np.ndarray:
+    """`values` as a float array of `ndim` dimensions with finite entries
+    only, or DataFormatError: the readers refuse any other cell."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{what} must be an array of numbers ({exc})") from exc
+    if arr.ndim != ndim:
+        raise DataFormatError(f"{what} must be {ndim}-D, got {arr.ndim}-D")
+    if not np.isfinite(arr).all():
+        raise DataFormatError(f"{what} must be finite")
+    return arr
+
+
+def _quoted(cell) -> str:
+    """`cell` as csv.writer writes it between two other cells."""
+    buf = io.StringIO()
+    # a second cell, as a row of one empty cell is written as ""
+    csv.writer(buf).writerow([cell, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def _body(path, rows, width, skip=0, start=2):
     """Yield (row number, fields, floats) for each data row, numbered from
     `start`.  Every row must have `width` fields; the fields after the first
@@ -90,12 +121,12 @@ def _body(path, rows, width, skip=0, start=2):
 
 def write_panel(path, panel: CurvePanel) -> None:
     """Header: t,<t_1>,...,<t_m>.  Rows: label,v_1,...,v_m ('-' = no label)."""
+    labels = panel.labels if panel.labels is not None else ["-"] * panel.n
+    quoted = {label: _quoted(label) for label in set(labels)}
+    row = ",%.17g" * panel.m + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [fmt(t) for t in panel.grid])
-        for i in range(panel.n):
-            label = panel.labels[i] if panel.labels is not None else "-"
-            w.writerow([label] + [fmt(v) for v in panel.values[i]])
+        fh.write("t" + row % tuple(panel.grid.tolist()))
+        fh.writelines(quoted[label] + row % tuple(v.tolist()) for label, v in zip(labels, panel.values))
 
 
 def read_panel(path) -> CurvePanel:
@@ -131,14 +162,12 @@ def _parse_panel(path, rows) -> CurvePanel:
 # ----------------------------------------------------------- point clouds
 
 def write_cloud(path, cloud) -> None:
-    pts = np.asarray(cloud, dtype=float)
-    if pts.ndim != 2:
-        raise DataFormatError("a point cloud must be 2-D")
+    """Header: x1,...,xp.  One row per point."""
+    pts = _finite_array(cloud, 2, "a point cloud")
+    row = ",".join(["%.17g"] * pts.shape[1]) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{k + 1}" for k in range(pts.shape[1])])
-        for row in pts:
-            w.writerow([fmt(v) for v in row])
+        fh.write(",".join(f"x{k + 1}" for k in range(pts.shape[1])) + "\r\n")
+        fh.writelines(row % tuple(x.tolist()) for x in pts)
 
 
 def read_cloud(path) -> np.ndarray:
@@ -178,11 +207,11 @@ def read_points_auto(path):
 # -------------------------------------------------------------- sidecars
 
 def write_shifts(path, shifts) -> None:
+    """Header: index,shift.  One row per curve."""
+    s = _finite_array(shifts, 1, "shifts")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "shift"])
-        for i, s in enumerate(np.asarray(shifts, dtype=float)):
-            w.writerow([i, fmt(s)])
+        fh.write("index,shift\r\n")
+        fh.writelines("%d,%.17g\r\n" % pair for pair in enumerate(s.tolist()))
 
 
 def read_shifts(path) -> np.ndarray:
@@ -193,20 +222,19 @@ def read_shifts(path) -> np.ndarray:
 
 
 def write_warp_params(path, warp_params: dict) -> None:
+    """Header: index,<names in sorted order>.  One row per curve."""
     keys = sorted(warp_params)
-    cols = [np.asarray(warp_params[k], dtype=float) for k in keys]
+    cols = [_finite_array(warp_params[k], 1, f"warp parameter {k!r}") for k in keys]
+    if len({len(col) for col in cols}) != 1:
+        lengths = ", ".join(f"{k!r}: {len(col)}" for k, col in zip(keys, cols))
+        raise DataFormatError(f"warp parameters need columns of one common length, got {{{lengths}}}")
+    row = "%d" + ",%.17g" * len(keys) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index"] + keys)
-        for i in range(len(cols[0])):
-            w.writerow([i] + [fmt(col[i]) for col in cols])
+        csv.writer(fh).writerow(["index"] + keys)
+        fh.writelines(row % (i, *v) for i, v in enumerate(np.column_stack(cols).tolist()))
 
 
 # ------------------------------------------------------ matrices & graphs
-
-# The two large writers end lines with csv.writer's \r\n (their fields never
-# need quoting) and stream the rows into the file buffer rather than
-# building the whole file as one string.
 
 def write_matrix(path, matrix) -> None:
     """One row of %.17g text per matrix row.
@@ -266,13 +294,13 @@ def read_edges(path, n: Optional[int] = None) -> WeightedGraph:
 
 def write_curve(path, grid, values) -> None:
     """Two-column curve file: t,value."""
-    g = np.asarray(grid, dtype=float)
-    v = np.asarray(values, dtype=float)
+    g = _finite_array(grid, 1, "a curve's grid")
+    v = _finite_array(values, 1, "a curve's values")
+    if g.size != v.size:
+        raise DataFormatError(f"a curve needs one value per grid point, got {v.size} for {g.size}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "value"])
-        for t, val in zip(g, v, strict=True):
-            w.writerow([fmt(t), fmt(val)])
+        fh.write("t,value\r\n")
+        fh.writelines("%.17g,%.17g\r\n" % pair for pair in zip(g.tolist(), v.tolist()))
 
 
 def read_curve(path) -> Tuple[np.ndarray, np.ndarray]:
@@ -287,6 +315,25 @@ def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_plotdata(path, panel: CurvePanel, index: int) -> None:
+    """`template`'s plotdata.json: the bytes `write_json` writes for
+    {"curves": [[fmt(v), ...] per curve], "grid": [fmt(t), ...],
+    "template": curves[index], "template_index": index}, with each list of
+    strings built by one %-operation (%.17g text needs no JSON escaping)."""
+
+    def strings(indent):  # a JSON list of m strings that closes `indent` spaces in
+        pad = "\n" + " " * indent
+        return "[" + pad + '  "%.17g' + ('",' + pad + '  "%.17g') * (panel.m - 1) + '"' + pad + "]"
+
+    curve, line = strings(4), strings(2)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "curves": [\n    ')
+        fh.writelines((",\n    " if k else "") + curve % tuple(v.tolist()) for k, v in enumerate(panel.values))
+        fh.write('\n  ],\n  "grid": ' + line % tuple(panel.grid.tolist()))
+        fh.write(',\n  "template": ' + line % tuple(panel.values[index].tolist()))
+        fh.write(',\n  "template_index": %d\n}\n' % index)
 
 
 def read_json(path) -> dict:

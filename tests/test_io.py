@@ -33,7 +33,9 @@ from curvemedian import (
     write_predictions,
     write_shifts,
     write_templates,
+    write_warp_params,
 )
+from curvemedian.panel_io import _write_plotdata
 
 NASTY = [1e-300, 1.0 / 3.0, -0.0, 0.1, 1e300, -7.25, math.pi]
 
@@ -120,12 +122,12 @@ def test_edges_round_trip(tmp_path):
 
 
 def _csv_writer_reference(path, header, rows):
-    """The csv.writer + fmt serialization the matrix and edge files keep."""
+    """The csv.writer + fmt serialization every CSV writer keeps."""
     import csv
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        if header:
+        if header is not None:
             w.writerow(header)
         for row in rows:
             w.writerow(row)
@@ -196,6 +198,122 @@ def test_edge_writer_bytes_match_csv_writer(tmp_path):
     assert path.read_bytes() == ref.read_bytes()
     write_edges(path, WeightedGraph(3, []))
     assert path.read_bytes() == b"i,j,weight\r\n"
+
+
+# floats at the edges of %.17g text: both zeros, the smallest subnormal and
+# the extremes; and labels that csv.writer quotes, leaves empty or encodes
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1.797e308, -1.797e308, 1.0 / 3.0])
+FLOATS = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+LABELS = st.one_of(st.sampled_from([",", '"', "\n", "", "é", "-", 'a,"b"\r\nc']), st.text(max_size=4))
+
+
+@st.composite
+def panels(draw):
+    """A panel of 1-4 curves on 2-5 grid points, labelled or not."""
+    grid = sorted(draw(st.lists(FLOATS, min_size=2, max_size=5, unique=True)))
+    n = draw(st.integers(1, 4))
+    values = draw(st.lists(st.lists(FLOATS, min_size=len(grid), max_size=len(grid)), min_size=n, max_size=n))
+    labels = draw(st.none() | st.lists(LABELS, min_size=n, max_size=n))
+    return CurvePanel(np.array(grid), np.array(values), labels=labels)
+
+
+@given(panels())
+@example(CurvePanel(np.array([-1.797e308, 5e-324]), np.array([[-0.0, 1.797e308]]), labels=[""]))
+@example(CurvePanel(np.array([0.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), labels=[",", '"\n']))
+def test_panel_writer_bytes_match_csv_writer(tmp_path_factory, panel):
+    path = tmp_path_factory.mktemp("wp") / "p.csv"
+    ref = path.with_name("ref.csv")
+    write_panel(path, panel)
+    labels = panel.labels if panel.labels is not None else ["-"] * panel.n
+    rows = [[label] + [fmt(v) for v in row] for label, row in zip(labels, panel.values)]
+    _csv_writer_reference(ref, ["t"] + [fmt(t) for t in panel.grid], rows)
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@given(panels().flatmap(lambda panel: st.tuples(st.just(panel), st.integers(0, panel.n - 1))))
+@example((CurvePanel(np.array([0.0, 5e-324]), np.array([[-0.0, 1.797e308]])), 0))
+@example((CurvePanel(np.array([-1.0, 2.0, 3.0]), np.array([[1.0, 2.0, 3.0], [-0.0, 0.0, 5e-324]])), 1))
+def test_plotdata_writer_bytes_match_json_dump(tmp_path_factory, drawn):
+    panel, index = drawn
+    path = tmp_path_factory.mktemp("pd") / "plotdata.json"
+    ref = path.with_name("ref.json")
+    _write_plotdata(path, panel, index)
+    obj = {
+        "grid": [fmt(t) for t in panel.grid],
+        "curves": [[fmt(v) for v in row] for row in panel.values],
+        "template_index": index,
+        "template": [fmt(v) for v in panel.values[index]],
+    }
+    with open(ref, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@given(st.integers(0, 4).flatmap(lambda p: st.lists(st.lists(FLOATS, min_size=p, max_size=p), max_size=4)))
+@example([[5e-324]])
+@example([[-0.0, 1.797e308], [-1.797e308, 0.0]])
+def test_cloud_writer_bytes_match_csv_writer(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("wc") / "c.csv"
+    ref = path.with_name("ref.csv")
+    p = len(rows[0]) if rows else 2
+    cloud = np.array(rows, dtype=float).reshape(len(rows), p)
+    write_cloud(path, cloud)
+    _csv_writer_reference(ref, [f"x{k + 1}" for k in range(p)], [[fmt(v) for v in row] for row in cloud])
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@given(st.lists(st.tuples(FLOATS, FLOATS), max_size=5))
+@example([(-0.0, 5e-324), (1.797e308, -1.797e308)])
+def test_curve_and_shift_writers_bytes_match_csv_writer(tmp_path_factory, pairs):
+    path = tmp_path_factory.mktemp("wcs") / "out.csv"
+    ref = path.with_name("ref.csv")
+    grid, values = [t for t, _ in pairs], [v for _, v in pairs]
+    write_curve(path, grid, values)
+    _csv_writer_reference(ref, ["t", "value"], [[fmt(t), fmt(v)] for t, v in pairs])
+    assert path.read_bytes() == ref.read_bytes()
+    write_shifts(path, np.array(values))
+    _csv_writer_reference(ref, ["index", "shift"], [[i, fmt(v)] for i, v in enumerate(values)])
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.dictionaries(LABELS, st.lists(FLOATS, min_size=n, max_size=n), min_size=1, max_size=3)
+    )
+)
+@example({"amp": [-0.0, 5e-324], "scale": [1.797e308, -1.797e308], "a,b": [1.0, 2.0]})
+def test_warp_params_writer_bytes_match_csv_writer(tmp_path_factory, params):
+    path = tmp_path_factory.mktemp("ww") / "w.csv"
+    ref = path.with_name("ref.csv")
+    write_warp_params(path, params)
+    keys = sorted(params)
+    rows = [[i] + [fmt(params[k][i]) for k in keys] for i in range(len(params[keys[0]]))]
+    _csv_writer_reference(ref, ["index"] + keys, rows)
+    assert path.read_bytes() == ref.read_bytes()
+
+
+# each writer checks its data before it opens the file
+REFUSED_WRITES = {
+    "curve lengths differ": (write_curve, ([0, 1, 2], [1, 2]), "one value per grid point, got 2 for 3"),
+    "shifts not 1-D": (write_shifts, ([[1.0, 2.0]],), "shifts must be 1-D, got 2-D"),
+    "shift not a number": (write_shifts, (["a"],), "shifts must be an array of numbers"),
+    "warp columns differ": (write_warp_params, ({"a": [1, 2], "b": [1]},), "one common length"),
+    "no warp columns": (write_warp_params, ({},), "one common length"),
+    "cloud nan": (write_cloud, ([[math.nan, 1.0]],), "a point cloud must be finite"),
+    "curve inf": (write_curve, ([0.0, 1.0], [1.0, math.inf]), "a curve's values must be finite"),
+    "curve grid nan": (write_curve, ([0.0, math.nan], [1.0, 2.0]), "a curve's grid must be finite"),
+    "shift -inf": (write_shifts, ([0.5, -math.inf],), "shifts must be finite"),
+    "warp nan": (write_warp_params, ({"a": [1.0], "b": [math.nan]},), "warp parameter 'b' must be finite"),
+}
+
+
+@pytest.mark.parametrize("writer, args, message", REFUSED_WRITES.values(), ids=REFUSED_WRITES.keys())
+def test_writer_refuses_bad_data_before_opening_the_file(tmp_path, writer, args, message):
+    path = tmp_path / "out.csv"
+    with pytest.raises(DataFormatError, match=message):
+        writer(path, *args)
+    assert not path.exists()
 
 
 def test_edges_infer_vertex_count(tmp_path):

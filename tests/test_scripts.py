@@ -113,6 +113,7 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
         "cli-import": [],
         "cli-distances-240": ["diagnostics.json", "distances.csv", "graph.csv", "graph.emst.csv"],
         "cli-template-240": ["estimate.json", "plotdata.json", "template.csv"],
+        "cli-simulate-240": ["shift.csv", "shift.truth.csv"],
     }
     for env in ("default", "mmap_threshold_131072"):
         for name, files in outputs.items():
@@ -128,9 +129,10 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
                 assert len(a[key]) == 64 and a[key] == b[key]
         assert report["summary"]["a"]["cli-import"][env]["modules"] == distances_modules
         assert report["summary"]["a"]["cli-distances-240"][env]["modules"] == distances_modules
-        assert report["summary"]["a"]["cli-template-240"][env]["modules"] == sorted(
-            distances_modules + ["curvemedian.models", "curvemedian.stats"]
-        )
+        for name in ("cli-template-240", "cli-simulate-240"):
+            assert report["summary"]["a"][name][env]["modules"] == sorted(
+                distances_modules + ["curvemedian.models", "curvemedian.stats"]
+            )
 
 
 def _bench_module():
