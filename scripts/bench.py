@@ -10,12 +10,12 @@ Each input is a fresh interpreter running one `geodesic_pipeline` call, as
 and the package imported from the given source tree.  The call and its
 stages each record wall seconds, minor page faults (the change in
 `ru_minflt`) and calls, each summed over the stage's calls:
-`_pairwise_distances` (the n x n distance matrix, wherever the pipeline
-builds it), `compute_emst`, `ball_radii`, `build_coverage_graph`, within
-it the midpoint prefilter `_midpoint_far` and the coverage kernel
-`_covered`, and `shortest_path_distances`.  A stage the given tree's
-pipeline does not call is left out of its record and summary: with a chord
-cap the prefilter is skipped.  The run
+`_pairwise_distances` (the n x n distance matrix, built once per call
+and passed to the tree and coverage stages), `compute_emst`, `ball_radii`,
+`build_coverage_graph`, within it the midpoint prefilter `_midpoint_far`
+and the coverage kernel `_covered`, and `shortest_path_distances`.  A
+stage the given tree's pipeline does not call is left out of its record
+and summary: with a chord cap the prefilter is skipped.  The run
 also records the number of candidate chords the kernel decides and how
 many of them it rejects, the kept edge count, and sha256 digests of the
 kept (i, j, weight) rows and of d_hat, so that two trees can be checked

@@ -31,8 +31,7 @@ _EXPORTS = {
     "errors": ("DataFormatError", "NumericError", "UsageError"),
     "graphs": (
         "DEFAULT_CAP", "GeodesicResult", "WeightedGraph", "ball_radii", "build_coverage_graph",
-        "cloud_diameter", "compute_emst", "geodesic_pipeline", "pipeline_diagnostics",
-        "shortest_path_distances",
+        "compute_emst", "geodesic_pipeline", "pipeline_diagnostics", "shortest_path_distances",
     ),
     "models": (
         "TARGETS", "CurvePanel", "ShiftConfig", "Sim1Config", "Sim2Config", "TargetFunction",

@@ -93,15 +93,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_points(path):
-    kind, loaded = panel_io.read_points_auto(path)
-    if kind == "panel":
-        return loaded.values, loaded
-    return loaded, None
-
-
 def cmd_distances(args) -> int:
-    points, _ = _load_points(args.input)
+    kind, points = panel_io.read_points_auto(args.input)
+    if kind == "panel":
+        points = points.values
     result = geodesic_pipeline(points, tol=args.tol, cap=args.cap)
     diag = pipeline_diagnostics(points, result, tol=args.tol, cap=args.cap)
     outdir = Path(args.outdir)

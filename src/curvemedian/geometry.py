@@ -44,8 +44,8 @@ _CHUNK = 1 << 16
 _REL_TOL = 1e-9
 
 # n x n float64 matrices live at the peak of `graphs.geodesic_pipeline`,
-# inside `build_coverage_graph`: the pipeline's one distance matrix, lent to
-# the tree and coverage stages, and its squares make two.  A cap's mask is
+# inside `build_coverage_graph`: the pipeline's one distance matrix, passed
+# to the tree and coverage stages, and its squares make two.  A cap's mask is
 # built before the squares (distances, threshold and mask: 2.1), and its few
 # candidates and the kernel's scratch (about 2 MB) add little: tracemalloc
 # reads 2.92, 2.38 and 2.38 on sim1 clouds of 600, 1000 and 2000 points and
@@ -65,6 +65,21 @@ def _physical_memory() -> float:
         return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (AttributeError, ValueError, OSError):
         return np.inf
+
+
+def _cloud(points) -> np.ndarray:
+    """The cloud as a finite (n, p) float64 array; a 1-D input is n points in R^1."""
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        raise UsageError("a point cloud must be an (n, p) array of numbers") from None
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise UsageError("a point cloud must be a nonempty 2-D array (n, p)")
+    if not np.all(np.isfinite(pts)):
+        raise UsageError("point cloud contains non-finite coordinates")
+    return pts
 
 
 def _pairwise_distances(pts: np.ndarray) -> np.ndarray:

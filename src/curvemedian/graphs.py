@@ -3,14 +3,15 @@
 Four stages: the Euclidean minimum spanning tree of the sample, ball radii
 read off that tree (each the longest tree edge incident to its center), a
 coverage graph that keeps every chord lying inside the union of those
-balls, and all-pairs shortest paths on it.  Shortest-path distances on the
-coverage graph estimate geodesic distances along the shape the points were
-sampled from; the pipeline caps chord length by default (`DEFAULT_CAP`).
+balls, and all-pairs shortest paths on it.  The tree and coverage stages
+read nothing of the sample but its pairwise Euclidean distances, and take
+that matrix.  Shortest-path distances on the coverage graph estimate
+geodesic distances along the shape the points were sampled from; the
+pipeline caps chord length by default (`DEFAULT_CAP`).
 """
 
 from __future__ import annotations
 
-import contextvars
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -18,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import UsageError
-from .geometry import _REL_TOL, _covered, _midpoint_far, _pairwise_distances, _tolerance
+from .geometry import _REL_TOL, _cloud, _covered, _midpoint_far, _pairwise_distances, _tolerance
 
 __all__ = [
     "WeightedGraph",
@@ -28,17 +29,12 @@ __all__ = [
     "build_coverage_graph",
     "shortest_path_distances",
     "geodesic_pipeline",
-    "cloud_diameter",
     "pipeline_diagnostics",
     "DEFAULT_CAP",
 ]
 
 # the pipeline's chord-length cap, in units of the larger end radius
 DEFAULT_CAP = 2.0
-
-# (cloud, its distance matrix) that `geodesic_pipeline` lends its stages for
-# the length of one call; per thread and per task, like any context variable
-_LENT = contextvars.ContextVar("curvemedian_lent_distances", default=(None, None))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,32 +79,29 @@ class GeodesicResult(NamedTuple):
     distances: np.ndarray
 
 
-def _cloud(points) -> np.ndarray:
-    """The cloud as a finite (n, p) float64 array.  A float64 2-D ndarray
-    comes back itself, not a copy: the stages know the pipeline's lent
-    distance matrix by the identity of its cloud."""
+def _distance_matrix(distances) -> np.ndarray:
+    """The stages' input as a float64 array, refused unless a nonempty square
+    matrix of finite nonnegative entries, zero on the diagonal and exactly
+    symmetric.  A float64 array comes back itself, not a copy."""
     try:
-        pts = np.asarray(points, dtype=float)
+        dist = np.asarray(distances, dtype=float)
     except (TypeError, ValueError):
-        raise UsageError("a point cloud must be an (n, p) array of numbers") from None
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise UsageError("a point cloud must be a nonempty 2-D array (n, p)")
-    if not np.all(np.isfinite(pts)):
-        raise UsageError("point cloud contains non-finite coordinates")
-    return pts
+        raise UsageError("a distance matrix must be an (n, n) array of numbers") from None
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or dist.size == 0:
+        raise UsageError(f"a distance matrix must be nonempty and square, got shape {dist.shape}")
+    # reductions, where isfinite(dist) would allocate n x n; NaN reaches both
+    if not (np.isfinite(dist.max()) and dist.min() >= 0.0):
+        raise UsageError("distance matrix entries must be finite and nonnegative")
+    if dist.diagonal().any():
+        raise UsageError("distance matrix has a nonzero diagonal")
+    if not np.array_equal(dist, dist.T):
+        raise UsageError("distance matrix is not symmetric")
+    return dist
 
 
-def _distances(pts: np.ndarray) -> np.ndarray:
-    """Pairwise distances of `pts`: the lent matrix if it was lent for this
-    very array object, else a new one."""
-    lent, dist = _LENT.get()
-    return dist if lent is pts else _pairwise_distances(pts)
-
-
-def compute_emst(cloud) -> WeightedGraph:
-    """Euclidean minimum spanning tree of the cloud by dense O(n^2) Prim.
+def compute_emst(distances) -> WeightedGraph:
+    """Euclidean minimum spanning tree of a cloud, from its (n, n) distance
+    matrix, by dense O(n^2) Prim.
 
     Edges compare on the strict key (w, i, j), i < j, under which the tree
     is unique, so equal-weight inputs always yield the same tree; its edges
@@ -120,7 +113,7 @@ def compute_emst(cloud) -> WeightedGraph:
     edge {p, u} before {q, u} wherever u lies relative to p and q.  The
     full key is read only when the lightest weight is tied across vertices.
     """
-    weights = _distances(_cloud(cloud))
+    weights = _distance_matrix(distances)
     n = weights.shape[0]
     outside = np.ones(n, dtype=bool)
     best_w = np.full(n, np.inf)
@@ -163,13 +156,9 @@ def _cap(cap) -> Optional[float]:
     return None if cap is None else float(cap)
 
 
-def cloud_diameter(cloud) -> float:
-    """Largest pairwise Euclidean distance in the cloud."""
-    return float(_pairwise_distances(_cloud(cloud)).max())
-
-
-def build_coverage_graph(cloud, radii, tol: Optional[float] = None, cap: Optional[float] = None) -> WeightedGraph:
-    """Graph keeping every chord covered by the union of sample-centered balls.
+def build_coverage_graph(distances, radii, tol: Optional[float] = None, cap: Optional[float] = None) -> WeightedGraph:
+    """Graph keeping every chord covered by the union of sample-centered balls,
+    from the cloud's (n, n) Euclidean distance matrix.
 
     A pair (i, j) becomes an edge, weighted by its length, when the straight
     segment between the two points lies inside the union of all n balls
@@ -183,8 +172,8 @@ def build_coverage_graph(cloud, radii, tol: Optional[float] = None, cap: Optiona
     rejects the chords whose midpoint clears every ball by more than the
     gap allowance.  The interval sweep decides the candidates left.
     """
-    pts = _cloud(cloud)
-    n = pts.shape[0]
+    dist = _distance_matrix(distances)
+    n = dist.shape[0]
     cap = _cap(cap)
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (n,):
@@ -192,7 +181,6 @@ def build_coverage_graph(cloud, radii, tol: Optional[float] = None, cap: Optiona
     if not (np.isfinite(radii).all() and (radii >= 0).all()):
         raise UsageError("radii must be finite and nonnegative")
 
-    dist = _distances(pts)
     diameter = float(dist.max())
     tol = _REL_TOL * diameter if tol is None else _tolerance(tol)
     unit = diameter if diameter > 0.0 else 1.0
@@ -263,23 +251,17 @@ def geodesic_pipeline(cloud, tol: Optional[float] = None, cap: Optional[float] =
     """Full estimation chain: spanning tree, ball radii, coverage graph (chords
     capped by `cap`; None is the paper's rule), then all-pairs shortest paths.
 
-    The tree and coverage stages share one distance matrix, built here and
-    lent to them, read-only, for the call.  A single point short-circuits to
-    an empty tree and a 1x1 zero matrix.
+    The tree and coverage stages share one distance matrix, built here.  A
+    single point short-circuits to an empty tree and a 1x1 zero matrix.
     """
     pts = _cloud(cloud)
     tol, cap = None if tol is None else _tolerance(tol), _cap(cap)
     if pts.shape[0] == 1:
         return GeodesicResult(WeightedGraph(1, []), WeightedGraph(1, []), np.zeros((1, 1)))
     dist = _pairwise_distances(pts)
-    dist.flags.writeable = False
-    lease = _LENT.set((pts, dist))
-    del dist  # freed with the lease, before shortest paths
-    try:
-        tree = compute_emst(pts)
-        graph = build_coverage_graph(pts, ball_radii(tree), tol=tol, cap=cap)
-    finally:
-        _LENT.reset(lease)
+    tree = compute_emst(dist)
+    graph = build_coverage_graph(dist, ball_radii(tree), tol=tol, cap=cap)
+    del dist  # freed before shortest paths
     return GeodesicResult(tree, graph, shortest_path_distances(graph))
 
 
@@ -287,7 +269,7 @@ def pipeline_diagnostics(cloud, result: GeodesicResult, tol: Optional[float] = N
     """Plain-dict health report for a pipeline run made with this `tol` and `cap`."""
     pts = _cloud(cloud)
     n = pts.shape[0]
-    diameter = cloud_diameter(pts)
+    diameter = float(_pairwise_distances(pts).max())
     max_radius = float(ball_radii(result.tree).max()) if n >= 2 else 0.0
     n_tree = len(result.tree.edges)
     n_graph = len(result.graph.edges)

@@ -23,12 +23,14 @@ configuration, so every sample is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .stats import IntrinsicEstimate, intrinsic_estimate
+
+if TYPE_CHECKING:
+    from .stats import IntrinsicEstimate
 
 __all__ = [
     "TargetFunction",
@@ -130,7 +132,7 @@ class CurvePanel:
             self.values = self.values[None, :]
         if self.grid.ndim != 1 or self.grid.size < 2:
             raise UsageError("grid must be 1-D with at least two points")
-        if not np.all(np.diff(self.grid) > 0):
+        if not np.all(self.grid[1:] > self.grid[:-1]):  # no subtraction to overflow
             raise UsageError("grid must be strictly increasing")
         if not np.all(np.isfinite(self.grid)):
             raise UsageError("grid contains non-finite values")
@@ -401,6 +403,8 @@ def intrinsic_median_exact(panel: CurvePanel, target=None) -> IntrinsicEstimate:
     Builds the exact pairwise arc-length matrix and minimizes the summed
     distance (alpha = 1) over the sample.
     """
+    from .stats import IntrinsicEstimate, intrinsic_estimate  # loaded only when asked for
+
     if panel.shifts is None:
         raise UsageError("panel carries no ground-truth shifts")
     if panel.n == 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .geometry import _pairwise_distances
+from .geometry import _cloud, _pairwise_distances
 
 __all__ = [
     "IntrinsicEstimate",
@@ -75,12 +75,8 @@ def intrinsic_estimate(distance_matrix, alpha: float = 1.0) -> IntrinsicEstimate
 
 
 def pairwise_euclidean_matrix(cloud) -> np.ndarray:
-    pts = np.asarray(cloud, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise UsageError("need a nonempty (n, p) cloud")
-    if not np.isfinite(pts).all():
-        raise UsageError("cloud contains non-finite coordinates")
-    return _pairwise_distances(pts)
+    """Euclidean distance matrix of a cloud, the one `geodesic_pipeline` builds."""
+    return _pairwise_distances(_cloud(cloud))
 
 
 def euclidean_medoid(cloud, alpha: float = 1.0) -> IntrinsicEstimate:

@@ -138,7 +138,7 @@ def test_criterion_4_emst_weight_exact():
         n = int(rng.integers(2, 9))
         p = int(rng.choice([2, 3]))
         pts = rng.normal(0.0, 1.0, size=(n, p))
-        tree = compute_emst(pts)
+        tree = compute_emst(pairwise_euclidean_matrix(pts))
         got = math.fsum(w for _, _, w in tree.edges)
         want = min_spanning_weight_exhaustive(pts)
         hits += math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)

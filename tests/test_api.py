@@ -72,6 +72,23 @@ def test_distances_on_a_cloud_loads_only_what_it_runs(tmp_path):
     assert (tmp_path / "out" / "distances.csv").is_file()
 
 
+def test_distances_on_a_panel_adds_models_only(tmp_path):
+    panel = tmp_path / "panel.csv"
+    curvemedian.write_panel(panel, curvemedian.generate_shift_sample(curvemedian.ShiftConfig(n=6, m=20, seed=1)))
+    argv = ["distances", "--input", str(panel), "--outdir", str(tmp_path / "out")]
+    code = f"from curvemedian import cli\nassert cli.main({argv!r}) == 0"
+    assert modules_loaded_by(code) == sorted(DISTANCES_MODULES + ["curvemedian.models"])
+
+
+def test_models_loads_stats_only_when_the_exact_median_is_asked_for():
+    assert modules_loaded_by("import curvemedian.models") == [
+        "curvemedian", "curvemedian.errors", "curvemedian.models",
+    ]
+    panel = "cm.generate_shift_sample(cm.ShiftConfig(n=5, m=20, seed=1))"
+    code = f"import curvemedian as cm\ncm.intrinsic_median_exact({panel})"
+    assert "curvemedian.stats" in modules_loaded_by(code)
+
+
 def test_template_adds_models_and_stats_only(tmp_path):
     panel = tmp_path / "panel.csv"
     curvemedian.write_panel(panel, curvemedian.generate_shift_sample(curvemedian.ShiftConfig(n=6, m=20, seed=1)))

@@ -6,10 +6,10 @@ from curvemedian import (
     ShiftConfig,
     Sim1Config,
     ball_radii,
-    cloud_diameter,
     compute_emst,
     generate_shift_sample,
     generate_sim1,
+    pairwise_euclidean_matrix,
     read_cloud,
     read_curve,
     read_edges,
@@ -174,7 +174,8 @@ def test_distances_cap_none_writes_the_chords_the_exact_oracle_accepts(tmp_path,
     src = tmp_path / "pts.csv"
     write_cloud(src, generate_sim1(Sim1Config(n=30, seed=1)))
     pts = read_cloud(src)
-    want = oracle_chords(pts, ball_radii(compute_emst(pts)), 1e-9 * cloud_diameter(pts))
+    dist = pairwise_euclidean_matrix(pts)
+    want = oracle_chords(pts, ball_radii(compute_emst(dist)), 1e-9 * dist.max())
     kept = {}
     for cap in ("none", "2"):
         code, _, _ = run(capsys, "distances", "--input", str(src), "--cap", cap, "--outdir", str(tmp_path / cap))

@@ -1,10 +1,11 @@
 """The coverage kernel, pinned through its one public entry.
 
-Every verdict here is that of `build_coverage_graph` on a small cloud with an
-explicit `tol`: a chord is kept when it lies in the union of the balls on
-all the points, each inflated by `tol`.  A ball that stands for a lone
-segment endpoint in a figure is a point of radius zero, whose ball is then
-of radius `tol`.  No verdict pinned here hinges on an exact tangency.
+Every verdict here is that of `build_coverage_graph` on the distance matrix
+of a small cloud, with an explicit `tol`: a chord is kept when it lies in
+the union of the balls on all the points, each inflated by `tol`.  A ball
+that stands for a lone segment endpoint in a figure is a point of radius
+zero, whose ball is then of radius `tol`.  No verdict pinned here hinges on
+an exact tangency.
 """
 
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvemedian import UsageError, build_coverage_graph, geometry
+from curvemedian import UsageError, build_coverage_graph, geometry, pairwise_euclidean_matrix
 from curvemedian.geometry import _pairwise_distances
 
 from oracles import mc_segment_covered, oracle_chords
@@ -32,7 +33,7 @@ def kept(pts, radii, tol):
     """The chords (i, j), i < j, the coverage graph keeps, checked against
     the exact oracle."""
     pts = np.asarray(pts, dtype=float)
-    got = [(int(i), int(j)) for i, j, _ in build_coverage_graph(pts, radii, tol=tol).edges]
+    got = [(int(i), int(j)) for i, j, _ in build_coverage_graph(pairwise_euclidean_matrix(pts), radii, tol=tol).edges]
     assert got == oracle_chords(pts, radii, tol)
     return got
 
@@ -41,21 +42,22 @@ def kept(pts, radii, tol):
 # A kept chord weighs its Euclidean length, read off the pairwise distances.
 
 def test_distance_345():
-    assert build_coverage_graph([[0.0, 0.0], [3.0, 4.0]], [5.0, 5.0]).edges.tolist() == [[0.0, 1.0, 5.0]]
+    graph = build_coverage_graph(pairwise_euclidean_matrix([[0.0, 0.0], [3.0, 4.0]]), [5.0, 5.0])
+    assert graph.edges.tolist() == [[0.0, 1.0, 5.0]]
 
 
 def test_distance_identical_points():
-    graph = build_coverage_graph([[1.5, -2.0, 7.0]] * 2, [0.0, 0.0], tol=0.0)
+    graph = build_coverage_graph(pairwise_euclidean_matrix([[1.5, -2.0, 7.0]] * 2), [0.0, 0.0], tol=0.0)
     assert graph.edges.tolist() == [[0.0, 1.0, 0.0]]
 
 
 def test_distance_one_dimensional():
-    assert build_coverage_graph([2.0, -1.0], [3.0, 3.0]).edges.tolist() == [[0.0, 1.0, 3.0]]
+    assert build_coverage_graph(pairwise_euclidean_matrix([2.0, -1.0]), [3.0, 3.0]).edges.tolist() == [[0.0, 1.0, 3.0]]
 
 
 def test_distance_dimension_mismatch():
     with pytest.raises(UsageError, match="point cloud"):
-        build_coverage_graph([[0.0, 0.0], [1.0, 2.0, 3.0]], [1.0, 1.0])
+        pairwise_euclidean_matrix([[0.0, 0.0], [1.0, 2.0, 3.0]])
 
 
 @given(st.integers(1, 4).flatmap(lambda d: st.tuples(coords(d), coords(d), coords(d))))
@@ -235,8 +237,8 @@ def test_covered_monotone_under_extra_balls():
         pts = rng.normal(size=(n + 1, p))
         radii = rng.uniform(0.05, 1.0, size=n + 1)
         tol = float(rng.choice([0.0, 1e-9, 1e-3]))
-        before = build_coverage_graph(pts[:n], radii[:n], tol=tol).edges[:, :2]
-        after = build_coverage_graph(pts, radii, tol=tol).edges[:, :2]
+        before = build_coverage_graph(pairwise_euclidean_matrix(pts[:n]), radii[:n], tol=tol).edges[:, :2]
+        after = build_coverage_graph(pairwise_euclidean_matrix(pts), radii, tol=tol).edges[:, :2]
         assert {tuple(e) for e in before.tolist()} <= {tuple(e) for e in after.tolist()}
 
 
@@ -247,7 +249,7 @@ def test_covered_chain_of_small_balls_along_segment():
     lam = np.linspace(0.0, 1.0, 200)
     pts = np.vstack([a, b, a + lam[:, None] * (b - a)])
     radii = np.concatenate([[0.0, 0.0], np.full(200, 0.02)])
-    graph = build_coverage_graph(pts, radii, tol=1e-9)
+    graph = build_coverage_graph(pairwise_euclidean_matrix(pts), radii, tol=1e-9)
     assert [0.0, 1.0] in graph.edges[:, :2].tolist()
     assert mc_segment_covered(a, b, pts, radii, tol=1e-9) is True
 
@@ -268,7 +270,7 @@ def test_covered_agrees_with_sampling_oracle():
         pts = np.vstack([a, b, centers])
         radii = np.concatenate([[0.0, 0.0], rng.uniform(0.05, 0.6, size=k)])
         tol = 1e-9 * float(np.linalg.norm(b - a))
-        got = [0.0, 1.0] in build_coverage_graph(pts, radii, tol=tol).edges[:, :2].tolist()
+        got = [0.0, 1.0] in build_coverage_graph(pairwise_euclidean_matrix(pts), radii, tol=tol).edges[:, :2].tolist()
         want = mc_segment_covered(a, b, pts, radii, tol=tol)
         agree += got == want
     assert agree == total

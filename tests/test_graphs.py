@@ -13,12 +13,12 @@ from curvemedian import (
     WeightedGraph,
     ball_radii,
     build_coverage_graph,
-    cloud_diameter,
     compute_emst,
     generate_shift_sample,
     generate_sim1,
     geodesic_pipeline,
     intrinsic_estimate,
+    pairwise_euclidean_matrix,
     pipeline_diagnostics,
     shortest_path_distances,
 )
@@ -54,7 +54,7 @@ def test_complete_graph_collinear():
 
 
 def test_complete_graph_single_point():
-    g = build_coverage_graph(np.array([[5.0, 5.0]]), [0.0])
+    g = build_coverage_graph(pairwise_euclidean_matrix(np.array([[5.0, 5.0]])), [0.0])
     assert g.n == 1 and g.edges.tolist() == []
 
 
@@ -62,7 +62,8 @@ def test_complete_graph_weights_match_independent_norms():
     # balls as wide as the cloud keep every chord
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(40, 3))
-    g = build_coverage_graph(pts, np.full(40, cloud_diameter(pts)))
+    dist = pairwise_euclidean_matrix(pts)
+    g = build_coverage_graph(dist, np.full(40, dist.max()))
     assert len(g.edges) == 40 * 39 // 2
     for i, j, w in _int_ends(g):
         assert w == pytest.approx(float(np.linalg.norm(pts[i] - pts[j])), rel=1e-12)
@@ -70,19 +71,19 @@ def test_complete_graph_weights_match_independent_norms():
 
 def test_complete_graph_rejects_empty():
     with pytest.raises(UsageError):
-        build_coverage_graph(np.empty((0, 2)), [])
+        build_coverage_graph(np.empty((0, 0)), [])
 
 
 # -------------------------------------------------------------------- EMST
 
 def test_emst_collinear_drops_longest_edge():
-    tree = compute_emst(np.array([[0.0], [1.0], [3.0]]))
+    tree = compute_emst(pairwise_euclidean_matrix(np.array([[0.0], [1.0], [3.0]])))
     assert tree.edges.tolist() == [[0, 1, 1.0], [1, 2, 2.0]]
 
 
 def test_emst_unit_square_ties_break_lexicographically():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    tree = compute_emst(pts)
+    tree = compute_emst(pairwise_euclidean_matrix(pts))
     assert [(i, j) for i, j, _ in tree.edges] == [(0, 1), (0, 3), (1, 2)]
     assert sum(w for _, _, w in tree.edges) == pytest.approx(3.0)
     assert min_spanning_weight_exhaustive(pts) == pytest.approx(3.0)
@@ -92,14 +93,14 @@ def test_emst_weight_matches_exhaustive_enumeration():
     rng = np.random.default_rng(11)
     for _ in range(10):
         pts = random_cloud(rng, n=int(rng.integers(2, 7)), p=2)
-        tree = compute_emst(pts)
+        tree = compute_emst(pairwise_euclidean_matrix(pts))
         got = sum(w for _, _, w in tree.edges)
         assert got == pytest.approx(min_spanning_weight_exhaustive(pts), rel=1e-12)
 
 
 def test_emst_empty_graph_rejected():
     with pytest.raises(UsageError):
-        compute_emst(np.empty((0, 2)))
+        compute_emst(np.empty((0, 0)))
 
 
 def test_emst_matches_sorted_kruskal_on_tied_clouds():
@@ -109,7 +110,7 @@ def test_emst_matches_sorted_kruskal_on_tied_clouds():
     for _ in range(20):
         pts = np.round(rng.normal(size=(int(rng.integers(2, 25)), 2)), 0)
         want = kruskal_tree(pts)
-        assert compute_emst(pts).edges.tolist() == want
+        assert compute_emst(pairwise_euclidean_matrix(pts)).edges.tolist() == want
         assert geodesic_pipeline(pts).tree.edges.tolist() == want
 
 
@@ -122,11 +123,11 @@ def test_emst_equals_kruskal_on_rounded_clouds_with_duplicates(coords):
     # half-integer coordinates: squared distances are exact, so equal
     # weights are true ties and only the (i, j) key can break them
     pts = np.array(coords, dtype=float) / 2.0
-    assert compute_emst(pts).edges.tolist() == kruskal_tree(pts)
+    assert compute_emst(pairwise_euclidean_matrix(pts)).edges.tolist() == kruskal_tree(pts)
 
 
 def test_emst_duplicate_points_zero_weight_edges():
-    tree = compute_emst(np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 1.0]]))
+    tree = compute_emst(pairwise_euclidean_matrix(np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 1.0]])))
     weights = sorted(w for _, _, w in tree.edges)
     assert weights == [0.0, 1.0]
 
@@ -134,12 +135,12 @@ def test_emst_duplicate_points_zero_weight_edges():
 # -------------------------------------------------------------- ball radii
 
 def test_ball_radii_collinear():
-    tree = compute_emst(np.array([[0.0], [1.0], [3.0]]))
+    tree = compute_emst(pairwise_euclidean_matrix(np.array([[0.0], [1.0], [3.0]])))
     assert ball_radii(tree).tolist() == [1.0, 2.0, 2.0]
 
 
 def test_ball_radii_two_points():
-    tree = compute_emst(np.array([[0.0], [5.0]]))
+    tree = compute_emst(pairwise_euclidean_matrix(np.array([[0.0], [5.0]])))
     assert ball_radii(tree).tolist() == [5.0, 5.0]
 
 
@@ -151,7 +152,7 @@ def test_ball_radii_single_vertex_rejected():
 def test_ball_radii_equal_max_incident_weight():
     rng = np.random.default_rng(5)
     pts = random_cloud(rng, n=20, p=3)
-    tree = compute_emst(pts)
+    tree = compute_emst(pairwise_euclidean_matrix(pts))
     radii = ball_radii(tree)
     for v in range(20):
         incident = [w for i, j, w in tree.edges if v in (i, j)]
@@ -161,16 +162,14 @@ def test_ball_radii_equal_max_incident_weight():
 # ---------------------------------------------------------- coverage graph
 
 def test_coverage_graph_collinear_long_chord_admitted():
-    pts = np.array([[0.0], [1.0], [3.0]])
-    tree = compute_emst(pts)
-    g = build_coverage_graph(pts, ball_radii(tree))
+    dist = pairwise_euclidean_matrix([[0.0], [1.0], [3.0]])
+    g = build_coverage_graph(dist, ball_radii(compute_emst(dist)))
     assert [(i, j) for i, j, _ in g.edges] == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_coverage_graph_collinear_far_point_still_admitted():
-    pts = np.array([[0.0], [1.0], [10.0]])
-    tree = compute_emst(pts)
-    g = build_coverage_graph(pts, ball_radii(tree))
+    dist = pairwise_euclidean_matrix([[0.0], [1.0], [10.0]])
+    g = build_coverage_graph(dist, ball_radii(compute_emst(dist)))
     assert [(i, j) for i, j, _ in g.edges] == [(0, 1), (0, 2), (1, 2)]
 
 
@@ -195,8 +194,9 @@ def test_coverage_graph_contains_tree_without_tree_hint():
     # ball i holds the whole chord to each tree neighbour of i, so no tree
     # edge can be rejected, whatever the tolerance and the scale
     for pts, tol in _tree_inputs():
-        tree = compute_emst(pts)
-        g = build_coverage_graph(pts, ball_radii(tree), tol=tol)
+        dist = pairwise_euclidean_matrix(pts)
+        tree = compute_emst(dist)
+        g = build_coverage_graph(dist, ball_radii(tree), tol=tol)
         kept = {(i, j): w for i, j, w in g.edges.tolist()}
         for i, j, w in tree.edges.tolist():
             assert kept.get((i, j)) == w, (len(pts), tol, i, j)
@@ -206,12 +206,13 @@ def test_tree_edges_covered_by_their_two_endpoint_balls():
     rng = np.random.default_rng(29)
     for _ in range(5):
         pts = random_cloud(rng)
-        tree = compute_emst(pts)
+        tree = compute_emst(pairwise_euclidean_matrix(pts))
         radii = ball_radii(tree)
         for i, j, _ in _int_ends(tree):
             # on two points the default tol is 1e-9 of the tree edge's length
             pair = [i, j]
-            assert build_coverage_graph(pts[pair], radii[pair]).edges[:, :2].tolist() == [[0, 1]]
+            graph = build_coverage_graph(pairwise_euclidean_matrix(pts[pair]), radii[pair])
+            assert graph.edges[:, :2].tolist() == [[0, 1]]
 
 
 def test_coverage_graph_edge_count_between_tree_and_complete():
@@ -231,7 +232,7 @@ def test_coverage_graph_chords_covered_on_criterion_2_miss(shift_instances):
     pts = panel.values
     assert pts.shape[0] == 15
     res = geodesic_pipeline(pts)
-    tol = 1e-9 * cloud_diameter(pts)
+    tol = 1e-9 * pairwise_euclidean_matrix(pts).max()
     radii = ball_radii(res.tree)
     assert len(res.graph.edges) > len(res.tree.edges)
     for i, j, _ in _int_ends(res.graph):
@@ -240,7 +241,7 @@ def test_coverage_graph_chords_covered_on_criterion_2_miss(shift_instances):
 
 def test_coverage_graph_radii_length_checked():
     with pytest.raises(UsageError):
-        build_coverage_graph(np.array([[0.0], [1.0]]), np.array([1.0]))
+        build_coverage_graph(pairwise_euclidean_matrix(np.array([[0.0], [1.0]])), np.array([1.0]))
 
 
 def _verdict_inputs():
@@ -263,7 +264,7 @@ def _kept(graph):
 def test_coverage_graph_keeps_exactly_the_chords_the_exact_oracle_accepts():
     for pts in _verdict_inputs():
         res = geodesic_pipeline(pts, cap=None)
-        tol = 1e-9 * cloud_diameter(pts)
+        tol = 1e-9 * pairwise_euclidean_matrix(pts).max()
         assert _kept(res.graph) == oracle_chords(pts, ball_radii(res.tree), tol)
 
 
@@ -296,7 +297,7 @@ def test_coverage_kernel_chunk_size_changes_nothing(monkeypatch, pts):
     for chunk in (1, 7 * n, 300 * n, _DEFAULT_CHUNK):
         monkeypatch.setattr(geometry, "_CHUNK", chunk)
         res = geodesic_pipeline(pts, cap=None)
-        bare = build_coverage_graph(pts, ball_radii(res.tree))
+        bare = build_coverage_graph(pairwise_euclidean_matrix(pts), ball_radii(res.tree))
         outputs.append((res.graph.edges.tobytes(), res.distances.tobytes(), bare.edges.tobytes()))
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
     assert max(chunks) > 300 and chunks.count(7) > 1 and chunks.count(300) > 1
@@ -319,14 +320,14 @@ def test_coverage_verdicts_with_tied_interval_starts(f):
     for shift in range(len(sizes)):
         for order in (np.roll(np.arange(6), shift), np.roll(np.arange(6)[::-1], shift)):
             pts, radii = np.vstack([ends, centres[order]]), np.concatenate([[0.0, 0.0], sizes[order]])
-            kept = _kept(build_coverage_graph(pts, radii, tol=tol))
+            kept = _kept(build_coverage_graph(pairwise_euclidean_matrix(pts), radii, tol=tol))
             assert kept == oracle_chords(pts, radii, tol)
             assert ((0, 1) in kept) == (f < 1)
     # the same chord between duplicated points: chords (0, 2), (0, 3), (1, 2)
     # and (1, 3) carry tied lo = 0 at one end and tied hi = 1 at the other
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.1]])
     radii = np.array([0.2, side, side, 0.1, 0.3])
-    kept = _kept(build_coverage_graph(pts, radii, tol=tol))
+    kept = _kept(build_coverage_graph(pairwise_euclidean_matrix(pts), radii, tol=tol))
     assert kept == oracle_chords(pts, radii, tol)
     spans = {(0, 2), (0, 3), (1, 2), (1, 3)}
     assert spans & set(kept) == (spans if f < 1 else set())
@@ -345,7 +346,7 @@ def test_coverage_graph_near_gap_chords_match_exact_oracle(f):
             pts = scale * np.array([[0.0, 0.0], [0.6, 0.8]])
             tol = rel_tol * scale
             radii = np.full(2, (scale - (2.0 + f) * tol) / 2.0)
-            graph = build_coverage_graph(pts, radii, tol=tol)
+            graph = build_coverage_graph(pairwise_euclidean_matrix(pts), radii, tol=tol)
             assert _kept(graph) == oracle_chords(pts, radii, tol) == ([(0, 1)] if f < 1 else [])
 
 
@@ -363,7 +364,7 @@ def test_coverage_graph_ball_tangent_at_midpoint(ulps):
             for _ in range(abs(ulps)):
                 middle = np.nextafter(middle, np.sign(ulps) * np.inf)
             radii = np.array([(1.0 - 2.5e-4) * scale - tol] * 2 + [middle])
-            kept = _kept(build_coverage_graph(pts, radii, tol=tol))
+            kept = _kept(build_coverage_graph(pairwise_euclidean_matrix(pts), radii, tol=tol))
             assert kept == oracle_chords(pts, radii, tol)
             assert ((0, 1) in kept) == (rel_tol > 0.0)
 
@@ -378,7 +379,7 @@ def test_coverage_graph_keeps_covered_chord_with_rounded_positive_clearance():
         [-2.809170188125269e-33, 2.8320597172730835e-33, -6.053728556202633e-34],
     ])
     radii = [3.880247312475002e-33, 3.880247312475002e-33, 1.6482530446618226e-35]
-    kept = _kept(build_coverage_graph(pts, radii, tol=0.0))
+    kept = _kept(build_coverage_graph(pairwise_euclidean_matrix(pts), radii, tol=0.0))
     assert (0, 1) in kept
     assert kept == oracle_chords(pts, radii, 0.0)
 
@@ -390,9 +391,10 @@ def test_coverage_graph_duplicates_and_zero_tolerance_match_exact_oracle():
     for _ in range(4):
         pts = np.round(rng.normal(size=(12, 2)), 1)
         pts = np.vstack([pts, pts[:4]])
-        radii = ball_radii(compute_emst(pts)) * rng.uniform(0.5, 1.5, len(pts))
-        for tol in (0.0, 1e-3 * cloud_diameter(pts)):
-            kept = _kept(build_coverage_graph(pts, radii, tol=tol))
+        dist = pairwise_euclidean_matrix(pts)
+        radii = ball_radii(compute_emst(dist)) * rng.uniform(0.5, 1.5, len(pts))
+        for tol in (0.0, 1e-3 * dist.max()):
+            kept = _kept(build_coverage_graph(dist, radii, tol=tol))
             assert kept == oracle_chords(pts, radii, tol)
             assert {(k, k + 12) for k in range(4)} <= set(kept)
 
@@ -407,9 +409,10 @@ def test_coverage_graph_matches_exact_oracle_under_scaled_radii(seed, kind, rel_
     # decision boundary, where the prefilter and the kernel must agree
     rng = np.random.default_rng(seed)
     pts = _cloud_of_kind(rng, seed, kind)
-    radii = ball_radii(compute_emst(pts)) * rng.uniform(0.5, 1.5, len(pts))
-    tol = (1e-9 if rel_tol is None else rel_tol) * cloud_diameter(pts)
-    graph = build_coverage_graph(pts, radii, tol=None if rel_tol is None else tol)
+    dist = pairwise_euclidean_matrix(pts)
+    radii = ball_radii(compute_emst(dist)) * rng.uniform(0.5, 1.5, len(pts))
+    tol = (1e-9 if rel_tol is None else rel_tol) * dist.max()
+    graph = build_coverage_graph(dist, radii, tol=None if rel_tol is None else tol)
     assert _kept(graph) == oracle_chords(pts, radii, tol)
 
 
@@ -436,11 +439,12 @@ def test_capped_coverage_keeps_the_uncapped_chords_within_the_cap(seed, kind, ca
     # each chord's verdict reads only its own intervals, so the cap removes
     # the longer chords and changes no other verdict; every tree edge passes
     pts = _cloud_of_kind(np.random.default_rng(seed), seed, kind)
-    tree = compute_emst(pts)
+    dist = pairwise_euclidean_matrix(pts)
+    tree = compute_emst(dist)
     radii = ball_radii(tree)
-    tol = 1e-9 * cloud_diameter(pts)
-    full = build_coverage_graph(pts, radii)
-    capped = build_coverage_graph(pts, radii, cap=cap)
+    tol = 1e-9 * dist.max()
+    full = build_coverage_graph(dist, radii)
+    capped = build_coverage_graph(dist, radii, cap=cap)
     within = [(i, j) for i, j, w in _int_ends(full) if w <= cap * max(radii[i], radii[j]) + tol]
     assert _kept(capped) == within
     assert {(i, j) for i, j, _ in _int_ends(tree)} <= set(within)
@@ -462,10 +466,11 @@ def test_chord_exactly_at_the_cap_is_kept(exponent):
     # the ties exact, as every coordinate is the scale times 0, +-1, 2 or 4
     scale = 10.0**exponent
     pts = scale * np.array([[-2.0], [0.0], [1.0], [2.0], [4.0]])
-    radii = ball_radii(compute_emst(pts))
+    dist = pairwise_euclidean_matrix(pts)
+    radii = ball_radii(compute_emst(dist))
     assert radii.tolist() == [2 * scale, 2 * scale, scale, 2 * scale, 2 * scale]
-    assert _kept(build_coverage_graph(pts, radii, tol=0.0)) == list(itertools.combinations(range(5), 2))
-    kept = _kept(build_coverage_graph(pts, radii, tol=0.0, cap=2.0))
+    assert _kept(build_coverage_graph(dist, radii, tol=0.0)) == list(itertools.combinations(range(5), 2))
+    kept = _kept(build_coverage_graph(dist, radii, tol=0.0, cap=2.0))
     assert kept == [pair for pair in itertools.combinations(range(5), 2) if pair != (0, 4)]
 
 
@@ -474,7 +479,7 @@ def test_chord_exactly_at_the_cap_is_kept(exponent):
 def test_bad_cap_is_usage_error(routine, cap):
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     call = {
-        "coverage": lambda: build_coverage_graph(pts, [1.0, 2.0, 2.0], cap=cap),
+        "coverage": lambda: build_coverage_graph(pairwise_euclidean_matrix(pts), [1.0, 2.0, 2.0], cap=cap),
         "pipeline": lambda: geodesic_pipeline(pts, cap=cap),
         "single_point": lambda: geodesic_pipeline(pts[:1], cap=cap),
         "diagnostics": lambda: pipeline_diagnostics(pts, geodesic_pipeline(pts), cap=cap),
@@ -519,7 +524,7 @@ def test_pipeline_invariant_under_motion_and_scale(seed, parabola, shift, expone
 def test_bad_tolerance_is_usage_error(routine, tol):
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     call = {
-        "coverage": lambda: build_coverage_graph(pts, [1.0, 2.0, 2.0], tol=tol),
+        "coverage": lambda: build_coverage_graph(pairwise_euclidean_matrix(pts), [1.0, 2.0, 2.0], tol=tol),
         "pipeline": lambda: geodesic_pipeline(pts, tol=tol),
         "single_point": lambda: geodesic_pipeline(pts[:1], tol=tol),
     }[routine]
@@ -531,7 +536,7 @@ def test_bad_tolerance_is_usage_error(routine, tol):
 def test_bad_radius_is_usage_error(radius):
     pts = np.array([[0.0], [1.0], [3.0]])
     with pytest.raises(UsageError, match="radi"):
-        build_coverage_graph(pts, [1.0, radius, 2.0])
+        build_coverage_graph(pairwise_euclidean_matrix(pts), [1.0, radius, 2.0])
 
 
 # ------------------------------------------------------------ shortest paths
@@ -627,7 +632,7 @@ def test_graph_routines_match_scipy_csgraph():
         dense = np.linalg.norm(pts[:, None] - pts[None, :], axis=2) + 1.0
         np.fill_diagonal(dense, np.inf)
         shifted = minimum_spanning_tree(csgraph_from_dense(dense, null_value=np.inf)).tocoo()
-        tree = compute_emst(pts)
+        tree = compute_emst(pairwise_euclidean_matrix(pts))
         assert len(tree.edges) == n - 1
         assert tree.edges[:, 2].sum() == pytest.approx(shifted.data.sum() - (n - 1), rel=1e-12)
         if not k % 2:
@@ -770,63 +775,55 @@ def test_pipeline_builds_one_distance_matrix(monkeypatch, cap):
     assert len(builds) == 1 and builds[0] is pts
     geodesic_pipeline(pts.tolist(), cap=cap)
     assert len(builds) == 2
-    # a float64 (n, p) array is the cloud itself, which is how the stages
-    # know the lent matrix
-    assert graphs._cloud(pts) is pts
 
 
-def test_stage_alone_or_given_an_equal_copy_builds_its_own_matrix(monkeypatch):
-    builds = _count_distance_builds(monkeypatch)
-    pts = generate_sim1(Sim1Config(n=30, noise_sd=0.1, seed=4))
-    want = geodesic_pipeline(pts)
-    assert len(builds) == 1
-    tree = compute_emst(pts)
-    graph = build_coverage_graph(pts, ball_radii(tree), cap=2.0)
-    assert len(builds) == 3
-    # inside the pipeline, a stage handed an equal array that is not the
-    # pipeline's own builds a matrix too, and the outputs do not change
-    emst, coverage = graphs.compute_emst, graphs.build_coverage_graph
-    monkeypatch.setattr(graphs, "compute_emst", lambda cloud: emst(cloud.copy()))
-    monkeypatch.setattr(graphs, "build_coverage_graph", lambda cloud, *a, **k: coverage(cloud.copy(), *a, **k))
-    got = geodesic_pipeline(pts)
-    assert len(builds) == 6
-    for a, b in ((want.tree, tree), (want.graph, graph), (got.tree, tree), (got.graph, graph)):
-        assert a.edges.tobytes() == b.edges.tobytes()
-    assert got.distances.tobytes() == want.distances.tobytes()
+@pytest.mark.parametrize("cap", [None, 2.0])
+def test_stages_fed_the_euclidean_matrix_by_hand_match_the_pipeline(cap):
+    for pts in _verdict_inputs():
+        want = geodesic_pipeline(pts, cap=cap)
+        dist = pairwise_euclidean_matrix(pts)
+        tree = compute_emst(dist)
+        graph = build_coverage_graph(dist, ball_radii(tree), cap=cap)
+        assert tree.edges.tobytes() == want.tree.edges.tobytes()
+        assert graph.edges.tobytes() == want.graph.edges.tobytes()
+        assert shortest_path_distances(graph).tobytes() == want.distances.tobytes()
+        # neither stage writes to the matrix it is given
+        assert dist.tobytes() == pairwise_euclidean_matrix(pts).tobytes()
 
 
-def test_lent_matrix_is_reset_after_a_stage_raises(monkeypatch):
-    builds = _count_distance_builds(monkeypatch)
-    pts = generate_sim1(Sim1Config(n=20, noise_sd=0.1, seed=5))
-
-    def failing(tree):
-        assert graphs._LENT.get()[0] is pts
-        raise RuntimeError("stage failed")
-
-    monkeypatch.setattr(graphs, "ball_radii", failing)
-    with pytest.raises(RuntimeError, match="stage failed"):
-        geodesic_pipeline(pts)
-    assert graphs._LENT.get() == (None, None)
-    compute_emst(pts)
-    assert len(builds) == 2
+def _spoiled(value, *cells):
+    """The distance matrix of three points with `value` written into `cells`."""
+    dist = pairwise_euclidean_matrix([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]])
+    for cell in cells:
+        dist[cell] = value
+    return dist
 
 
-def test_lent_matrix_stays_in_its_own_thread(monkeypatch):
-    import threading
+BAD_MATRICES = {
+    "ragged": [[0.0, 1.0], [1.0]],
+    "text": [["0", "x"], ["x", "0"]],
+    "1-D": np.zeros(3),
+    "3-D": np.zeros((3, 3, 3)),
+    "not square": np.zeros((3, 2)),
+    "empty": np.empty((0, 0)),
+    "nan entry": _spoiled(np.nan, (0, 1), (1, 0)),
+    "nan diagonal": _spoiled(np.nan, (2, 2)),
+    "infinite entry": _spoiled(np.inf, (0, 2), (2, 0)),
+    "negative entry": _spoiled(-1.0, (1, 2), (2, 1)),
+    "nonzero diagonal": _spoiled(1e-300, (1, 1)),
+    "asymmetric": _spoiled(np.nextafter(1.0, 2.0), (0, 1)),
+}
 
-    pts = generate_sim1(Sim1Config(n=20, noise_sd=0.1, seed=6))
-    seen, emst = [], graphs.compute_emst
 
-    def peeking(cloud):
-        thread = threading.Thread(target=lambda: seen.append(graphs._LENT.get()))
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        return emst(cloud)
-
-    monkeypatch.setattr(graphs, "compute_emst", peeking)
-    geodesic_pipeline(pts)
-    assert seen == [(None, None)]
+@pytest.mark.parametrize("stage", ["compute_emst", "build_coverage_graph"])
+@pytest.mark.parametrize("dist", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
+def test_bad_distance_matrix_is_usage_error(stage, dist):
+    call = {
+        "compute_emst": lambda: compute_emst(dist),
+        "build_coverage_graph": lambda: build_coverage_graph(dist, [1.0, 2.0, 2.0]),
+    }[stage]
+    with pytest.raises(UsageError, match="distance matrix"):
+        call()
 
 
 def test_pipeline_refuses_a_cloud_too_large_for_memory(monkeypatch):
@@ -847,4 +844,5 @@ def test_cloud_diameter_matches_complete_graph_max():
     rng = np.random.default_rng(43)
     pts = random_cloud(rng, n=20, p=4)
     euclid = [np.linalg.norm(pts[i] - pts[j]) for i in range(20) for j in range(i + 1, 20)]
-    assert cloud_diameter(pts) == pytest.approx(max(euclid), rel=1e-12)
+    diagnostics = pipeline_diagnostics(pts, geodesic_pipeline(pts))
+    assert diagnostics["diameter"] == pytest.approx(max(euclid), rel=1e-12)

@@ -14,6 +14,7 @@ from curvemedian import (
     compute_emst,
     extract_templates,
     fmt,
+    pairwise_euclidean_matrix,
     read_classifier_config,
     read_cloud,
     read_curve,
@@ -113,7 +114,7 @@ def test_matrix_round_trip(tmp_path):
 
 
 def test_edges_round_trip(tmp_path):
-    g = compute_emst(np.array([[0.0], [1.0], [3.0]]))
+    g = compute_emst(pairwise_euclidean_matrix(np.array([[0.0], [1.0], [3.0]])))
     path = tmp_path / "edges.csv"
     write_edges(path, g)
     back = read_edges(path, n=3)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,28 @@ def test_panel_rejects_bad_grid():
         CurvePanel(np.array([0.0, 0.0, 1.0]), np.zeros((1, 3)))
     with pytest.raises(UsageError):
         CurvePanel(np.array([1.0]), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([-1.797e308, 1.797e308], None),
+        ([1.797e308, -1.797e308], "strictly increasing"),
+        ([0.0, math.nan], "strictly increasing"),
+        ([math.inf, math.inf], "strictly increasing"),
+        ([-math.inf, math.inf], "non-finite"),
+    ],
+)
+def test_panel_grid_check_at_the_ends_of_the_float_range_warns_nothing(grid, message):
+    # the grid's neighbours are compared, never subtracted: their difference
+    # can overflow, or be inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            assert CurvePanel(np.array(grid), np.zeros((1, 2))).grid.tolist() == grid
+        else:
+            with pytest.raises(UsageError, match=message):
+                CurvePanel(np.array(grid), np.zeros((1, 2)))
 
 
 def test_panel_rejects_shape_mismatch():

@@ -70,7 +70,7 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
                     continue
                 assert a[stage]["wall_s_median"] > 0 and a[stage]["minflt_median"] >= 0
                 # one call each: the pipeline's one distance matrix too,
-                # lent to both stages that read it
+                # passed to both stages that read it
                 assert a[stage]["calls"] == 1
             # the kernel decides every kept edge, the n - 1 tree edges too
             assert n - 1 <= a["candidate_chords"] - a["kernel_rejected"] <= a["candidate_chords"]
@@ -129,10 +129,12 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
                 assert len(a[key]) == 64 and a[key] == b[key]
         assert report["summary"]["a"]["cli-import"][env]["modules"] == distances_modules
         assert report["summary"]["a"]["cli-distances-240"][env]["modules"] == distances_modules
-        for name in ("cli-template-240", "cli-simulate-240"):
-            assert report["summary"]["a"][name][env]["modules"] == sorted(
-                distances_modules + ["curvemedian.models", "curvemedian.stats"]
-            )
+        assert report["summary"]["a"]["cli-template-240"][env]["modules"] == sorted(
+            distances_modules + ["curvemedian.models", "curvemedian.stats"]
+        )
+        assert report["summary"]["a"]["cli-simulate-240"][env]["modules"] == sorted(
+            distances_modules + ["curvemedian.models"]
+        )
 
 
 def _bench_module():

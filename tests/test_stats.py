@@ -163,6 +163,19 @@ def test_pairwise_matrix_matches_norms():
             assert dm[i, j] == pytest.approx(float(np.linalg.norm(pts[i] - pts[j])), abs=1e-12)
 
 
+def test_pairwise_matrix_of_a_one_dimensional_cloud_is_the_pipelines(monkeypatch):
+    # a 1-D input is n points on a line, to the pipeline and here alike
+    from curvemedian import graphs
+
+    built, build = [], graphs._pairwise_distances
+    monkeypatch.setattr(graphs, "_pairwise_distances", lambda pts: built.append(build(pts)) or built[-1])
+    x = [3.0, -1.0, 0.5, 2.0, 0.5]
+    geodesic_pipeline(x)
+    dm = pairwise_euclidean_matrix(x)
+    assert len(built) == 1 and dm.tobytes() == built[0].tobytes()
+    assert dm.tobytes() == pairwise_euclidean_matrix(np.array(x)[:, None]).tobytes()
+
+
 def test_pairwise_matrix_rejects_non_finite():
     with pytest.raises(UsageError, match="non-finite"):
         pairwise_euclidean_matrix(np.array([[0.0, 1.0], [np.nan, 2.0]]))
