@@ -25,8 +25,7 @@ _EXPORTS = {
     ),
     "classify": (
         "TEMPLATE_METHODS", "ClassifierConfig", "ConfusionMatrix", "KnnClassifier",
-        "TemplateSet", "classify_nearest_template", "confusion_from_predictions", "evaluate",
-        "extract_templates", "knn_classify", "predict_labels",
+        "TemplateSet", "confusion_from_predictions", "evaluate", "extract_templates", "predict_labels",
     ),
     "errors": ("DataFormatError", "NumericError", "UsageError"),
     "graphs": (

@@ -73,7 +73,7 @@ def generate_benchmark(cfg: BenchmarkConfig) -> Tuple[CurvePanel, CurvePanel]:
     train_rows, train_labels = [], []
     test_rows, test_labels = [], []
     for cls in cfg.classes:
-        tgt = get_target(cls.target, grid)
+        tgt = get_target(cls.target)
         for count, rows, labels in (
             (cfg.n_train, train_rows, train_labels),
             (cfg.n_test, test_rows, test_labels),

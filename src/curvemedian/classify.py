@@ -27,8 +27,6 @@ __all__ = [
     "ClassifierConfig",
     "ConfusionMatrix",
     "extract_templates",
-    "classify_nearest_template",
-    "knn_classify",
     "predict_labels",
     "confusion_from_predictions",
     "evaluate",
@@ -65,7 +63,6 @@ _CONFIG_TYPES = {
     "alpha": (numbers.Real, "a number"),
     "k": (numbers.Integral, "an integer"),
     "truncate_at": ((numbers.Real, type(None)), "a number or null"),
-    "tol": ((numbers.Real, type(None)), "a number or null"),
     "cap": ((numbers.Real, type(None)), "a number or null"),
 }
 
@@ -78,7 +75,6 @@ class ClassifierConfig:
     alpha: float = 1.0
     k: int = 5
     truncate_at: Optional[float] = None
-    tol: Optional[float] = None
     cap: Optional[float] = DEFAULT_CAP
 
     def to_dict(self) -> dict:
@@ -127,7 +123,6 @@ def extract_templates(
     train: CurvePanel,
     method: str = "manifold",
     alpha: float = 1.0,
-    tol: Optional[float] = None,
     cap: Optional[float] = DEFAULT_CAP,
 ) -> TemplateSet:
     """Extract one template per class from a labeled training panel."""
@@ -146,7 +141,7 @@ def extract_templates(
             provenance.append(None)
             continue
         if method == "manifold":
-            result = geodesic_pipeline(members, tol=tol, cap=cap)
+            result = geodesic_pipeline(members, cap=cap)
             est = intrinsic_estimate(result.distances, alpha=alpha)
         else:  # medoid
             est = intrinsic_estimate(pairwise_euclidean_matrix(members), alpha=alpha)
@@ -218,35 +213,20 @@ def _predict(classifier, queries: np.ndarray, truncate_at: Optional[float]) -> L
     return [order[c] for c in votes.argmax(axis=1)]
 
 
-def classify_nearest_template(
-    templates: TemplateSet, query, truncate_at: Optional[float] = None
-) -> str:
-    """Label of the template nearest to the query in Euclidean distance.
-
-    With `truncate_at`, only grid points strictly before the cutoff enter
-    the comparison.  Exact ties resolve in template label order.
-    """
-    return _predict(templates, np.asarray(query, dtype=float)[None], truncate_at)[0]
-
-
-def knn_classify(
-    train: CurvePanel, query, k: int, truncate_at: Optional[float] = None
-) -> str:
-    """Majority label among the k Euclidean-nearest training curves.
-
-    Neighbor ties at equal distance take the smaller row index; vote ties
-    take the label earliest in sorted label order.
-    """
-    return _predict(KnnClassifier(train, k), np.asarray(query, dtype=float)[None], truncate_at)[0]
-
-
 def predict_labels(
     classifier: Union[TemplateSet, KnnClassifier],
     test: CurvePanel,
     truncate_at: Optional[float] = None,
 ) -> List[str]:
-    """One label per test row, with the tie rules of `classify_nearest_template`
-    and `knn_classify`, from one distance pass over the whole panel."""
+    """One label per test row, from one Euclidean distance pass over the panel.
+
+    A `TemplateSet` gives each row the label of its nearest template, exact
+    ties resolving in template label order.  A `KnnClassifier` gives the
+    majority label among the k nearest training curves: neighbour ties at
+    equal distance take the smaller row index, vote ties the label earliest
+    in sorted order.  With `truncate_at`, only grid points strictly before
+    the cutoff enter the comparison.
+    """
     return _predict(classifier, test.values, truncate_at)
 
 

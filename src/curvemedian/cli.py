@@ -24,7 +24,6 @@ from pathlib import Path
 
 from . import panel_io
 from .errors import DataFormatError, NumericError, UsageError
-from .geometry import _tolerance
 from .graphs import DEFAULT_CAP, _cap, geodesic_pipeline, pipeline_diagnostics
 
 # classify, models and stats are imported by the commands that run them, so
@@ -51,33 +50,16 @@ def cmd_simulate(args) -> int:
         sim1_truth,
     )
 
+    cfg = {"shift": ShiftConfig, "sim1": Sim1Config, "sim2": Sim2Config}[args.model]()
+    for field in fields(cfg):  # a flag left out leaves the model's default
+        if hasattr(args, field.name):
+            setattr(cfg, field.name, getattr(args, field.name))
     if args.model == "sim1":
-        cloud = generate_sim1(Sim1Config(n=args.n, noise_sd=args.noise_sd, seed=args.seed))
-        writes = [(panel_io.write_cloud, cloud), (panel_io.write_cloud, sim1_truth(args.n))]
+        writes = [(panel_io.write_cloud, generate_sim1(cfg)), (panel_io.write_cloud, sim1_truth(cfg.n))]
     elif args.model == "shift":
-        shift_range = tuple(args.shift_range) if args.shift_range else (-2.0, 2.0)
-        cfg = ShiftConfig(
-            target=args.target,
-            n=args.n,
-            m=args.m,
-            t_range=tuple(args.t_range),
-            shift_range=shift_range,
-            seed=args.seed,
-        )
         panel = generate_shift_sample(cfg)
         writes = [(panel_io.write_panel, panel), (panel_io.write_shifts, panel.shifts)]
     else:  # sim2
-        shift_range = tuple(args.shift_range) if args.shift_range else (-10.0, 10.0)
-        cfg = Sim2Config(
-            target=args.target,
-            n=args.n,
-            m=args.m,
-            t_range=tuple(args.t_range),
-            amp_range=tuple(args.amp_range),
-            scale_range=tuple(args.scale_range),
-            shift_range=shift_range,
-            seed=args.seed,
-        )
         panel = generate_sim2(cfg)
         writes = [(panel_io.write_panel, panel), (panel_io.write_warp_params, panel.warp_params)]
     # only a run that generated its data makes the output directory
@@ -88,7 +70,7 @@ def cmd_simulate(args) -> int:
     for (write, data), path in zip(writes, (data_path, truth_path)):
         write(path, data)
     print(f"model: {args.model}")
-    print(f"seed: {args.seed}")
+    print(f"seed: {cfg.seed}")
     print(f"wrote {data_path} and {truth_path}")
     return 0
 
@@ -97,8 +79,8 @@ def cmd_distances(args) -> int:
     kind, points = panel_io.read_points_auto(args.input)
     if kind == "panel":
         points = points.values
-    result = geodesic_pipeline(points, tol=args.tol, cap=args.cap)
-    diag = pipeline_diagnostics(points, result, tol=args.tol, cap=args.cap)
+    result = geodesic_pipeline(points, cap=args.cap)
+    diag = pipeline_diagnostics(points, result, cap=args.cap)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     panel_io.write_edges(outdir / "graph.emst.csv", result.tree)
@@ -118,7 +100,7 @@ def cmd_template(args) -> int:
 
     _alpha(args.alpha)
     panel = panel_io.read_panel(args.input)
-    result = geodesic_pipeline(panel.values, tol=args.tol, cap=args.cap)
+    result = geodesic_pipeline(panel.values, cap=args.cap)
     est = intrinsic_estimate(result.distances, alpha=args.alpha)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -154,8 +136,6 @@ def cmd_classify(args) -> int:
         raise UsageError(f"k must be >= 1, got {cfg.k}")
     _alpha(cfg.alpha)
     _cap(cfg.cap)
-    if cfg.tol is not None:
-        _tolerance(cfg.tol)
 
     train = panel_io.read_panel(args.train)
     test = panel_io.read_panel(args.test)
@@ -163,7 +143,7 @@ def cmd_classify(args) -> int:
         classifier = KnnClassifier(train=train, k=cfg.k)
         order = sorted(set(train.labels or []))
     else:
-        classifier = extract_templates(train, method=cfg.method, alpha=cfg.alpha, tol=cfg.tol, cap=cfg.cap)
+        classifier = extract_templates(train, method=cfg.method, alpha=cfg.alpha, cap=cfg.cap)
         order = classifier.labels
     if test.labels is None:
         raise UsageError("test panel carries no class labels")
@@ -201,23 +181,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="draw a panel or point cloud from a bundled model")
+    # defaults are the model configs' own: a flag left out leaves no attribute
+    p = sub.add_parser(
+        "simulate", help="draw a panel or point cloud from a bundled model", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--model", required=True, choices=["shift", "sim1", "sim2"])
     p.add_argument("--n", type=int, required=True, help="number of curves/points")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output path prefix (gets .csv and .truth.csv)")
-    p.add_argument("--target", default="tsin", help="target function name")
-    p.add_argument("--m", type=int, default=100, help="grid size (shift/sim2)")
-    p.add_argument("--t-range", nargs=2, type=float, default=[-10.0, 10.0], metavar=("LO", "HI"))
-    p.add_argument("--shift-range", nargs=2, type=float, default=None, metavar=("LO", "HI"))
-    p.add_argument("--amp-range", nargs=2, type=float, default=[-10.0, 10.0], metavar=("LO", "HI"))
-    p.add_argument("--scale-range", nargs=2, type=float, default=[-1.0, 1.0], metavar=("LO", "HI"))
-    p.add_argument("--noise-sd", type=float, default=0.1, help="sim1 coordinate noise (0: exact parabola)")
+    p.add_argument("--target", help="target function name")
+    p.add_argument("--m", type=int, help="grid size (shift/sim2)")
+    p.add_argument("--t-range", nargs=2, type=float, metavar=("LO", "HI"))
+    p.add_argument("--shift-range", nargs=2, type=float, metavar=("LO", "HI"))
+    p.add_argument("--amp-range", nargs=2, type=float, metavar=("LO", "HI"))
+    p.add_argument("--scale-range", nargs=2, type=float, metavar=("LO", "HI"))
+    p.add_argument("--noise-sd", type=float, help="sim1 coordinate noise (0: exact parabola)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("distances", help="estimate geodesic distances over points or curves")
     p.add_argument("--input", required=True, help="panel or cloud CSV")
-    p.add_argument("--tol", type=float, default=None, help="coverage tolerance (default 1e-9 x diameter)")
     p.add_argument("--cap", type=_cap_option, default=DEFAULT_CAP, help=_CAP_HELP)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_distances)
@@ -225,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("template", help="select the representative curve of a panel")
     p.add_argument("--input", required=True, help="panel CSV")
     p.add_argument("--alpha", type=float, default=1.0, help="objective exponent, positive and finite")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--cap", type=_cap_option, default=DEFAULT_CAP, help=_CAP_HELP)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_template)
@@ -238,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--k", type=int, help="neighbors for knn")
     p.add_argument("--truncate-at", type=float, help="keep grid points with t < cutoff")
-    p.add_argument("--tol", type=float)
     p.add_argument("--cap", type=_cap_option, help=_CAP_HELP)
     p.add_argument("--config", default=None, help="classifier config JSON")
     p.add_argument("--outdir", required=True)

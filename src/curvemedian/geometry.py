@@ -14,6 +14,7 @@ always covered by the balls around its own two endpoints.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 
@@ -40,8 +41,12 @@ _DIST_BLOCK = 1 << 16
 # at n=1200.  With n >= 2 balls a chunk holds at most _CHUNK // 2 chords: rows fit uint16
 _CHUNK = 1 << 16
 
-# default coverage tolerance, as a fraction of the cloud diameter
+# coverage tolerance, as a fraction of the cloud diameter
 _REL_TOL = 1e-9
+
+# cloud extents whose squared coordinate differences `_pairwise_distances`
+# takes as they are; it rescales the differences of any other cloud
+_MIN_EXTENT, _MAX_EXTENT = 2.0**-400, 2.0**400
 
 # n x n float64 matrices live at the peak of `graphs.geodesic_pipeline`,
 # inside `build_coverage_graph`: the pipeline's one distance matrix, passed
@@ -92,8 +97,13 @@ def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
     columns [start, stop), so only the upper triangle and the blocks'
     diagonal squares are computed.  Entry (i, j) is the same einsum over the
     same contiguous coordinates whatever the blocking, so the result is
-    exactly symmetric with a zero diagonal.  Refuses, before allocating, a
-    cloud whose pipeline arrays would not fit in physical memory.
+    exactly symmetric with a zero diagonal.  A cloud whose extent (largest
+    coordinate range) lies outside [2^-400, 2^400] has its differences
+    multiplied by a power of two that brings the extent into [1/2, 1), and
+    its roots divided by it: exact, so that the squares neither underflow
+    nor overflow and scaling the cloud by a power of two scales the matrix
+    bit for bit.  Refuses, before allocating, a cloud whose pipeline arrays
+    would not fit in physical memory.
     """
     n, p = pts.shape
     need, have = _PEAK_MATRICES * 8.0 * n * n, _physical_memory()
@@ -105,14 +115,21 @@ def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
     dist = np.zeros((n, n))
     most = -(-n // 2)  # no block spans the whole square
     start = 0
-    while start < n - 1:
-        rows = min(most, max(1, _DIST_BLOCK // max(1, (n - start) * p)))
-        stop = min(n, start + rows)
-        diff = pts[start:stop, None, :] - pts[None, start:, :]
-        block = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        dist[start:stop, start:] = block
-        dist[start:, start:stop] = block.T
-        start = stop
+    with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
+        extent = float(np.ptp(pts, axis=0).max())
+        e = 0 if _MIN_EXTENT <= extent <= _MAX_EXTENT else math.frexp(extent)[1]
+        while start < n - 1:
+            rows = min(most, max(1, _DIST_BLOCK // max(1, (n - start) * p)))
+            stop = min(n, start + rows)
+            diff = pts[start:stop, None, :] - pts[None, start:, :]
+            if e:
+                np.ldexp(diff, -e, out=diff)
+            block = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            if e:
+                np.ldexp(block, e, out=block)
+            dist[start:stop, start:] = block
+            dist[start:, start:stop] = block.T
+            start = stop
     if not np.isfinite(dist.max()):  # a reduction, where isfinite(dist) would allocate n x n
         raise NumericError("pairwise distances overflow float64; rescale the points")
     return dist

@@ -184,10 +184,16 @@ def build_coverage_graph(distances, radii, tol: Optional[float] = None, cap: Opt
     diameter = float(dist.max())
     tol = _REL_TOL * diameter if tol is None else _tolerance(tol)
     unit = diameter if diameter > 0.0 else 1.0
-    r = (radii + tol) / unit
+    # in units of the diameter a radius or gap allowance past 2 holds every
+    # chord; over a tiny diameter a radius may overflow to inf, which the
+    # kernel caps at 2, and the allowance is clipped at 2, as an infinite
+    # one times a zero-length chord would make NaN
+    with np.errstate(over="ignore"):
+        r = (radii + tol) / unit
+    allowance = min(tol / unit, 2.0)
     if cap is None:
         sq = (dist / unit) ** 2
-        candidate = ~_midpoint_far(sq, r, tol / unit)
+        candidate = ~_midpoint_far(sq, r, allowance)
     else:  # masked before the squares exist, which keeps them out of the peak
         candidate = dist <= cap * np.maximum.outer(radii, radii) + tol
         sq = (dist / unit) ** 2
@@ -195,7 +201,7 @@ def build_coverage_graph(distances, radii, tol: Optional[float] = None, cap: Opt
     # the n x n mask is freed before the kernel runs
     i, j = np.nonzero(np.triu(candidate, 1))
     del candidate
-    kept = _covered(sq[i, j], sq, i, j, r, tol / unit)
+    kept = _covered(sq[i, j], sq, i, j, r, allowance)
     del sq  # freed before the edge array is built
     i, j = i[kept], j[kept]
     return WeightedGraph(n, np.column_stack((i, j, dist[i, j])))
@@ -247,34 +253,33 @@ def shortest_path_distances(graph: WeightedGraph) -> np.ndarray:
     return dist
 
 
-def geodesic_pipeline(cloud, tol: Optional[float] = None, cap: Optional[float] = DEFAULT_CAP) -> GeodesicResult:
+def geodesic_pipeline(cloud, cap: Optional[float] = DEFAULT_CAP) -> GeodesicResult:
     """Full estimation chain: spanning tree, ball radii, coverage graph (chords
-    capped by `cap`; None is the paper's rule), then all-pairs shortest paths.
+    capped by `cap`; None is the paper's rule; tolerance 1e-9 times the cloud
+    diameter), then all-pairs shortest paths.
 
     The tree and coverage stages share one distance matrix, built here.  A
     single point short-circuits to an empty tree and a 1x1 zero matrix.
     """
     pts = _cloud(cloud)
-    tol, cap = None if tol is None else _tolerance(tol), _cap(cap)
+    cap = _cap(cap)
     if pts.shape[0] == 1:
         return GeodesicResult(WeightedGraph(1, []), WeightedGraph(1, []), np.zeros((1, 1)))
     dist = _pairwise_distances(pts)
     tree = compute_emst(dist)
-    graph = build_coverage_graph(dist, ball_radii(tree), tol=tol, cap=cap)
+    graph = build_coverage_graph(dist, ball_radii(tree), cap=cap)
     del dist  # freed before shortest paths
     return GeodesicResult(tree, graph, shortest_path_distances(graph))
 
 
-def pipeline_diagnostics(cloud, result: GeodesicResult, tol: Optional[float] = None, cap=DEFAULT_CAP) -> dict:
-    """Plain-dict health report for a pipeline run made with this `tol` and `cap`."""
+def pipeline_diagnostics(cloud, result: GeodesicResult, cap=DEFAULT_CAP) -> dict:
+    """Plain-dict health report for a pipeline run made with this `cap`."""
     pts = _cloud(cloud)
     n = pts.shape[0]
     diameter = float(_pairwise_distances(pts).max())
     max_radius = float(ball_radii(result.tree).max()) if n >= 2 else 0.0
     n_tree = len(result.tree.edges)
     n_graph = len(result.graph.edges)
-    if tol is None:
-        tol = _REL_TOL * diameter
     return {
         "n": n,
         "dimension": int(pts.shape[1]),
@@ -285,6 +290,6 @@ def pipeline_diagnostics(cloud, result: GeodesicResult, tol: Optional[float] = N
         "max_radius": max_radius,
         "diameter": diameter,
         "max_radius_over_diameter": (max_radius / diameter) if diameter > 0 else 0.0,
-        "tol": float(tol),
+        "tol": _REL_TOL * diameter,
         "cap": _cap(cap),
     }

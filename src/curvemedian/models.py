@@ -79,11 +79,11 @@ TARGETS: Dict[str, TargetFunction] = {
 }
 
 
-def get_target(target, grid=None) -> TargetFunction:
-    """Resolve a registry name, pass a TargetFunction through, or wrap a callable.
+def get_target(target) -> TargetFunction:
+    """Resolve a registry name, or pass a TargetFunction through.
 
-    Bare callables get a central-difference derivative with step
-    h = 1e-5 * (grid range); they must accept numpy arrays.
+    A custom curve is a `TargetFunction`, which carries its own derivative;
+    anything else, a bare callable included, is refused.
     """
     if isinstance(target, TargetFunction):
         return target
@@ -94,19 +94,6 @@ def get_target(target, grid=None) -> TargetFunction:
             raise UsageError(
                 f"unknown target function {target!r}; known: {sorted(TARGETS)}"
             ) from None
-    if callable(target):
-        span = 1.0
-        if grid is not None:
-            g = np.asarray(grid, dtype=float)
-            if g.size >= 2:
-                span = float(g[-1] - g[0])
-        h = 1e-5 * abs(span)
-
-        def derivative(t, _f=target, _h=h):
-            t = np.asarray(t, dtype=float)
-            return (_f(t + _h) - _f(t - _h)) / (2.0 * _h)
-
-        return TargetFunction(getattr(target, "__name__", "custom"), target, derivative)
     raise UsageError(f"cannot interpret {target!r} as a target function")
 
 
@@ -177,7 +164,7 @@ class ShiftConfig:
     Explicit `shifts` override the law (and make `n`/`seed` irrelevant).
     """
 
-    target: Union[str, TargetFunction, Callable] = "tsin"
+    target: Union[str, TargetFunction] = "tsin"
     n: int = 51
     m: int = 100
     t_range: Tuple[float, float] = (-10.0, 10.0)
@@ -200,19 +187,16 @@ class Sim2Config:
     """Three-parameter warp model: rows A_i * f(B_i * t_j - C_i).
 
     Amplitudes and shifts are uniform on [-10, 10], time scales uniform on
-    [-1, 1] by default; explicit arrays override the laws.
+    [-1, 1] by default.
     """
 
-    target: Union[str, TargetFunction, Callable] = "tsin"
+    target: Union[str, TargetFunction] = "tsin"
     n: int = 100
     m: int = 100
     t_range: Tuple[float, float] = (-10.0, 10.0)
     amp_range: Tuple[float, float] = (-10.0, 10.0)
     scale_range: Tuple[float, float] = (-1.0, 1.0)
     shift_range: Tuple[float, float] = (-10.0, 10.0)
-    amplitudes: Optional[Sequence[float]] = None
-    scales: Optional[Sequence[float]] = None
-    shifts: Optional[Sequence[float]] = None
     seed: int = 0
 
 
@@ -281,18 +265,10 @@ def generate_sim2(cfg: Sim2Config) -> CurvePanel:
         raise UsageError(f"n must be >= 1, got {cfg.n}")
     rng = np.random.default_rng(cfg.seed)
 
-    def draw(explicit, rng_range, name):
-        if explicit is not None:
-            arr = np.asarray(explicit, dtype=float)
-            if arr.shape != (cfg.n,):
-                raise UsageError(f"explicit {name} must have length n={cfg.n}")
-            return arr
-        lo, hi = _check_range(name, rng_range)
-        return rng.uniform(lo, hi, cfg.n)
+    def draw(name):
+        return rng.uniform(*_check_range(name, getattr(cfg, name)), cfg.n)
 
-    amp = draw(cfg.amplitudes, cfg.amp_range, "amp_range")
-    scale = draw(cfg.scales, cfg.scale_range, "scale_range")
-    shift = draw(cfg.shifts, cfg.shift_range, "shift_range")
+    amp, scale, shift = draw("amp_range"), draw("scale_range"), draw("shift_range")
     args = scale[:, None] * grid[None, :] - shift[:, None]
     values = amp[:, None] * np.asarray(target.f(args), dtype=float)
     _finite_or_raise(values, args, f"target {target.name!r}")
@@ -304,31 +280,32 @@ def generate_sim2(cfg: Sim2Config) -> CurvePanel:
     )
 
 
+# exact_shift_geodesic's quadrature: relative agreement of two successive
+# estimates, and the most subintervals it tries
+_QUAD_REL_TOL = 1e-8
+_QUAD_MAX_INTERVALS = 2**20
+
+
 def _simpson(values: np.ndarray, h: float) -> float:
     return float(h / 3.0 * (values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()))
 
 
-def exact_shift_geodesic(
-    target,
-    grid,
-    a1: float,
-    a2: float,
-    rel_tol: float = 1e-8,
-    max_intervals: int = 2**20,
-) -> float:
+def exact_shift_geodesic(target, grid, a1: float, a2: float) -> float:
     """Exact geodesic distance between shift-model curves at shifts a1 and a2.
 
     The shift-model curves form a path a -> (f(t_1 - a), ..., f(t_m - a)) in
     R^m whose speed is the Euclidean norm of the componentwise derivative;
-    the distance is the arc length between the two shifts.  Composite
-    Simpson quadrature, halving the step until two successive estimates
-    agree to `rel_tol` relative; failing to converge within `max_intervals`
-    subintervals raises NumericError reporting the tolerance reached.
+    the distance is the arc length between the two shifts.  `target` is a
+    registry name or a `TargetFunction`, whose own derivative gives the
+    speed.  Composite Simpson quadrature, halving the step until two
+    successive estimates agree to `_QUAD_REL_TOL` relative; failing to
+    converge within `_QUAD_MAX_INTERVALS` subintervals raises NumericError
+    reporting the tolerance reached.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 1:
         raise UsageError("grid must be a nonempty 1-D array")
-    tgt = get_target(target, g)
+    tgt = get_target(target)
     a1, a2 = float(a1), float(a2)
     if not (np.isfinite(a1) and np.isfinite(a2)):
         raise UsageError("shifts must be finite")
@@ -344,20 +321,20 @@ def exact_shift_geodesic(
 
     n_iv = 2
     prev = _simpson(speed(np.linspace(lo, hi, n_iv + 1)), (hi - lo) / n_iv)
-    while n_iv < max_intervals:
+    while n_iv < _QUAD_MAX_INTERVALS:
         n_iv *= 2
         cur = _simpson(speed(np.linspace(lo, hi, n_iv + 1)), (hi - lo) / n_iv)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-30):
+        if abs(cur - prev) <= _QUAD_REL_TOL * max(abs(cur), 1e-30):
             return abs(cur)
         prev = cur
     achieved = abs(cur - prev) / max(abs(cur), 1e-30)
     raise NumericError(
-        f"quadrature did not converge below relative tolerance {rel_tol:g}: "
+        f"quadrature did not converge below relative tolerance {_QUAD_REL_TOL:g}: "
         f"reached {achieved:.3e} after {n_iv} subintervals"
     )
 
 
-def exact_geodesic_matrix(target, grid, shifts, rel_tol: float = 1e-8) -> np.ndarray:
+def exact_geodesic_matrix(target, grid, shifts) -> np.ndarray:
     """Pairwise exact geodesic distances for a set of shifts.
 
     The path is one-dimensional, so arc length is additive along sorted
@@ -369,10 +346,7 @@ def exact_geodesic_matrix(target, grid, shifts, rel_tol: float = 1e-8) -> np.nda
         raise UsageError("shifts must be a nonempty 1-D array")
     order = np.argsort(s, kind="stable")
     srt = s[order]
-    gaps = [
-        exact_shift_geodesic(target, grid, srt[k], srt[k + 1], rel_tol=rel_tol)
-        for k in range(s.size - 1)
-    ]
+    gaps = [exact_shift_geodesic(target, grid, srt[k], srt[k + 1]) for k in range(s.size - 1)]
     pos = np.concatenate([[0.0], np.cumsum(gaps)])
     dm_sorted = np.abs(pos[:, None] - pos[None, :])
     dm = np.empty_like(dm_sorted)
@@ -392,7 +366,7 @@ def structural_median_oracle(panel: CurvePanel, target=None) -> np.ndarray:
     """
     if panel.shifts is None:
         raise UsageError("panel carries no ground-truth shifts")
-    tgt = get_target(target if target is not None else panel.target, panel.grid)
+    tgt = get_target(target if target is not None else panel.target)
     med = _lower_median(panel.shifts)
     return np.asarray(tgt.f(panel.grid - med), dtype=float)
 
@@ -409,6 +383,6 @@ def intrinsic_median_exact(panel: CurvePanel, target=None) -> IntrinsicEstimate:
         raise UsageError("panel carries no ground-truth shifts")
     if panel.n == 1:
         return IntrinsicEstimate(index=0, objective=0.0, alpha=1.0)
-    tgt = get_target(target if target is not None else panel.target, panel.grid)
+    tgt = get_target(target if target is not None else panel.target)
     dm = exact_geodesic_matrix(tgt, panel.grid, panel.shifts)
     return intrinsic_estimate(dm, alpha=1.0)

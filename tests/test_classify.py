@@ -10,13 +10,11 @@ from curvemedian import (
     ShiftConfig,
     TemplateSet,
     UsageError,
-    classify_nearest_template,
     confusion_from_predictions,
     evaluate,
     extract_templates,
     generate_shift_sample,
     intrinsic_median_exact,
-    knn_classify,
     predict_labels,
 )
 from curvemedian import classify
@@ -28,6 +26,16 @@ GRID = np.array([0.0, 1.0, 2.0, 3.0])
 
 def panel(values, labels):
     return CurvePanel(GRID, np.asarray(values, dtype=float), labels=labels)
+
+
+def nearest(templates, query, truncate_at=None):
+    """The label `predict_labels` gives a one-row panel holding the query, on
+    the first len(query) points of GRID."""
+    return predict_labels(templates, CurvePanel(GRID[: len(query)], [query]), truncate_at)[0]
+
+
+def knn(train, query, k, truncate_at=None):
+    return nearest(KnnClassifier(train, k), query, truncate_at)
 
 
 def two_class_shift_panel(n_per_class=7, seed=0):
@@ -109,15 +117,15 @@ def test_extract_templates_unknown_method():
 def test_exact_query_returns_its_template_label():
     train = panel([[0.0] * 4, [10.0] * 4], ["lo", "hi"])
     ts = extract_templates(train, "medoid")
-    assert classify_nearest_template(ts, [0.0, 0.0, 0.0, 0.0]) == "lo"
-    assert classify_nearest_template(ts, [10.0, 10.0, 10.0, 10.0]) == "hi"
+    assert nearest(ts, [0.0, 0.0, 0.0, 0.0]) == "lo"
+    assert nearest(ts, [10.0, 10.0, 10.0, 10.0]) == "hi"
 
 
 def test_template_tie_resolves_in_label_order():
     train = panel([[0.0] * 4, [2.0] * 4], ["q", "b"])
     ts = extract_templates(train, "medoid")
     # query equidistant from both templates
-    assert classify_nearest_template(ts, [1.0, 1.0, 1.0, 1.0]) == "b"
+    assert nearest(ts, [1.0, 1.0, 1.0, 1.0]) == "b"
 
 
 def test_truncation_ignores_late_grid_points():
@@ -125,9 +133,9 @@ def test_truncation_ignores_late_grid_points():
     train = panel([[0.0, 0.0, 50.0, 50.0], [0.0, 0.0, -50.0, -50.0]], ["up", "down"])
     ts = extract_templates(train, "medoid")
     query = [0.0, 0.0, 49.0, 49.0]
-    assert classify_nearest_template(ts, query) == "up"
+    assert nearest(ts, query) == "up"
     # with only the flat prefix left the tie falls back to label order
-    assert classify_nearest_template(ts, query, truncate_at=2.0) == "down"
+    assert nearest(ts, query, truncate_at=2.0) == "down"
 
 
 def test_truncation_cutoff_is_strict():
@@ -135,58 +143,58 @@ def test_truncation_cutoff_is_strict():
     ts = extract_templates(train, "medoid")
     query = [0.0, 0.0, 0.0, 8.0]
     # grid point t=3 dropped by truncate_at=3 -> pure tie -> label order
-    assert classify_nearest_template(ts, query, truncate_at=3.0) == "neg"
-    assert classify_nearest_template(ts, query, truncate_at=3.5) == "pos"
+    assert nearest(ts, query, truncate_at=3.0) == "neg"
+    assert nearest(ts, query, truncate_at=3.5) == "pos"
 
 
 def test_truncation_removing_all_points_rejected():
     train = panel([[0.0] * 4], ["x"])
     ts = extract_templates(train, "medoid")
     with pytest.raises(UsageError):
-        classify_nearest_template(ts, [0.0] * 4, truncate_at=-1.0)
+        nearest(ts, [0.0] * 4, truncate_at=-1.0)
 
 
 def test_query_length_checked():
     ts = extract_templates(panel([[0.0] * 4], ["x"]), "medoid")
     with pytest.raises(UsageError):
-        classify_nearest_template(ts, [0.0, 1.0])
+        nearest(ts, [0.0, 1.0])
 
 
 # --------------------------------------------------------------------- knn
 
 def test_knn_k1_copies_nearest_neighbor_label():
     train = panel([[0.0] * 4, [10.0] * 4], ["lo", "hi"])
-    assert knn_classify(train, [1.0] * 4, k=1) == "lo"
-    assert knn_classify(train, [9.0] * 4, k=1) == "hi"
+    assert knn(train, [1.0] * 4, k=1) == "lo"
+    assert knn(train, [9.0] * 4, k=1) == "hi"
 
 
 def test_knn_k_equals_n_votes_by_majority():
     train = panel([[0.0] * 4, [1.0] * 4, [10.0] * 4], ["a", "a", "b"])
-    assert knn_classify(train, [10.0] * 4, k=3) == "a"
+    assert knn(train, [10.0] * 4, k=3) == "a"
 
 
 def test_knn_k3_mixed_neighborhood():
     train = panel([[0.0] * 4, [2.0] * 4, [3.0] * 4, [50.0] * 4], ["a", "b", "b", "a"])
-    assert knn_classify(train, [2.5] * 4, k=3) == "b"
+    assert knn(train, [2.5] * 4, k=3) == "b"
 
 
 def test_knn_vote_tie_takes_sorted_label_order():
     train = panel([[0.0] * 4, [4.0] * 4], ["z", "c"])
-    assert knn_classify(train, [2.0] * 4, k=2) == "c"
+    assert knn(train, [2.0] * 4, k=2) == "c"
 
 
 def test_knn_neighbor_tie_takes_smaller_row():
     train = panel([[0.0] * 4, [4.0] * 4, [4.0] * 4], ["a", "b", "c"])
     # rows 1 and 2 both at distance 0 from the query; k=1 must take row 1
-    assert knn_classify(train, [4.0] * 4, k=1) == "b"
+    assert knn(train, [4.0] * 4, k=1) == "b"
 
 
 def test_knn_k_out_of_range():
     train = panel([[0.0] * 4], ["x"])
     with pytest.raises(UsageError):
-        knn_classify(train, [0.0] * 4, k=0)
+        knn(train, [0.0] * 4, k=0)
     with pytest.raises(UsageError):
-        knn_classify(train, [0.0] * 4, k=2)
+        knn(train, [0.0] * 4, k=2)
 
 
 @pytest.mark.parametrize("k", [2.5, True])
@@ -194,7 +202,7 @@ def test_knn_non_integer_k_is_usage_error(k):
     # a float would reach numpy as a slice bound, and True would count as 1
     train = panel([[0.0] * 4, [1.0] * 4, [10.0] * 4], ["a", "a", "b"])
     with pytest.raises(UsageError, match="integer"):
-        knn_classify(train, [0.0] * 4, k=k)
+        knn(train, [0.0] * 4, k=k)
 
 
 def test_knn_perfect_on_seen_points():

@@ -5,10 +5,12 @@ from curvemedian import (
     CurvePanel,
     ShiftConfig,
     Sim1Config,
+    Sim2Config,
     ball_radii,
     compute_emst,
     generate_shift_sample,
     generate_sim1,
+    generate_sim2,
     pairwise_euclidean_matrix,
     read_cloud,
     read_curve,
@@ -20,6 +22,8 @@ from curvemedian import (
     write_cloud,
     write_json,
     write_panel,
+    write_shifts,
+    write_warp_params,
 )
 from curvemedian.cli import build_parser, main
 from oracles import oracle_chords
@@ -73,6 +77,27 @@ def test_simulate_shift_truth_holds_shifts(tmp_path, capsys):
     assert panel.n == 5
     lines = (tmp_path / "s.truth.csv").read_text().splitlines()
     assert lines[0] == "index,shift" and len(lines) == 6
+
+
+@pytest.mark.parametrize("model", ["shift", "sim1", "sim2"])
+def test_simulate_defaults_are_the_model_configs(tmp_path, capsys, model):
+    # every flag left out takes its config's default, --shift-range included
+    # (U(-2, 2) for shift, U(-10, 10) for sim2)
+    code, out, _ = run(capsys, "simulate", "--model", model, "--n", "7", "--out", str(tmp_path / "cli"))
+    assert code == 0 and "seed: 0" in out
+    if model == "shift":
+        panel = generate_shift_sample(ShiftConfig(n=7))
+        write_panel(tmp_path / "api.csv", panel)
+        write_shifts(tmp_path / "api.truth.csv", panel.shifts)
+    elif model == "sim1":
+        write_cloud(tmp_path / "api.csv", generate_sim1(Sim1Config(n=7)))
+        write_cloud(tmp_path / "api.truth.csv", sim1_truth(7))
+    else:
+        panel = generate_sim2(Sim2Config(n=7))
+        write_panel(tmp_path / "api.csv", panel)
+        write_warp_params(tmp_path / "api.truth.csv", panel.warp_params)
+    for suffix in (".csv", ".truth.csv"):
+        assert (tmp_path / f"cli{suffix}").read_bytes() == (tmp_path / f"api{suffix}").read_bytes()
 
 
 def test_simulate_repeats_are_byte_identical(tmp_path, capsys):
@@ -297,27 +322,32 @@ def test_non_finite_cell_exits_3_naming_the_row(tmp_path, capsys, text):
     assert not (tmp_path / "d" / "distances.csv").exists()
 
 
+# the pipeline's coverage tolerance is 1e-9 times the cloud diameter, and no
+# subcommand takes --tol: argparse refuses it with exit 2 before any work
+
+
 def test_non_finite_tolerance_exits_2(tmp_path, capsys):
     src = tmp_path / "cloud.csv"
     write_cloud(src, np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]]))
     for tol in ("nan", "inf"):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "distances", "--input", str(src), "--tol", tol, "--outdir", str(tmp_path / "d")
         )
-        assert code == 2
-        assert "tolerance" in err
-    assert not (tmp_path / "d" / "graph.csv").exists()
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: --tol {tol}" in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_negative_tolerance_in_exponent_notation_exits_2(tmp_path, capsys):
+    # -1e-3 is read as the flag's value, not as an option of its own
     src = tmp_path / "cloud.csv"
     write_cloud(src, np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]]))
-    code, _, err = run(
+    code, out, err = run(
         capsys, "distances", "--input", str(src), "--tol", "-1e-3", "--outdir", str(tmp_path / "d")
     )
-    assert code == 2
-    assert err.startswith("error: ") and "tolerance" in err
-    assert not (tmp_path / "d" / "graph.csv").exists()
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --tol -1e-3" in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_cloud_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
@@ -391,28 +421,30 @@ def test_classify_bad_tolerance_exits_2_for_every_method(tmp_path, capsys, metho
         capsys, "classify", "--train", str(panel), "--test", str(panel), "--method", method,
         "--tol", tol, "--outdir", str(tmp_path / "c"),
     )
-    assert code == 2 and "tolerance" in err and out == ""
+    assert code == 2 and f"unrecognized arguments: --tol {tol}" in err and out == ""
     assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("method", ["mean", "knn"])
-def test_classify_bad_tolerance_in_the_config_file_exits_2(tmp_path, capsys, method):
+def test_classify_tolerance_in_the_config_file_exits_3(tmp_path, capsys, method):
+    # "tol" is not a config key, whatever its value
     panel = tmp_path / "panel.csv"
     write_panel(panel, labeled_two_class_panel())
     cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"method": method, "tol": -1.0})
-    code, _, err = run(
-        capsys, "classify", "--train", str(panel), "--test", str(panel), "--config", str(cfg),
+    for tol in (-1.0, 0.0, None):
+        write_json(cfg, {"method": method, "tol": tol})
+        code, out, err = run(
+            capsys, "classify", "--train", str(panel), "--test", str(panel), "--config", str(cfg),
+            "--outdir", str(tmp_path / "c"),
+        )
+        assert code == 3 and out == "" and "unknown classifier config keys: ['tol']" in err
+        assert not (tmp_path / "c").exists()
+    # and a run without it writes no "tol" either
+    code, _, _ = run(
+        capsys, "classify", "--train", str(panel), "--test", str(panel), "--method", method,
         "--outdir", str(tmp_path / "c"),
     )
-    assert code == 2 and "tolerance" in err
-    assert not (tmp_path / "c").exists()
-    # a good flag wins over the file's bad value
-    code, _, _ = run(
-        capsys, "classify", "--train", str(panel), "--test", str(panel), "--config", str(cfg),
-        "--tol", "0", "--outdir", str(tmp_path / "c"),
-    )
-    assert code == 0 and read_json(tmp_path / "c" / "classifier.json")["tol"] == 0.0
+    assert code == 0 and "tol" not in read_json(tmp_path / "c" / "classifier.json")
 
 
 @pytest.mark.parametrize(
@@ -420,13 +452,12 @@ def test_classify_bad_tolerance_in_the_config_file_exits_2(tmp_path, capsys, met
     [
         {"k": "5", "method": "knn"},
         {"alpha": "1"},
-        {"tol": "x"},
         {"k": 2.5, "method": "knn"},
         {"truncate_at": "a"},
         {"cap": "2"},
         {"cap": True},
     ],
-    ids=["k-string", "alpha-string", "tol-string", "k-float", "truncate_at-string", "cap-string", "cap-bool"],
+    ids=["k-string", "alpha-string", "k-float", "truncate_at-string", "cap-string", "cap-bool"],
 )
 def test_wrong_typed_classifier_config_exits_3(tmp_path, capsys, config):
     panel = tmp_path / "panel.csv"
@@ -497,5 +528,10 @@ def test_refused_run_leaves_nothing_on_disk(tmp_path, capsys, argv):
     write_panel(paths["bare"], CurvePanel(panel.grid, panel.values))
     argv = [arg.format(**paths) for arg in argv]
     code, out, err = run(capsys, *argv, "--outdir", str(tmp_path / "out"))
-    assert code == 2 and out == "" and err.startswith("error: ")
+    assert code == 2 and out == ""
+    # argparse refuses a flag no subcommand takes; the command refuses the rest
+    if "--tol" in argv:
+        assert "unrecognized arguments: --tol -1" in err
+    else:
+        assert err.startswith("error: ")
     assert not (tmp_path / "out").exists()

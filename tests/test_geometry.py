@@ -208,6 +208,13 @@ def test_covered_degenerate_segment_point_membership():
     assert kept(pts, [0.0, 0.0, 0.2, 0.2], 0.0) == [(0, 1), (0, 2), (1, 2)]
 
 
+def test_covered_balls_far_wider_than_a_subnormal_cloud():
+    # in units of a 5e-324 diameter the radii and the tolerance overflow
+    # float64; the balls hold every chord, and no warning is raised
+    pts = [[0.0, 0.0], [5e-324, 0.0], [0.0, 0.0]]
+    assert kept(pts, [0.0, 0.0, 0.5], 0.05) == [(0, 1), (0, 2), (1, 2)]
+
+
 def test_covered_gap_exactly_at_tolerance():
     # inflated by tol, the balls leave a hole of length 0.2: forgiven by a
     # tol above that, not by one below it

@@ -520,16 +520,23 @@ def test_pipeline_invariant_under_motion_and_scale(seed, parabola, shift, expone
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3, "1e-9", True, [1e-9]])
-@pytest.mark.parametrize("routine", ["coverage", "pipeline", "single_point"])
+@pytest.mark.parametrize("routine", ["coverage", "capped"])
 def test_bad_tolerance_is_usage_error(routine, tol):
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-    call = {
-        "coverage": lambda: build_coverage_graph(pairwise_euclidean_matrix(pts), [1.0, 2.0, 2.0], tol=tol),
-        "pipeline": lambda: geodesic_pipeline(pts, tol=tol),
-        "single_point": lambda: geodesic_pipeline(pts[:1], tol=tol),
-    }[routine]
+    dist = pairwise_euclidean_matrix([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    cap = {"coverage": None, "capped": 2.0}[routine]
     with pytest.raises(UsageError, match="tolerance"):
-        call()
+        build_coverage_graph(dist, [1.0, 2.0, 2.0], tol=tol, cap=cap)
+
+
+def test_pipeline_takes_no_tolerance():
+    # the pipeline's tolerance is 1e-9 times the cloud diameter, reported as "tol"
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 4.0]])
+    with pytest.raises(TypeError, match="tol"):
+        geodesic_pipeline(pts, tol=0.0)
+    result = geodesic_pipeline(pts)
+    with pytest.raises(TypeError, match="tol"):
+        pipeline_diagnostics(pts, result, tol=0.0)
+    assert pipeline_diagnostics(pts, result)["tol"] == 1e-9 * 5.0
 
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0])
@@ -754,10 +761,33 @@ def test_pipeline_parabola_keeps_every_point_connected():
 
 
 def test_pipeline_distance_overflow_is_numeric_error():
-    # squared differences overflow float64; without the check the infinite
-    # weights would look like missing edges
-    with pytest.raises(NumericError, match="overflow"):
-        geodesic_pipeline(np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]]))
+    # a true distance above the float64 range, from a coordinate difference
+    # that overflows or from finite ones whose norm does; without the check
+    # the infinite weights would look like missing edges
+    for cloud in ([[-1e308, 0.0], [1e308, 0.0]], [[0.0, 0.0], [1.5e308, 1.5e308]]):
+        with pytest.raises(NumericError, match="overflow"):
+            geodesic_pipeline(np.array(cloud))
+
+
+def test_pipeline_at_extreme_scales_is_the_scaled_result():
+    # squared coordinate differences of these clouds overflow or underflow,
+    # yet the distances do not: the result is the unit cloud's, scaled, and
+    # by a power of two bit for bit
+    pts = generate_sim1(Sim1Config(n=40, seed=3))
+    base = geodesic_pipeline(pts)
+    index = intrinsic_estimate(base.distances).index
+    for k in (-600, -560, -520, 450, 500, 560):
+        moved = geodesic_pipeline(pts * 2.0**k)
+        assert moved.distances.tobytes() == np.ldexp(base.distances, k).tobytes(), k
+        assert moved.graph.edges[:, :2].tobytes() == base.graph.edges[:, :2].tobytes(), k
+        assert intrinsic_estimate(moved.distances).index == index
+    for scale in (1e-200, 1e-170, 1e-160, 1e160, 1e200):
+        moved = geodesic_pipeline(pts * scale)
+        assert moved.graph.edges[:, :2].tobytes() == base.graph.edges[:, :2].tobytes(), scale
+        assert np.abs(moved.distances / scale - base.distances).max() <= 1e-15 * base.distances.max(), scale
+    # and three points 1e200 apart, whose squared differences overflow
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert geodesic_pipeline(pts * 1e200).distances.tobytes() == (geodesic_pipeline(pts).distances * 1e200).tobytes()
 
 
 def _count_distance_builds(monkeypatch):

@@ -12,6 +12,7 @@ from curvemedian import (
     Sim1Config,
     Sim2Config,
     TARGETS,
+    TargetFunction,
     UsageError,
     exact_geodesic_matrix,
     exact_shift_geodesic,
@@ -44,11 +45,14 @@ def test_get_target_unknown_name():
 
 def test_get_target_passthrough_and_callable():
     assert get_target(TARGETS["tsin"]) is TARGETS["tsin"]
-    grid = np.linspace(-10, 10, 50)
-    wrapped = get_target(np.cos, grid)
-    t = np.linspace(-3, 3, 7)
-    assert wrapped.f(t) == pytest.approx(np.cos(t))
-    assert wrapped.derivative(t) == pytest.approx(-np.sin(t), abs=1e-6)
+    custom = TargetFunction("cos", np.cos, lambda t: -np.sin(t))
+    assert get_target(custom) is custom
+    # a bare callable carries no derivative: wrap it in a TargetFunction
+    for target in (np.cos, lambda t: t):
+        with pytest.raises(UsageError, match="cannot interpret"):
+            get_target(target)
+        with pytest.raises(UsageError, match="cannot interpret"):
+            generate_shift_sample(ShiftConfig(target=target, n=2))
 
 
 # ------------------------------------------------------------------- panel
@@ -123,8 +127,9 @@ def test_shift_sample_shifts_follow_config_law():
 
 
 def test_shift_sample_non_finite_target_reports_argument():
-    bad = lambda t: np.where(np.abs(np.asarray(t)) > 2.0, np.nan, np.asarray(t, dtype=float))
-    with pytest.raises(NumericError, match="argument"):
+    f = lambda t: np.where(np.abs(np.asarray(t)) > 2.0, np.nan, np.asarray(t, dtype=float))
+    bad = TargetFunction("bad", f, lambda t: np.ones_like(np.asarray(t, dtype=float)))
+    with pytest.raises(NumericError, match="target 'bad' produced a non-finite value at argument"):
         generate_shift_sample(ShiftConfig(target=bad, m=10, shifts=[0.0]))
 
 
@@ -196,20 +201,15 @@ def test_bad_ranges_are_usage_errors(config, field, pair):
 
 # --------------------------------------------------------------- sim2 warp
 
-def test_sim2_forced_parameters_recover_target():
-    grid = np.linspace(-10, 10, 100)
-    base = generate_sim2(Sim2Config(n=1, amplitudes=[1.0], scales=[1.0], shifts=[0.0]))
-    assert base.values[0] == pytest.approx(TARGETS["tsin"].f(grid), abs=1e-15)
-    negated = generate_sim2(Sim2Config(n=1, amplitudes=[-1.0], scales=[1.0], shifts=[0.0]))
-    assert np.array_equal(negated.values[0], -base.values[0])
-
-
 def test_sim2_rows_recompute_from_stored_parameters():
-    panel = generate_sim2(Sim2Config(n=20, seed=7))
-    wp = panel.warp_params
-    args = wp["scale"][:, None] * panel.grid[None, :] - wp["shift"][:, None]
-    want = wp["amplitude"][:, None] * TARGETS["tsin"].f(args)
-    assert np.array_equal(panel.values, want)
+    # values == amplitude * f(scale * t - shift), bit for bit, for every target
+    for name, target in TARGETS.items():
+        panel = generate_sim2(Sim2Config(target=name, n=20, seed=7))
+        assert panel.target == name
+        wp = panel.warp_params
+        args = wp["scale"][:, None] * panel.grid[None, :] - wp["shift"][:, None]
+        want = wp["amplitude"][:, None] * target.f(args)
+        assert np.array_equal(panel.values, want)
 
 
 def test_sim2_draw_order_is_amplitude_scale_shift():
@@ -226,11 +226,6 @@ def test_sim2_parameters_match_uniform_laws():
     assert stats.kstest(wp["amplitude"], "uniform", args=(-10, 20)).pvalue > 0.01
     assert stats.kstest(wp["scale"], "uniform", args=(-1, 2)).pvalue > 0.01
     assert stats.kstest(wp["shift"], "uniform", args=(-10, 20)).pvalue > 0.01
-
-
-def test_sim2_explicit_parameter_length_checked():
-    with pytest.raises(UsageError):
-        generate_sim2(Sim2Config(n=3, amplitudes=[1.0, 2.0]))
 
 
 # ---------------------------------------------------------- exact geodesic
