@@ -30,9 +30,8 @@ Sources alternate within each repeat, so a drift in host speed falls on
 all of them alike.
 
 Each input runs once per `--cap` value: `default` calls the pipeline
-without a cap argument, as the CLI does without --cap, so every tree runs
-it; `none` (the uncapped rule) and numbers pass `cap=` and run only on a
-tree whose pipeline takes one.  Inputs under a cap value are named
+without a cap argument, as the CLI does without --cap; `none` (the
+uncapped rule) and numbers pass `cap=`.  Inputs under a cap value are named
 `INPUT cap=VALUE`; under `default` they keep their plain name.
 
 `--quality` adds, per source and cap value, one fresh interpreter that
@@ -76,7 +75,6 @@ seeds, and records sha256 digests of every prediction and confusion matrix.
 import argparse
 import functools
 import hashlib
-import inspect
 import json
 import math
 import os
@@ -306,8 +304,7 @@ def measure_classify(n: int) -> dict:
 
 
 def run_child(src: Path, kind: str, n: int, extra_env: dict, *extra) -> dict:
-    """The child's record, or None where a cap was asked of a tree whose
-    pipeline takes none."""
+    """The child's record."""
     env = dict(os.environ, PYTHONPATH=str(src), **extra_env)
     proc = subprocess.run(
         [sys.executable, __file__, "--child", kind, str(n), *map(str, extra)],
@@ -407,8 +404,6 @@ def main() -> int:
                         record = run_cli_child(src, Path(cli_inputs.name), CLI_RUNS[name], extra_env)
                     else:
                         record = run_child(src, kind, n, extra_env, cap)
-                    if record is None:
-                        continue
                     runs[label].setdefault(name, {e: [] for e in ENVIRONMENTS})[env_name].append(record)
                     head = record[HEAD[kind]]
                     print(f"{label:>8} {name:<16} {env_name:<22} "
@@ -418,10 +413,9 @@ def main() -> int:
     for cap in args.cap if args.quality else ():
         for label, src in sources.items():
             record = run_child(src, "quality", 0, {}, cap, args.panels, args.endpoint_n, args.endpoint_seeds)
-            if record is not None:
-                quality.setdefault(label, {})[cap] = record
-                print(f"{label:>8} quality cap={cap:<8} criterion 2 {record['criterion_2_exact']}"
-                      f"/{record['criterion_2_within_one']}/{args.panels}", flush=True)
+            quality.setdefault(label, {})[cap] = record
+            print(f"{label:>8} quality cap={cap:<8} criterion 2 {record['criterion_2_exact']}"
+                  f"/{record['criterion_2_within_one']}/{args.panels}", flush=True)
 
     report = {
         "environment": {
@@ -466,14 +460,10 @@ def write_cli_inputs(directory: str) -> None:
 
 
 def child(kind: str, n: int, extra: list):
-    import curvemedian.graphs
-
     if kind == "cli_inputs":
         return write_cli_inputs(extra[0])
     if kind == "classify":
         return measure_classify(n)
-    if extra[0] != "default" and "cap" not in inspect.signature(curvemedian.graphs.geodesic_pipeline).parameters:
-        return None
     if kind == "quality":
         return measure_quality(extra[0], *map(int, extra[1:]))
     return measure(kind, n, extra[0])

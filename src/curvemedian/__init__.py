@@ -36,7 +36,6 @@ _EXPORTS = {
         "TARGETS", "CurvePanel", "ShiftConfig", "Sim1Config", "Sim2Config", "TargetFunction",
         "exact_geodesic_matrix", "exact_shift_geodesic", "generate_shift_sample",
         "generate_sim1", "generate_sim2", "get_target", "intrinsic_median_exact", "sim1_truth",
-        "structural_median_oracle",
     ),
     "panel_io": (
         "fmt", "read_classifier_config", "read_cloud", "read_curve", "read_edges", "read_json",

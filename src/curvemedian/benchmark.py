@@ -14,9 +14,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .classify import KnnClassifier, evaluate, extract_templates
+from .classify import KnnClassifier, _checked, evaluate, extract_templates
 from .errors import DataFormatError, UsageError
-from .models import CurvePanel, get_target
+from .models import CurvePanel, _grid, _rng, get_target
 
 __all__ = [
     "BenchmarkClass",
@@ -47,16 +47,25 @@ class BenchmarkConfig:
     knn_k: int = 5
 
 
+# accepted JSON types of each key of a config file and of each of its classes
+_PAIR = ([(int, float)] * 2, "a [lo, hi] pair of numbers")
+_CONFIG_TYPES = {
+    "classes": (list, "a list of classes"),
+    **dict.fromkeys(("n_train", "n_test", "m", "seed", "knn_k"), (int, "an integer")),
+    "t_range": _PAIR,
+    "truncate_at": ((int, float, type(None)), "a number or null"),
+}
+_CLASS_TYPES = {"label": (str, "a string"), "target": (str, "a string"), "amp_range": _PAIR, "shift_range": _PAIR}
+
+
 def load_benchmark_config(path) -> BenchmarkConfig:
+    """The config in a JSON file; a bad file, key or value is a `DataFormatError` naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    try:
-        classes = [BenchmarkClass(**c) for c in raw.pop("classes")]
+            raw = _checked(json.load(fh), _CONFIG_TYPES, "config")
+        classes = [BenchmarkClass(**_checked(c, _CLASS_TYPES, "class")) for c in raw.pop("classes")]
         cfg = BenchmarkConfig(classes=classes, **raw)
-    except (KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, UsageError) as exc:
         raise DataFormatError(f"{path}: bad benchmark config ({exc})") from exc
     if len(cfg.classes) < 2:
         raise UsageError("benchmark needs at least two classes")
@@ -68,8 +77,8 @@ def generate_benchmark(cfg: BenchmarkConfig) -> Tuple[CurvePanel, CurvePanel]:
     train amplitudes, train shifts, test amplitudes, test shifts."""
     if cfg.n_train < 1 or cfg.n_test < 1:
         raise UsageError("n_train and n_test must be >= 1")
-    grid = np.linspace(cfg.t_range[0], cfg.t_range[1], cfg.m)
-    rng = np.random.default_rng(cfg.seed)
+    grid = _grid(cfg.m, cfg.t_range)
+    rng = _rng(cfg.seed)
     train_rows, train_labels = [], []
     test_rows, test_labels = [], []
     for cls in cfg.classes:

@@ -57,7 +57,28 @@ class KnnClassifier:
     k: int
 
 
-# accepted types of each config key; a bool is never a number here
+def _matches(value, kinds) -> bool:
+    """Whether `value` is of `kinds`, a type, a tuple of types or a list of kinds per list item; no bool is."""
+    if isinstance(kinds, list):
+        return isinstance(value, list) and len(value) == len(kinds) and all(map(_matches, value, kinds))
+    return not isinstance(value, bool) and isinstance(value, kinds)
+
+
+def _checked(d, types: dict, what: str) -> dict:
+    """`d`, refused (`UsageError`) unless a dict whose every key `types` maps to (its value's kinds, description)."""
+    if not isinstance(d, dict):
+        raise UsageError(f"{what} must be a JSON object, got {type(d).__name__}")
+    extra = set(d) - set(types)
+    if extra:
+        raise UsageError(f"unknown {what} keys: {sorted(extra)}")
+    for key, value in d.items():
+        kinds, description = types[key]
+        if not _matches(value, kinds):
+            raise UsageError(f"{what} {key!r} must be {description}, got {value!r}")
+    return d
+
+
+# accepted types of each config key
 _CONFIG_TYPES = {
     "method": (str, "a string"),
     "alpha": (numbers.Real, "a number"),
@@ -82,14 +103,7 @@ class ClassifierConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierConfig":
-        extra = set(d) - set(_CONFIG_TYPES)
-        if extra:
-            raise UsageError(f"unknown classifier config keys: {sorted(extra)}")
-        for key, value in d.items():
-            kinds, what = _CONFIG_TYPES[key]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise UsageError(f"classifier config {key!r} must be {what}, got {value!r}")
-        cfg = cls(**d)
+        cfg = cls(**_checked(d, _CONFIG_TYPES, "classifier config"))
         if cfg.method not in TEMPLATE_METHODS + ("knn",):
             raise UsageError(f"unknown method {cfg.method!r}")
         return cfg

@@ -80,11 +80,31 @@ def _cloud(points) -> np.ndarray:
         raise UsageError("a point cloud must be an (n, p) array of numbers") from None
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
+    if pts.ndim != 2 or pts.size == 0:
         raise UsageError("a point cloud must be a nonempty 2-D array (n, p)")
     if not np.all(np.isfinite(pts)):
         raise UsageError("point cloud contains non-finite coordinates")
     return pts
+
+
+def _distance_matrix(distances) -> np.ndarray:
+    """A distance matrix as a float64 array, refused unless a nonempty square
+    matrix of finite nonnegative entries, zero on the diagonal and exactly
+    symmetric.  A float64 array comes back itself, not a copy."""
+    try:
+        dist = np.asarray(distances, dtype=float)
+    except (TypeError, ValueError):
+        raise UsageError("a distance matrix must be an (n, n) array of numbers") from None
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or dist.size == 0:
+        raise UsageError(f"a distance matrix must be nonempty and square, got shape {dist.shape}")
+    # reductions, where isfinite(dist) would allocate n x n; NaN reaches both
+    if not (np.isfinite(dist.max()) and dist.min() >= 0.0):
+        raise UsageError("distance matrix has non-finite or negative entries")
+    if dist.diagonal().any():
+        raise UsageError("distance matrix has a nonzero diagonal")
+    if not np.array_equal(dist, dist.T):
+        raise UsageError("distance matrix is not symmetric")
+    return dist
 
 
 def _pairwise_distances(pts: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import UsageError
-from .geometry import _REL_TOL, _cloud, _covered, _midpoint_far, _pairwise_distances, _tolerance
+from .geometry import _REL_TOL, _cloud, _covered, _distance_matrix, _midpoint_far, _pairwise_distances, _tolerance
 
 __all__ = [
     "WeightedGraph",
@@ -79,26 +79,6 @@ class GeodesicResult(NamedTuple):
     distances: np.ndarray
 
 
-def _distance_matrix(distances) -> np.ndarray:
-    """The stages' input as a float64 array, refused unless a nonempty square
-    matrix of finite nonnegative entries, zero on the diagonal and exactly
-    symmetric.  A float64 array comes back itself, not a copy."""
-    try:
-        dist = np.asarray(distances, dtype=float)
-    except (TypeError, ValueError):
-        raise UsageError("a distance matrix must be an (n, n) array of numbers") from None
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or dist.size == 0:
-        raise UsageError(f"a distance matrix must be nonempty and square, got shape {dist.shape}")
-    # reductions, where isfinite(dist) would allocate n x n; NaN reaches both
-    if not (np.isfinite(dist.max()) and dist.min() >= 0.0):
-        raise UsageError("distance matrix entries must be finite and nonnegative")
-    if dist.diagonal().any():
-        raise UsageError("distance matrix has a nonzero diagonal")
-    if not np.array_equal(dist, dist.T):
-        raise UsageError("distance matrix is not symmetric")
-    return dist
-
-
 def compute_emst(distances) -> WeightedGraph:
     """Euclidean minimum spanning tree of a cloud, from its (n, n) distance
     matrix, by dense O(n^2) Prim.
@@ -138,9 +118,7 @@ def compute_emst(distances) -> WeightedGraph:
 
 
 def ball_radii(tree: WeightedGraph) -> np.ndarray:
-    """Per-vertex radius: the weight of the longest incident tree edge."""
-    if tree.n < 2:
-        raise UsageError("ball radii need at least two vertices")
+    """Per-vertex radius: the weight of the longest incident tree edge, 0 without one."""
     i, j = tree.edges[:, :2].T.astype(np.intp)
     w = tree.edges[:, 2]
     radii = np.zeros(tree.n)
@@ -259,12 +237,10 @@ def geodesic_pipeline(cloud, cap: Optional[float] = DEFAULT_CAP) -> GeodesicResu
     diameter), then all-pairs shortest paths.
 
     The tree and coverage stages share one distance matrix, built here.  A
-    single point short-circuits to an empty tree and a 1x1 zero matrix.
+    single point gives an empty tree and graph and a 1x1 zero matrix.
     """
     pts = _cloud(cloud)
     cap = _cap(cap)
-    if pts.shape[0] == 1:
-        return GeodesicResult(WeightedGraph(1, []), WeightedGraph(1, []), np.zeros((1, 1)))
     dist = _pairwise_distances(pts)
     tree = compute_emst(dist)
     graph = build_coverage_graph(dist, ball_radii(tree), cap=cap)
@@ -277,7 +253,7 @@ def pipeline_diagnostics(cloud, result: GeodesicResult, cap=DEFAULT_CAP) -> dict
     pts = _cloud(cloud)
     n = pts.shape[0]
     diameter = float(_pairwise_distances(pts).max())
-    max_radius = float(ball_radii(result.tree).max()) if n >= 2 else 0.0
+    max_radius = float(ball_radii(result.tree).max())
     n_tree = len(result.tree.edges)
     n_graph = len(result.graph.edges)
     return {

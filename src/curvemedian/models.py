@@ -22,6 +22,7 @@ configuration, so every sample is reproducible bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
@@ -46,7 +47,6 @@ __all__ = [
     "generate_sim2",
     "exact_shift_geodesic",
     "exact_geodesic_matrix",
-    "structural_median_oracle",
     "intrinsic_median_exact",
 ]
 
@@ -207,6 +207,13 @@ def _grid(m: int, t_range) -> np.ndarray:
     return np.linspace(lo, hi, m)
 
 
+def _rng(seed) -> np.random.Generator:
+    """numpy's default generator for a seed, refused unless a nonnegative integer (not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise UsageError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def _finite_or_raise(values: np.ndarray, arguments: np.ndarray, what: str):
     if np.all(np.isfinite(values)):
         return
@@ -229,7 +236,7 @@ def generate_shift_sample(cfg: ShiftConfig) -> CurvePanel:
         if cfg.n < 1:
             raise UsageError(f"n must be >= 1, got {cfg.n}")
         lo, hi = _check_range("shift_range", cfg.shift_range)
-        rng = np.random.default_rng(cfg.seed)
+        rng = _rng(cfg.seed)
         shifts = rng.uniform(lo, hi, cfg.n)
     args = grid[None, :] - shifts[:, None]
     values = np.asarray(target.f(args), dtype=float)
@@ -252,7 +259,7 @@ def generate_sim1(cfg: Sim1Config) -> np.ndarray:
     base = sim1_truth(cfg.n)
     if not 0.0 <= cfg.noise_sd < np.inf:
         raise UsageError(f"noise_sd must be finite and nonnegative, got {cfg.noise_sd}")
-    rng = np.random.default_rng(cfg.seed)
+    rng = _rng(cfg.seed)
     noise = rng.normal(0.0, cfg.noise_sd, size=base.shape)
     return base + noise
 
@@ -263,7 +270,7 @@ def generate_sim2(cfg: Sim2Config) -> CurvePanel:
     grid = _grid(cfg.m, cfg.t_range)
     if cfg.n < 1:
         raise UsageError(f"n must be >= 1, got {cfg.n}")
-    rng = np.random.default_rng(cfg.seed)
+    rng = _rng(cfg.seed)
 
     def draw(name):
         return rng.uniform(*_check_range(name, getattr(cfg, name)), cfg.n)
@@ -354,35 +361,16 @@ def exact_geodesic_matrix(target, grid, shifts) -> np.ndarray:
     return dm
 
 
-def _lower_median(values: np.ndarray) -> float:
-    return float(np.sort(values)[(values.size - 1) // 2])
-
-
-def structural_median_oracle(panel: CurvePanel, target=None) -> np.ndarray:
-    """Ground-truth representative curve: the target shifted by the median shift.
-
-    Uses the lower median (element at rank (n-1)//2 after sorting), which
-    for odd n is the plain sample median.
-    """
-    if panel.shifts is None:
-        raise UsageError("panel carries no ground-truth shifts")
-    tgt = get_target(target if target is not None else panel.target)
-    med = _lower_median(panel.shifts)
-    return np.asarray(tgt.f(panel.grid - med), dtype=float)
-
-
 def intrinsic_median_exact(panel: CurvePanel, target=None) -> IntrinsicEstimate:
     """Intrinsic median of a shift-model panel under exact geodesic distances.
 
     Builds the exact pairwise arc-length matrix and minimizes the summed
     distance (alpha = 1) over the sample.
     """
-    from .stats import IntrinsicEstimate, intrinsic_estimate  # loaded only when asked for
+    from .stats import intrinsic_estimate  # loaded only when asked for
 
     if panel.shifts is None:
         raise UsageError("panel carries no ground-truth shifts")
-    if panel.n == 1:
-        return IntrinsicEstimate(index=0, objective=0.0, alpha=1.0)
     tgt = get_target(target if target is not None else panel.target)
     dm = exact_geodesic_matrix(tgt, panel.grid, panel.shifts)
     return intrinsic_estimate(dm, alpha=1.0)

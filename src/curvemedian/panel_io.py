@@ -348,8 +348,6 @@ def read_classifier_config(path) -> ClassifierConfig:
     from .classify import ClassifierConfig
 
     raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise DataFormatError(f"{path}: classifier config must be a JSON object")
     try:
         return ClassifierConfig.from_dict(raw)
     except (UsageError, TypeError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .geometry import _cloud, _pairwise_distances
+from .geometry import _cloud, _distance_matrix, _pairwise_distances
 
 __all__ = [
     "IntrinsicEstimate",
@@ -45,21 +45,15 @@ def intrinsic_estimate(distance_matrix, alpha: float = 1.0) -> IntrinsicEstimate
     """Index minimizing sum_j d(i, j)**alpha, ties going to the smallest index.
 
     Row sums are accumulated with compensated summation so the argmin does
-    not depend on summation order.  `alpha` must be positive and finite
-    (else `UsageError`); a power or row sum that overflows float64, or a
-    positive distance whose power underflows to zero, raises `NumericError`
-    rather than returning an objective that can no longer rank the rows.
+    not depend on summation order.  `UsageError` refuses a matrix that is not
+    a nonempty square array of finite nonnegative numbers, zero on the
+    diagonal and exactly symmetric, and an `alpha` not positive and finite;
+    a power or row sum that overflows float64, or a positive distance whose
+    power underflows to zero, raises `NumericError` rather than returning an
+    objective that can no longer rank the rows.
     """
-    dm = np.asarray(distance_matrix, dtype=float)
-    if dm.size == 0:
-        raise UsageError("empty distance matrix")
-    if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
-        raise UsageError(f"distance matrix must be square, got shape {dm.shape}")
+    dm = _distance_matrix(distance_matrix)
     alpha = _alpha(alpha)
-    if not np.isfinite(dm).all():
-        raise UsageError("distance matrix has non-finite entries")
-    if (dm < 0).any():
-        raise UsageError("distance matrix has negative entries")
     with np.errstate(over="ignore"):
         powered = dm if alpha == 1.0 else dm**alpha
     if not np.isfinite(powered).all():

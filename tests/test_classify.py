@@ -1,3 +1,7 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 from curvemedian import (
     ClassifierConfig,
     CurvePanel,
+    DataFormatError,
     KnnClassifier,
     ShiftConfig,
     TemplateSet,
@@ -13,8 +18,10 @@ from curvemedian import (
     confusion_from_predictions,
     evaluate,
     extract_templates,
+    generate_benchmark,
     generate_shift_sample,
     intrinsic_median_exact,
+    load_benchmark_config,
     predict_labels,
 )
 from curvemedian import classify
@@ -306,3 +313,47 @@ def test_classifier_config_rejects_unknown_keys():
 def test_classifier_config_rejects_unknown_method():
     with pytest.raises(UsageError):
         ClassifierConfig.from_dict({"method": "svm"})
+
+
+# ---------------------------------------------------------------- benchmark
+
+BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark_2class.json"
+
+
+def _bundled_with(key, value):
+    raw = json.loads(BENCHMARK_CONFIG.read_text(encoding="utf-8"))
+    if key.startswith("classes."):
+        raw["classes"][0][key.partition(".")[2]] = value
+    else:
+        raw[key] = value
+    return raw
+
+
+BAD_BENCHMARK_CONFIGS = {
+    "scalar root": (5, "JSON object"),
+    "text n_train": (_bundled_with("n_train", "50"), "'n_train' must be an integer"),
+    "text m": (_bundled_with("m", "100"), "'m' must be an integer"),
+    "bool seed": (_bundled_with("seed", True), "'seed' must be an integer"),
+    "text amp_range": (_bundled_with("classes.amp_range", "ab"), r"'amp_range' must be a \[lo, hi\] pair"),
+    "short t_range": (_bundled_with("t_range", [0.0]), r"'t_range' must be a \[lo, hi\] pair"),
+    "text truncate_at": (_bundled_with("truncate_at", "x"), "'truncate_at' must be a number or null"),
+    "unknown key": (_bundled_with("cap", 2.0), r"unknown config keys: \['cap'\]"),
+    "class not an object": (_bundled_with("classes", [1, 2]), "class must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("raw, message", BAD_BENCHMARK_CONFIGS.values(), ids=BAD_BENCHMARK_CONFIGS.keys())
+def test_malformed_benchmark_config_is_data_format_error(tmp_path, raw, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=message) as info:
+        load_benchmark_config(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_bundled_benchmark_config_loads_and_bad_seeds_are_usage_errors():
+    cfg = load_benchmark_config(BENCHMARK_CONFIG)
+    assert [c.label for c in cfg.classes] == ["wave", "pulse"] and cfg.seed == 0 and cfg.t_range == [-10.0, 10.0]
+    for seed in (-1, 1.5, True):
+        with pytest.raises(UsageError, match="seed must be a nonnegative integer"):
+            generate_benchmark(dataclasses.replace(cfg, seed=seed))

@@ -122,9 +122,12 @@ def test_simulate_repeats_are_byte_identical(tmp_path, capsys):
         ["--model", "sim2", "--amp-range", "0", "inf"],
         ["--model", "sim2", "--scale-range", "0", "inf"],
         ["--model", "shift", "--shift-range", "-1e308", "1e308"],
+        ["--model", "shift", "--seed", "-1"],
+        ["--model", "sim1", "--seed", "-1"],
+        ["--model", "sim2", "--seed", "-1"],
     ],
     ids=["noise-nan", "noise-inf", "noise-negative", "shift-inf", "t-inf", "shift-nan",
-         "amp-inf", "scale-inf", "shift-overflow"],
+         "amp-inf", "scale-inf", "shift-overflow", "shift-seed", "sim1-seed", "sim2-seed"],
 )
 def test_simulate_bad_parameter_exits_2_writing_nothing(tmp_path, capsys, argv):
     # a refused run makes neither the files nor the directory of its prefix

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvemedian import UsageError, build_coverage_graph, geometry, pairwise_euclidean_matrix
+from curvemedian import (
+    UsageError,
+    build_coverage_graph,
+    euclidean_medoid,
+    geodesic_pipeline,
+    geometry,
+    pairwise_euclidean_matrix,
+)
 from curvemedian.geometry import _pairwise_distances
 
 from oracles import mc_segment_covered, oracle_chords
@@ -58,6 +65,10 @@ def test_distance_one_dimensional():
 def test_distance_dimension_mismatch():
     with pytest.raises(UsageError, match="point cloud"):
         pairwise_euclidean_matrix([[0.0, 0.0], [1.0, 2.0, 3.0]])
+    # three points without coordinates
+    for entry in (pairwise_euclidean_matrix, euclidean_medoid, geodesic_pipeline):
+        with pytest.raises(UsageError, match=r"nonempty 2-D array \(n, p\)"):
+            entry(np.zeros((3, 0)))
 
 
 @given(st.integers(1, 4).flatmap(lambda d: st.tuples(coords(d), coords(d), coords(d))))

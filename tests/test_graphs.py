@@ -144,9 +144,10 @@ def test_ball_radii_two_points():
     assert ball_radii(tree).tolist() == [5.0, 5.0]
 
 
-def test_ball_radii_single_vertex_rejected():
-    with pytest.raises(UsageError):
-        ball_radii(WeightedGraph(1, []))
+def test_ball_radii_vertex_without_tree_edge_is_zero():
+    # a single point, and an isolated vertex of a forest
+    assert ball_radii(WeightedGraph(1, [])).tolist() == [0.0]
+    assert ball_radii(WeightedGraph(3, [(0, 1, 1.0)])).tolist() == [1.0, 1.0, 0.0]
 
 
 def test_ball_radii_equal_max_incident_weight():
@@ -845,12 +846,13 @@ BAD_MATRICES = {
 }
 
 
-@pytest.mark.parametrize("stage", ["compute_emst", "build_coverage_graph"])
+@pytest.mark.parametrize("stage", ["compute_emst", "build_coverage_graph", "intrinsic_estimate"])
 @pytest.mark.parametrize("dist", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
 def test_bad_distance_matrix_is_usage_error(stage, dist):
     call = {
         "compute_emst": lambda: compute_emst(dist),
         "build_coverage_graph": lambda: build_coverage_graph(dist, [1.0, 2.0, 2.0]),
+        "intrinsic_estimate": lambda: intrinsic_estimate(dist),
     }[stage]
     with pytest.raises(UsageError, match="distance matrix"):
         call()

@@ -22,7 +22,6 @@ from curvemedian import (
     get_target,
     intrinsic_median_exact,
     sim1_truth,
-    structural_median_oracle,
 )
 
 from oracles import riemann_shift_geodesic
@@ -177,6 +176,18 @@ def test_sim1_rejects_bad_noise_sd(sd):
         generate_sim1(Sim1Config(n=5, noise_sd=sd))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+@pytest.mark.parametrize(
+    "generate, config",
+    [(generate_shift_sample, ShiftConfig), (generate_sim1, Sim1Config), (generate_sim2, Sim2Config)],
+    ids=["shift", "sim1", "sim2"],
+)
+def test_bad_seed_is_usage_error(generate, config, seed):
+    # numpy would raise ValueError for -1 and TypeError for 1.5; True is no seed
+    with pytest.raises(UsageError, match="seed must be a nonnegative integer"):
+        generate(config(n=5, seed=seed))
+
+
 BAD_RANGES = {
     "infinite": (0.0, float("inf")),
     "minus infinite": (float("-inf"), 0.0),
@@ -283,34 +294,6 @@ def test_exact_matrix_agrees_with_pairwise_calls():
 
 
 # --------------------------------------------------------- oracle medians
-
-def test_structural_median_identity_shifts():
-    panel = generate_shift_sample(
-        ShiftConfig(target="identity", m=5, t_range=(0.0, 4.0), shifts=[-1.0, 0.0, 2.0])
-    )
-    assert structural_median_oracle(panel).tolist() == panel.grid.tolist()
-
-
-def test_structural_median_single_curve():
-    panel = generate_shift_sample(
-        ShiftConfig(target="identity", m=5, t_range=(0.0, 4.0), shifts=[0.7])
-    )
-    assert structural_median_oracle(panel).tolist() == (panel.grid - 0.7).tolist()
-
-
-def test_structural_median_even_n_takes_lower_middle():
-    panel = generate_shift_sample(
-        ShiftConfig(target="identity", m=5, t_range=(0.0, 4.0), shifts=[3.0, 1.0, 2.0, 4.0])
-    )
-    # sorted shifts 1,2,3,4; rank (4-1)//2 = 1 -> shift 2
-    assert structural_median_oracle(panel).tolist() == (panel.grid - 2.0).tolist()
-
-
-def test_structural_median_requires_shifts():
-    panel = CurvePanel(np.array([0.0, 1.0]), np.zeros((1, 2)))
-    with pytest.raises(UsageError):
-        structural_median_oracle(panel)
-
 
 def test_intrinsic_median_exact_picks_middle_shift():
     panel = generate_shift_sample(ShiftConfig(shifts=[0.0, 0.1, 5.0]))
