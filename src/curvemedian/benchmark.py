@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import KnnClassifier, _checked, evaluate, extract_templates
 from .errors import DataFormatError, UsageError
-from .models import CurvePanel, _grid, _rng, get_target
+from .models import CurvePanel, _count, _grid, _rng, get_target
 
 __all__ = [
     "BenchmarkClass",
@@ -75,8 +75,8 @@ def load_benchmark_config(path) -> BenchmarkConfig:
 def generate_benchmark(cfg: BenchmarkConfig) -> Tuple[CurvePanel, CurvePanel]:
     """Deterministic train/test panels; per class the draw order is
     train amplitudes, train shifts, test amplitudes, test shifts."""
-    if cfg.n_train < 1 or cfg.n_test < 1:
-        raise UsageError("n_train and n_test must be >= 1")
+    _count("n_train", cfg.n_train, 1)
+    _count("n_test", cfg.n_test, 1)
     grid = _grid(cfg.m, cfg.t_range)
     rng = _rng(cfg.seed)
     train_rows, train_labels = [], []

@@ -16,9 +16,10 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .errors import UsageError
+from .geometry import _cross_distances
 from .graphs import DEFAULT_CAP, geodesic_pipeline
 from .models import CurvePanel
-from .stats import cross_sectional_mean, intrinsic_estimate, pairwise_euclidean_matrix
+from .stats import cross_sectional_mean, euclidean_medoid, intrinsic_estimate
 
 __all__ = [
     "TEMPLATE_METHODS",
@@ -55,6 +56,11 @@ class TemplateSet:
 class KnnClassifier:
     train: CurvePanel
     k: int
+
+    def __post_init__(self):
+        k, n = self.k, len(_require_labels(self.train, "training"))
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= n:
+            raise UsageError(f"k must be an integer in [1, {n}], got {k!r}")
 
 
 def _matches(value, kinds) -> bool:
@@ -158,7 +164,7 @@ def extract_templates(
             result = geodesic_pipeline(members, cap=cap)
             est = intrinsic_estimate(result.distances, alpha=alpha)
         else:  # medoid
-            est = intrinsic_estimate(pairwise_euclidean_matrix(members), alpha=alpha)
+            est = euclidean_medoid(members, alpha=alpha)
         curves[row] = members[est.index]
         provenance.append(int(member_idx[est.index]))
     return TemplateSet(
@@ -179,54 +185,6 @@ def _active_columns(grid: np.ndarray, truncate_at: Optional[float]) -> np.ndarra
     return mask
 
 
-def _distances(refs: np.ndarray, queries: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(queries x refs) Euclidean distances over the active columns.
-
-    One einsum per row of the shorter side.  einsum sums a single row in
-    another order than a stack of two or more, so a lone query or a lone
-    reference is summed as a one-query call sums it: against the stack of
-    references.
-    """
-    swap = len(queries) > len(refs) > 1
-    outer, inner = (refs, queries) if swap else (queries, refs)
-    inner = inner[:, cols]
-    d, diff = np.empty((len(outer), len(inner))), np.empty_like(inner)
-    for r, row in enumerate(outer[:, cols]):
-        np.subtract(inner, row, out=diff)  # ref - query or its exact negation: the same squares
-        np.einsum("nk,nk->n", diff, diff, out=d[r])
-    np.sqrt(d, out=d)
-    return d.T if swap else d
-
-
-def _predict(classifier, queries: np.ndarray, truncate_at: Optional[float]) -> List[str]:
-    """Labels of a stack of query rows, from one distance matrix."""
-    if isinstance(classifier, TemplateSet):
-        refs, grid, what = classifier.curves, classifier.grid, "the template grid"
-    elif isinstance(classifier, KnnClassifier):
-        train, k = classifier.train, classifier.k
-        labels = _require_labels(train, "training")
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-            raise UsageError(f"k must be an integer, got {k!r}")
-        if not 1 <= k <= train.n:
-            raise UsageError(f"k must be in [1, {train.n}], got {k}")
-        refs, grid, what = train.values, train.grid, "the panel grid"
-    else:
-        raise UsageError(f"cannot classify with {type(classifier).__name__}")
-    if queries.shape[1:] != grid.shape:
-        raise UsageError(f"query length {queries.shape[1:]} does not match {what} ({grid.size})")
-    d = _distances(refs, queries, _active_columns(grid, truncate_at))
-    if isinstance(classifier, TemplateSet):
-        return [classifier.labels[c] for c in d.argmin(axis=1)]
-    order = _class_order(labels)
-    code = {label: c for c, label in enumerate(order)}
-    codes = np.array([code[label] for label in labels])
-    nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
-    cells = np.arange(len(queries))[:, None] * len(order) + codes[nearest]
-    votes = np.bincount(cells.ravel(), minlength=d.shape[0] * len(order)).reshape(-1, len(order))
-    # argmax takes the first of equal counts: the earliest label in sorted order
-    return [order[c] for c in votes.argmax(axis=1)]
-
-
 def predict_labels(
     classifier: Union[TemplateSet, KnnClassifier],
     test: CurvePanel,
@@ -239,9 +197,30 @@ def predict_labels(
     majority label among the k nearest training curves: neighbour ties at
     equal distance take the smaller row index, vote ties the label earliest
     in sorted order.  With `truncate_at`, only grid points strictly before
-    the cutoff enter the comparison.
+    the cutoff enter the comparison.  The distances are the pipeline's
+    (`geometry._cross_distances`): a distance beyond float64 is `NumericError`.
     """
-    return _predict(classifier, test.values, truncate_at)
+    if isinstance(classifier, TemplateSet):
+        refs, grid, what = classifier.curves, classifier.grid, "the template grid"
+    elif isinstance(classifier, KnnClassifier):
+        refs, grid, what = classifier.train.values, classifier.train.grid, "the panel grid"
+    else:
+        raise UsageError(f"cannot classify with {type(classifier).__name__}")
+    if test.values.shape[1:] != grid.shape:
+        raise UsageError(f"query length {test.values.shape[1:]} does not match {what} ({grid.size})")
+    cols = _active_columns(grid, truncate_at)
+    d = _cross_distances(test.values[:, cols], refs[:, cols])
+    if isinstance(classifier, TemplateSet):
+        return [classifier.labels[c] for c in d.argmin(axis=1)]
+    labels = classifier.train.labels
+    order = _class_order(labels)
+    code = {label: c for c, label in enumerate(order)}
+    codes = np.array([code[label] for label in labels])
+    nearest = np.argsort(d, axis=1, kind="stable")[:, : classifier.k]
+    cells = np.arange(len(d))[:, None] * len(order) + codes[nearest]
+    votes = np.bincount(cells.ravel(), minlength=d.shape[0] * len(order)).reshape(-1, len(order))
+    # argmax takes the first of equal counts: the earliest label in sorted order
+    return [order[c] for c in votes.argmax(axis=1)]
 
 
 def confusion_from_predictions(labels, references, predictions) -> ConfusionMatrix:
@@ -265,6 +244,6 @@ def evaluate(
     if isinstance(classifier, TemplateSet):
         order = classifier.labels
     else:
-        order = _class_order(_require_labels(classifier.train, "training"))
+        order = _class_order(classifier.train.labels)
     preds = predict_labels(classifier, test, truncate_at)
     return confusion_from_predictions(order, refs, preds)

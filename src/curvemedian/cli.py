@@ -132,8 +132,6 @@ def cmd_classify(args) -> int:
     for field in fields(cfg):  # flags given on the command line win over the file
         if hasattr(args, field.name):
             setattr(cfg, field.name, getattr(args, field.name))
-    if cfg.method == "knn" and cfg.k < 1:
-        raise UsageError(f"k must be >= 1, got {cfg.k}")
     _alpha(cfg.alpha)
     _cap(cfg.cap)
 
@@ -141,7 +139,7 @@ def cmd_classify(args) -> int:
     test = panel_io.read_panel(args.test)
     if cfg.method == "knn":
         classifier = KnnClassifier(train=train, k=cfg.k)
-        order = sorted(set(train.labels or []))
+        order = sorted(set(train.labels))
     else:
         classifier = extract_templates(train, method=cfg.method, alpha=cfg.alpha, cap=cfg.cap)
         order = classifier.labels

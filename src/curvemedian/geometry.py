@@ -44,8 +44,8 @@ _CHUNK = 1 << 16
 # coverage tolerance, as a fraction of the cloud diameter
 _REL_TOL = 1e-9
 
-# cloud extents whose squared coordinate differences `_pairwise_distances`
-# takes as they are; it rescales the differences of any other cloud
+# extents of point sets whose squared coordinate differences `_block` takes
+# as they are; it rescales the differences of any others
 _MIN_EXTENT, _MAX_EXTENT = 2.0**-400, 2.0**400
 
 # n x n float64 matrices live at the peak of `graphs.geodesic_pipeline`,
@@ -107,24 +107,46 @@ def _distance_matrix(distances) -> np.ndarray:
     return dist
 
 
-def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix of an (n, p) array of points.
+def _exponent(pts: np.ndarray) -> int:
+    """`_block`'s e for a point set: 0 if its extent (largest coordinate range) is
+    in [2^-400, 2^400], else the power of two that brings it into [1/2, 1)."""
+    with np.errstate(over="ignore"):
+        extent = float(np.ptp(pts, axis=0).max())
+    return 0 if _MIN_EXTENT <= extent <= _MAX_EXTENT else math.frexp(extent)[1]
 
-    Built from direct coordinate differences, never from the
-    |a|^2 - 2a.b + |b|^2 expansion, which cancels badly far from the origin.
-    Row block [start, stop) holds the distances to points start..n-1, from a
-    difference tensor of about `_DIST_BLOCK` elements, and is mirrored into
-    columns [start, stop), so only the upper triangle and the blocks'
-    diagonal squares are computed.  Entry (i, j) is the same einsum over the
-    same contiguous coordinates whatever the blocking, so the result is
-    exactly symmetric with a zero diagonal.  A cloud whose extent (largest
-    coordinate range) lies outside [2^-400, 2^400] has its differences
-    multiplied by a power of two that brings the extent into [1/2, 1), and
-    its roots divided by it: exact, so that the squares neither underflow
-    nor overflow and scaling the cloud by a power of two scales the matrix
-    bit for bit.  Refuses, before allocating, a cloud whose pipeline arrays
-    would not fit in physical memory.
-    """
+
+def _block(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
+    """(len(a), len(b)) distances between the rows of a and b: each is one einsum over the
+    coordinates of its own difference, whatever the other rows, never |a|^2 - 2a.b + |b|^2,
+    which cancels far from the origin.  Differences times 2^-e and roots times 2^e: exact, so
+    the squares neither underflow nor overflow and scaling by 2^k scales the distances bit for bit."""
+    diff = a[:, None, :] - b[None, :, :]
+    if e:
+        np.ldexp(diff, -e, out=diff)
+    block = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    if e:
+        np.ldexp(block, e, out=block)
+    return block
+
+
+def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances between two (., p) point arrays: `_block` over
+    row blocks of a at the exponent of both sets; `NumericError` beyond the float64 range."""
+    e, rows = _exponent(np.concatenate((a, b))), max(1, _DIST_BLOCK // b.size)
+    with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
+        dist = np.concatenate([_block(a[i : i + rows], b, e) for i in range(0, len(a), rows)])
+    if not np.isfinite(dist.max()):
+        raise NumericError("pairwise distances overflow float64; rescale the points")
+    return dist
+
+
+def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix of an (n, p) array of points, at the cloud's `_exponent`.
+
+    Row block [start, stop) holds the `_block` distances to points start..n-1, from about
+    `_DIST_BLOCK` differences, and is mirrored into columns [start, stop), so the result is
+    exactly symmetric with a zero diagonal.  Refuses, before allocating, a cloud whose
+    pipeline arrays would not fit in physical memory."""
     n, p = pts.shape
     need, have = _PEAK_MATRICES * 8.0 * n * n, _physical_memory()
     if need > have:
@@ -134,19 +156,12 @@ def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
         )
     dist = np.zeros((n, n))
     most = -(-n // 2)  # no block spans the whole square
-    start = 0
+    start, e = 0, _exponent(pts)
     with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
-        extent = float(np.ptp(pts, axis=0).max())
-        e = 0 if _MIN_EXTENT <= extent <= _MAX_EXTENT else math.frexp(extent)[1]
         while start < n - 1:
             rows = min(most, max(1, _DIST_BLOCK // max(1, (n - start) * p)))
             stop = min(n, start + rows)
-            diff = pts[start:stop, None, :] - pts[None, start:, :]
-            if e:
-                np.ldexp(diff, -e, out=diff)
-            block = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            if e:
-                np.ldexp(block, e, out=block)
+            block = _block(pts[start:stop], pts[start:], e)
             dist[start:stop, start:] = block
             dist[start:, start:stop] = block.T
             start = stop

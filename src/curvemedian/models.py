@@ -201,10 +201,17 @@ class Sim2Config:
 
 
 def _grid(m: int, t_range) -> np.ndarray:
-    if m < 2:
-        raise UsageError(f"grid needs m >= 2 points, got {m}")
+    _count("m", m, 2)
     lo, hi = _check_range("t_range", t_range)
     return np.linspace(lo, hi, m)
+
+
+def _count(name: str, value, least: int) -> None:
+    """Refuses `value` unless an integer (not a bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise UsageError(f"{name} must be >= {least}, got {value}")
 
 
 def _rng(seed) -> np.random.Generator:
@@ -233,8 +240,7 @@ def generate_shift_sample(cfg: ShiftConfig) -> CurvePanel:
         if shifts.ndim != 1 or shifts.size < 1:
             raise UsageError("explicit shifts must be a nonempty 1-D sequence")
     else:
-        if cfg.n < 1:
-            raise UsageError(f"n must be >= 1, got {cfg.n}")
+        _count("n", cfg.n, 1)
         lo, hi = _check_range("shift_range", cfg.shift_range)
         rng = _rng(cfg.seed)
         shifts = rng.uniform(lo, hi, cfg.n)
@@ -246,8 +252,7 @@ def generate_shift_sample(cfg: ShiftConfig) -> CurvePanel:
 
 def sim1_truth(n: int) -> np.ndarray:
     """Noise-free parabola sample: (u_i, 2u_i**2), u_i equispaced on [-1, 1]."""
-    if n < 2:
-        raise UsageError(f"parabola cloud needs n >= 2, got {n}")
+    _count("n", n, 2)
     i = np.arange(1, n + 1, dtype=float)
     u = (2.0 * i - n - 1.0) / (n - 1.0)
     return np.column_stack([u, 2.0 * u**2])
@@ -268,8 +273,7 @@ def generate_sim2(cfg: Sim2Config) -> CurvePanel:
     """Sample the three-parameter warp model; parameters ride along."""
     target = get_target(cfg.target)
     grid = _grid(cfg.m, cfg.t_range)
-    if cfg.n < 1:
-        raise UsageError(f"n must be >= 1, got {cfg.n}")
+    _count("n", cfg.n, 1)
     rng = _rng(cfg.seed)
 
     def draw(name):

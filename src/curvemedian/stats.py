@@ -54,12 +54,14 @@ def intrinsic_estimate(distance_matrix, alpha: float = 1.0) -> IntrinsicEstimate
     """
     dm = _distance_matrix(distance_matrix)
     alpha = _alpha(alpha)
-    with np.errstate(over="ignore"):
-        powered = dm if alpha == 1.0 else dm**alpha
-    if not np.isfinite(powered).all():
-        raise NumericError(f"distances to the power alpha={alpha} overflow float64")
-    if ((powered == 0.0) & (dm > 0.0)).any():
-        raise NumericError(f"positive distances to the power alpha={alpha} underflow to zero")
+    powered = dm
+    if alpha != 1.0:  # at alpha 1 the power is dm, which _distance_matrix proved finite
+        with np.errstate(over="ignore"):
+            powered = dm**alpha
+        if not np.isfinite(powered).all():
+            raise NumericError(f"distances to the power alpha={alpha} overflow float64")
+        if ((powered == 0.0) & (dm > 0.0)).any():
+            raise NumericError(f"positive distances to the power alpha={alpha} underflow to zero")
     try:
         objectives = [math.fsum(row) for row in powered.tolist()]
     except OverflowError:
@@ -85,10 +87,12 @@ def cross_sectional_mean(panel) -> np.ndarray:
     Accepts a CurvePanel or a rectangular 2-D array; ragged or empty input
     is a usage error.
     """
-    values = getattr(panel, "values", panel)
-    arr = np.asarray(values)
-    if arr.dtype == object or arr.ndim != 2:
+    try:
+        arr = np.asarray(getattr(panel, "values", panel), dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise UsageError("panel rows must form a rectangular 2-D array") from None
+    if arr.ndim != 2:
         raise UsageError("panel rows must form a rectangular 2-D array")
     if arr.shape[0] == 0:
         raise UsageError("cannot average an empty panel")
-    return arr.astype(float).mean(axis=0)
+    return arr.mean(axis=0)

@@ -12,6 +12,7 @@ from curvemedian import (
     CurvePanel,
     DataFormatError,
     KnnClassifier,
+    NumericError,
     ShiftConfig,
     TemplateSet,
     UsageError,
@@ -24,7 +25,7 @@ from curvemedian import (
     load_benchmark_config,
     predict_labels,
 )
-from curvemedian import classify
+from curvemedian import geometry
 from oracles import knn_label, nearest_template_label
 
 
@@ -204,6 +205,15 @@ def test_knn_k_out_of_range():
         knn(train, [0.0] * 4, k=2)
 
 
+def test_knn_classifier_is_checked_when_built():
+    train = panel([[0.0] * 4, [1.0] * 4], ["a", "b"])
+    for k in (0, 3, 2.0, True, None):
+        with pytest.raises(UsageError, match=r"k must be an integer in \[1, 2\]"):
+            KnnClassifier(train, k)
+    with pytest.raises(UsageError, match="training panel carries no class labels"):
+        KnnClassifier(CurvePanel(GRID, train.values), 1)
+
+
 @pytest.mark.parametrize("k", [2.5, True])
 def test_knn_non_integer_k_is_usage_error(k):
     # a float would reach numpy as a slice bound, and True would count as 1
@@ -282,17 +292,56 @@ def test_predict_labels_matches_per_query_knn_oracle(data):
     assert predict_labels(KnnClassifier(train, k), test, truncate_at) == want
 
 
-def test_panel_distances_match_one_query_sums():
-    # a panel's distances are bit-identical to those of its rows one at a
-    # time, including a lone query or a lone reference
+def test_panel_distances_match_one_query_sums(monkeypatch):
+    # classification's distances come from the pipeline's kernel, and each
+    # row of a stack is bit-identical to that row's one-query call, as is
+    # each column to its one-reference call, a lone query or reference and
+    # blocks of one row included
     rng = np.random.default_rng(5)
-    for refs, queries in ((7, 30), (30, 7), (1, 9), (9, 1), (1, 1)):
-        r, q = rng.normal(size=(refs, 101)) * 1e3, rng.normal(size=(queries, 101)) * 1e3
-        cols = np.arange(101) < 77
-        d = classify._distances(r, q, cols)
-        for t in range(queries):
-            diff = r[:, cols] - q[t, cols][None, :]
-            assert d[t].tobytes() == np.sqrt(np.einsum("nk,nk->n", diff, diff)).tobytes()
+    for block in (geometry._DIST_BLOCK, 1):
+        monkeypatch.setattr(geometry, "_DIST_BLOCK", block)
+        for p in (2, 3, 7, 77, 101, 1000):
+            for refs, queries in ((7, 30), (30, 7), (1, 9), (9, 1), (1, 1), (2, 1), (1, 2)):
+                r, q = rng.normal(size=(refs, p)) * 1e3, rng.normal(size=(queries, p)) * 1e3
+                d = geometry._cross_distances(q, r)
+                assert d.shape == (queries, refs)
+                for t in range(queries):
+                    assert d[t].tobytes() == geometry._cross_distances(q[t : t + 1], r).tobytes()
+                for j in range(refs):
+                    assert d[:, j].tobytes() == geometry._cross_distances(q, r[j : j + 1]).ravel().tobytes()
+
+
+def _benchmark_predictions(train, test, knn_k):
+    classifiers = [extract_templates(train, method) for method in ("manifold", "mean", "medoid")]
+    return [predict_labels(c, test) for c in classifiers + [KnnClassifier(train, knn_k)]]
+
+
+def _accuracies(predictions, test):
+    return [float(np.mean(np.array(p) == np.array(test.labels))) for p in predictions]
+
+
+def test_predictions_follow_scaling():
+    # every query distance of the bundled benchmark overflows at 1e160 and
+    # underflows to 0 at 1e-170 unless rescaled; scaling by 2^k is exact
+    cfg = load_benchmark_config(BENCHMARK_CONFIG)
+    train, test = generate_benchmark(cfg)
+    want = _benchmark_predictions(train, test, cfg.knn_k)
+    for scale in (2.0**530, 2.0**-560, 1e160, 1e-170):
+        scaled = [CurvePanel(p.grid, p.values * scale, labels=p.labels) for p in (train, test)]
+        got = _benchmark_predictions(*scaled, cfg.knn_k)
+        if scale in (2.0**530, 2.0**-560):
+            assert got == want, scale
+        else:
+            assert _accuracies(got, test) == _accuracies(want, test), scale
+
+
+def test_distance_beyond_float64_is_numeric_error():
+    # each difference is finite, but the 4-point distance is 2e308
+    far = panel([[1e308] * 4, [0.0] * 4], ["far", "near"])
+    query = panel([[0.0] * 4], ["near"])
+    for classifier in (extract_templates(far, "medoid"), KnnClassifier(far, 1)):
+        with pytest.raises(NumericError, match="overflow"):
+            predict_labels(classifier, query)
 
 
 # ------------------------------------------------------------------ config
@@ -357,3 +406,13 @@ def test_bundled_benchmark_config_loads_and_bad_seeds_are_usage_errors():
     for seed in (-1, 1.5, True):
         with pytest.raises(UsageError, match="seed must be a nonnegative integer"):
             generate_benchmark(dataclasses.replace(cfg, seed=seed))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("n_train", 2.5, "n_train must be an integer"), ("n_test", 0, "n_test must be >= 1"), ("m", 1.5, "m must be an integer")],
+)
+def test_benchmark_counts_are_integers_in_range(key, value, message):
+    cfg = dataclasses.replace(load_benchmark_config(BENCHMARK_CONFIG), **{key: value})
+    with pytest.raises(UsageError, match=message):
+        generate_benchmark(cfg)

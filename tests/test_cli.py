@@ -428,6 +428,22 @@ def test_classify_bad_tolerance_exits_2_for_every_method(tmp_path, capsys, metho
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("method", ["manifold", "mean", "medoid", "knn"])
+def test_classify_distance_beyond_float64_exits_4(tmp_path, capsys, method):
+    # every coordinate difference is finite, but a query's distance to the
+    # far curves (2e308 over four grid points) is not
+    grid = np.arange(4.0)
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    write_panel(train, CurvePanel(grid, [[1e308] * 4, [0.0] * 4], labels=["far", "near"]))
+    write_panel(test, CurvePanel(grid, [[0.0] * 4], labels=["near"]))
+    code, out, err = run(
+        capsys, "classify", "--train", str(train), "--test", str(test), "--method", method, "--k", "1",
+        "--outdir", str(tmp_path / "c"),
+    )
+    assert code == 4 and out == "" and err.startswith("error: ") and "overflow" in err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("method", ["mean", "knn"])
 def test_classify_tolerance_in_the_config_file_exits_3(tmp_path, capsys, method):
     # "tol" is not a config key, whatever its value
@@ -519,9 +535,13 @@ def test_unlabeled_test_panel_exits_2(tmp_path, capsys):
         ["template", "--input", "{panel}", "--tol", "-1"],
         ["classify", "--train", "{panel}", "--test", "{bare}", "--method", "mean"],
         ["classify", "--train", "{panel}", "--test", "{panel}", "--method", "knn", "--k", "50"],
+        ["classify", "--train", "{panel}", "--test", "{panel}", "--method", "knn", "--k", "0"],
         ["classify", "--train", "{panel}", "--test", "{panel}", "--tol", "-1"],
     ],
-    ids=["distances-tol", "template-tol", "classify-unlabeled-test", "classify-k-above-n", "classify-tol"],
+    ids=[
+        "distances-tol", "template-tol", "classify-unlabeled-test", "classify-k-above-n", "classify-k-zero",
+        "classify-tol",
+    ],
 )
 def test_refused_run_leaves_nothing_on_disk(tmp_path, capsys, argv):
     panel = labeled_two_class_panel()

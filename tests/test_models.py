@@ -188,6 +188,28 @@ def test_bad_seed_is_usage_error(generate, config, seed):
         generate(config(n=5, seed=seed))
 
 
+BAD_COUNTS = {
+    "shift n=2.5": (generate_shift_sample, ShiftConfig(n=2.5), "n must be an integer, got 2.5"),
+    "shift m=2.5": (generate_shift_sample, ShiftConfig(m=2.5), "m must be an integer, got 2.5"),
+    "shift n=0": (generate_shift_sample, ShiftConfig(n=0), "n must be >= 1, got 0"),
+    "shift m=1": (generate_shift_sample, ShiftConfig(m=1), "m must be >= 2, got 1"),
+    "sim1 n=2.5": (generate_sim1, Sim1Config(n=2.5), "n must be an integer, got 2.5"),
+    "sim1 n=True": (generate_sim1, Sim1Config(n=True), "n must be an integer, got True"),
+    "sim1 n=1": (generate_sim1, Sim1Config(n=1), "n must be >= 2, got 1"),
+    "sim2 n=2.5": (generate_sim2, Sim2Config(n=2.5), "n must be an integer, got 2.5"),
+    "sim2 n=0": (generate_sim2, Sim2Config(n=0), "n must be >= 1, got 0"),
+    "sim2 m=2.0": (generate_sim2, Sim2Config(m=2.0), "m must be an integer, got 2.0"),
+}
+
+
+@pytest.mark.parametrize("generate, config, message", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_generators_refuse_counts_that_are_not_integers_in_range(generate, config, message):
+    # a float count once drew points outside the model (sim1 n=2.5 put u = 1.667
+    # off the parabola's [-1, 1]) or ended in numpy's TypeError
+    with pytest.raises(UsageError, match=message):
+        generate(config)
+
+
 BAD_RANGES = {
     "infinite": (0.0, float("inf")),
     "minus infinite": (float("-inf"), 0.0),

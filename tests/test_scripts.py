@@ -45,6 +45,16 @@ def test_run_benchmark_writes_panels_confusions_and_summary(tmp_path):
     assert "accuracy" in proc.stdout
 
 
+def test_run_benchmark_refused_config_exits_2_and_writes_nothing(tmp_path):
+    raw = json.loads((ROOT / "configs" / "benchmark_2class.json").read_text(encoding="utf-8"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**raw, "seed": -1}), encoding="utf-8")
+    proc = run_script("run_benchmark.py", tmp_path, "--config", str(config), "--outdir", "out")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: seed must be a nonnegative integer, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_records_stages_and_digests_per_source(tmp_path):
     out = tmp_path / "BENCH.json"
     proc = run_script(

@@ -145,8 +145,9 @@ def test_cross_sectional_mean_accepts_panel():
 
 
 def test_cross_sectional_mean_ragged_rejected():
-    with pytest.raises(UsageError):
-        cross_sectional_mean(np.array([[1.0, 2.0], [3.0]], dtype=object))
+    for values in (np.array([[1.0, 2.0], [3.0]], dtype=object), [[1.0, 2.0], [3.0]], [["a", "b"]]):
+        with pytest.raises(UsageError, match="rectangular 2-D array"):
+            cross_sectional_mean(values)
 
 
 def test_cross_sectional_mean_empty_rejected():
