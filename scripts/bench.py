@@ -69,11 +69,11 @@ configs/benchmark_2class.json with N training and 2N test curves per class
 (the file's own sizes at N=50), once at each of the seeds 1500-1502, the
 class seeds of perfbench's batch-small workload at benchmark seed 1.  It
 times `extract_templates` and `predict_labels` per method, summed over the
-seeds, and records sha256 digests of every prediction and confusion matrix.
+seeds (a prediction under the method of the `extract_templates` call that
+built its classifier, else `knn`), and records sha256 digests of every prediction and confusion matrix.
 """
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -171,7 +171,6 @@ def criterion_2_instances(count: int):
 def measure_quality(cap: str, panels: int, endpoint_n: int, endpoint_seeds: int) -> dict:
     """The quality measures of one cap value, run inside the child interpreter."""
     import curvemedian as cm
-    from curvemedian import benchmark
 
     kwargs = cap_kwargs(cap)
     exact = within_one = 0
@@ -203,10 +202,10 @@ def measure_quality(cap: str, panels: int, endpoint_n: int, endpoint_seeds: int)
             "signed_rel_err_mean": statistics.fmean(errs),
             "abs_rel_err_mean": statistics.fmean(abs(e) for e in errs),
         }
-    # run_benchmark reads extract_templates from the benchmark namespace
-    benchmark.extract_templates = functools.partial(benchmark.extract_templates, **kwargs)
     config = cm.load_benchmark_config(ROOT / "configs" / "benchmark_2class.json")
-    record["criterion_7_accuracy"] = cm.run_benchmark(config, methods=("manifold",))["manifold"]["accuracy"]
+    train, test = cm.generate_benchmark(config)
+    templates = cm.extract_templates(train, "manifold", **kwargs)
+    record["criterion_7_accuracy"] = cm.evaluate(templates, test, truncate_at=config.truncate_at).accuracy()
     return record
 
 
@@ -281,7 +280,15 @@ def measure_classify(n: int) -> dict:
 
         return wrapper
 
-    predict_labels = classify.predict_labels
+    extract_templates, predict_labels = benchmark.extract_templates, classify.predict_labels
+    # id -> (classifier, method) of each classifier `extract_templates` built;
+    # holding the classifier keeps its id from passing to a later one
+    built = {}
+
+    def extracted(train, method, **kwargs):
+        classifier = extract_templates(train, method, **kwargs)
+        built[id(classifier)] = classifier, method
+        return classifier
 
     def predicted(*args, **kwargs):
         predictions.append(predict_labels(*args, **kwargs))
@@ -289,10 +296,8 @@ def measure_classify(n: int) -> dict:
 
     # benchmark imported extract_templates by name; evaluate looks
     # predict_labels up in the classify namespace
-    benchmark.extract_templates = timed(
-        "extract_templates", benchmark.extract_templates, lambda train, method, **_: method
-    )
-    classify.predict_labels = timed("predict_labels", predicted, lambda c, *_: getattr(c, "method", "knn"))
+    benchmark.extract_templates = timed("extract_templates", extracted, lambda train, method, **_: method)
+    classify.predict_labels = timed("predict_labels", predicted, lambda c, *_: built.get(id(c), (c, "knn"))[1])
     base = cm.load_benchmark_config(ROOT / "configs" / "benchmark_2class.json")
     for seed in CLASS_SEEDS:
         cfg = dataclasses.replace(base, seed=seed, n_train=n, n_test=2 * n)

@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "classify": (
         "TEMPLATE_METHODS", "ClassifierConfig", "ConfusionMatrix", "KnnClassifier",
-        "TemplateSet", "confusion_from_predictions", "evaluate", "extract_templates", "predict_labels",
+        "confusion_from_predictions", "evaluate", "extract_templates", "predict_labels",
     ),
     "errors": ("DataFormatError", "NumericError", "UsageError"),
     "graphs": (
@@ -41,8 +41,7 @@ _EXPORTS = {
         "fmt", "read_classifier_config", "read_cloud", "read_curve", "read_edges", "read_json",
         "read_matrix", "read_panel", "read_points_auto", "read_shifts", "write_cloud",
         "write_confusion", "write_curve", "write_edges", "write_json", "write_matrix",
-        "write_panel", "write_predictions", "write_shifts", "write_templates",
-        "write_warp_params",
+        "write_panel", "write_predictions", "write_shifts", "write_warp_params",
     ),
     "stats": (
         "IntrinsicEstimate", "cross_sectional_mean", "euclidean_medoid", "intrinsic_estimate",

@@ -1,29 +1,29 @@
-"""Nearest-template classification of curves, plus a k-NN benchmark.
+"""Nearest-reference classification of curves: templates and k-NN.
 
 One template per class is extracted from labeled training curves, either as
 the intrinsic median over graph-estimated geodesic distances ("manifold"),
-the pointwise mean ("mean"), or the Euclidean medoid ("medoid").  Queries
-are assigned to the class of the Euclidean-nearest template, optionally
-after discarding grid points at or beyond a time cutoff.
+the pointwise mean ("mean"), or the Euclidean medoid ("medoid").  A query
+takes the majority label of its k Euclidean-nearest reference curves, the
+templates (k = 1) or the training curves themselves, optionally after
+discarding grid points at or beyond a time cutoff.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from .errors import UsageError
 from .geometry import _cross_distances
-from .graphs import DEFAULT_CAP, geodesic_pipeline
+from .graphs import DEFAULT_CAP, _cap, geodesic_pipeline
 from .models import CurvePanel
-from .stats import cross_sectional_mean, euclidean_medoid, intrinsic_estimate
+from .stats import _alpha, cross_sectional_mean, euclidean_medoid, intrinsic_estimate
 
 __all__ = [
     "TEMPLATE_METHODS",
-    "TemplateSet",
     "KnnClassifier",
     "ClassifierConfig",
     "ConfusionMatrix",
@@ -36,31 +36,27 @@ __all__ = [
 TEMPLATE_METHODS = ("manifold", "mean", "medoid")
 
 
-@dataclass
-class TemplateSet:
-    """One template curve per class.
-
-    `provenance[k]` is the training-row index the template was copied from,
-    or None for the pointwise mean.  labels are kept sorted; ties in later
-    nearest-template queries resolve in this order.
-    """
-
-    method: str
-    grid: np.ndarray
-    labels: List[str]
-    curves: np.ndarray
-    provenance: List[Optional[int]]
-
-
 @dataclass(frozen=True)
 class KnnClassifier:
+    """A labeled panel of reference curves, of which the k nearest vote:
+    the training curves, or one template per class with k = 1."""
+
     train: CurvePanel
     k: int
 
     def __post_init__(self):
-        k, n = self.k, len(_require_labels(self.train, "training"))
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= n:
-            raise UsageError(f"k must be an integer in [1, {n}], got {k!r}")
+        _k(self.k, len(_require_labels(self.train, "training")))
+
+    @property
+    def labels(self) -> List[str]:
+        """The classes in sorted order, the order vote ties resolve in."""
+        return sorted(set(self.train.labels))
+
+
+def _k(k, n) -> None:
+    """Refuses (`UsageError`) a k that is a bool, not an integer, or outside [1, n]."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= n:
+        raise UsageError(f"k must be an integer in [1, {n}], got {k!r}")
 
 
 def _matches(value, kinds) -> bool:
@@ -94,9 +90,10 @@ _CONFIG_TYPES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassifierConfig:
-    """Flat bundle of classification settings, JSON-friendly."""
+    """Flat bundle of classification settings, JSON-friendly; every value is
+    checked when it is built, whatever the method."""
 
     method: str = "manifold"
     alpha: float = 1.0
@@ -104,15 +101,20 @@ class ClassifierConfig:
     truncate_at: Optional[float] = None
     cap: Optional[float] = DEFAULT_CAP
 
+    def __post_init__(self):
+        if self.method not in TEMPLATE_METHODS + ("knn",):
+            raise UsageError(f"unknown method {self.method!r}")
+        _alpha(self.alpha)
+        _cap(self.cap)
+        _k(self.k, np.inf)
+        _cutoff(self.truncate_at)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierConfig":
-        cfg = cls(**_checked(d, _CONFIG_TYPES, "classifier config"))
-        if cfg.method not in TEMPLATE_METHODS + ("knn",):
-            raise UsageError(f"unknown method {cfg.method!r}")
-        return cfg
+        return cls(**_checked(d, _CONFIG_TYPES, "classifier config"))
 
 
 @dataclass
@@ -129,10 +131,6 @@ class ConfusionMatrix:
         return float(np.trace(self.counts)) / total
 
 
-def _class_order(labels) -> List[str]:
-    return sorted(set(labels))
-
-
 def _require_labels(panel: CurvePanel, who: str) -> List[str]:
     if panel.labels is None:
         raise UsageError(f"{who} panel carries no class labels")
@@ -144,21 +142,19 @@ def extract_templates(
     method: str = "manifold",
     alpha: float = 1.0,
     cap: Optional[float] = DEFAULT_CAP,
-) -> TemplateSet:
-    """Extract one template per class from a labeled training panel."""
+) -> KnnClassifier:
+    """One template per class of a labeled training panel, as the 1-NN
+    classifier over the templates, labeled and ordered by sorted class."""
     labels = _require_labels(train, "training")
     if method not in TEMPLATE_METHODS:
         raise UsageError(f"unknown template method {method!r}; known: {TEMPLATE_METHODS}")
-    order = _class_order(labels)
+    order = sorted(set(labels))
     curves = np.empty((len(order), train.m))
-    provenance: List[Optional[int]] = []
     lab_arr = np.asarray(labels)
     for row, label in enumerate(order):
-        member_idx = np.flatnonzero(lab_arr == label)
-        members = train.values[member_idx]
+        members = train.values[lab_arr == label]
         if method == "mean":
             curves[row] = cross_sectional_mean(members)
-            provenance.append(None)
             continue
         if method == "manifold":
             result = geodesic_pipeline(members, cap=cap)
@@ -166,17 +162,17 @@ def extract_templates(
         else:  # medoid
             est = euclidean_medoid(members, alpha=alpha)
         curves[row] = members[est.index]
-        provenance.append(int(member_idx[est.index]))
-    return TemplateSet(
-        method=method,
-        grid=train.grid.copy(),
-        labels=order,
-        curves=curves,
-        provenance=provenance,
-    )
+    return KnnClassifier(CurvePanel(train.grid.copy(), curves, labels=order), k=1)
+
+
+def _cutoff(truncate_at) -> None:
+    """Refuses (`UsageError`) a cutoff that is a bool or neither a real number nor None."""
+    if truncate_at is not None and (isinstance(truncate_at, bool) or not isinstance(truncate_at, numbers.Real)):
+        raise UsageError(f"truncate_at must be a number or None, got {truncate_at!r}")
 
 
 def _active_columns(grid: np.ndarray, truncate_at: Optional[float]) -> np.ndarray:
+    _cutoff(truncate_at)
     if truncate_at is None:
         return np.ones(grid.size, dtype=bool)
     mask = grid < truncate_at
@@ -186,36 +182,28 @@ def _active_columns(grid: np.ndarray, truncate_at: Optional[float]) -> np.ndarra
 
 
 def predict_labels(
-    classifier: Union[TemplateSet, KnnClassifier],
+    classifier: KnnClassifier,
     test: CurvePanel,
     truncate_at: Optional[float] = None,
 ) -> List[str]:
     """One label per test row, from one Euclidean distance pass over the panel.
 
-    A `TemplateSet` gives each row the label of its nearest template, exact
-    ties resolving in template label order.  A `KnnClassifier` gives the
-    majority label among the k nearest training curves: neighbour ties at
-    equal distance take the smaller row index, vote ties the label earliest
-    in sorted order.  With `truncate_at`, only grid points strictly before
-    the cutoff enter the comparison.  The distances are the pipeline's
+    Each row takes the majority label among its k nearest reference curves:
+    reference ties at equal distance take the smaller row index, vote ties
+    the label earliest in sorted order.  So with one template per class and
+    k = 1, an exact tie goes to the template first in sorted label order.
+    With `truncate_at`, only grid points strictly before the cutoff enter
+    the comparison.  The distances are the pipeline's
     (`geometry._cross_distances`): a distance beyond float64 is `NumericError`.
     """
-    if isinstance(classifier, TemplateSet):
-        refs, grid, what = classifier.curves, classifier.grid, "the template grid"
-    elif isinstance(classifier, KnnClassifier):
-        refs, grid, what = classifier.train.values, classifier.train.grid, "the panel grid"
-    else:
-        raise UsageError(f"cannot classify with {type(classifier).__name__}")
-    if test.values.shape[1:] != grid.shape:
-        raise UsageError(f"query length {test.values.shape[1:]} does not match {what} ({grid.size})")
-    cols = _active_columns(grid, truncate_at)
-    d = _cross_distances(test.values[:, cols], refs[:, cols])
-    if isinstance(classifier, TemplateSet):
-        return [classifier.labels[c] for c in d.argmin(axis=1)]
-    labels = classifier.train.labels
-    order = _class_order(labels)
+    train = classifier.train
+    if test.values.shape[1:] != train.grid.shape:
+        raise UsageError(f"query length {test.values.shape[1:]} does not match the reference grid ({train.grid.size})")
+    cols = _active_columns(train.grid, truncate_at)
+    d = _cross_distances(test.values[:, cols], train.values[:, cols])
+    order = classifier.labels
     code = {label: c for c, label in enumerate(order)}
-    codes = np.array([code[label] for label in labels])
+    codes = np.array([code[label] for label in train.labels])
     nearest = np.argsort(d, axis=1, kind="stable")[:, : classifier.k]
     cells = np.arange(len(d))[:, None] * len(order) + codes[nearest]
     votes = np.bincount(cells.ravel(), minlength=d.shape[0] * len(order)).reshape(-1, len(order))
@@ -235,15 +223,10 @@ def confusion_from_predictions(labels, references, predictions) -> ConfusionMatr
 
 
 def evaluate(
-    classifier: Union[TemplateSet, KnnClassifier],
+    classifier: KnnClassifier,
     test: CurvePanel,
     truncate_at: Optional[float] = None,
 ) -> ConfusionMatrix:
     """Confusion matrix of a classifier over a labeled test panel."""
     refs = _require_labels(test, "test")
-    if isinstance(classifier, TemplateSet):
-        order = classifier.labels
-    else:
-        order = _class_order(classifier.train.labels)
-    preds = predict_labels(classifier, test, truncate_at)
-    return confusion_from_predictions(order, refs, preds)
+    return confusion_from_predictions(classifier.labels, refs, predict_labels(classifier, test, truncate_at))

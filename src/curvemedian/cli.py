@@ -19,12 +19,12 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import panel_io
 from .errors import DataFormatError, NumericError, UsageError
-from .graphs import DEFAULT_CAP, _cap, geodesic_pipeline, pipeline_diagnostics
+from .graphs import DEFAULT_CAP, geodesic_pipeline, pipeline_diagnostics
 
 # classify, models and stats are imported by the commands that run them, so
 # that `distances` loads none of them.  For the same reason classify
@@ -117,41 +117,27 @@ def cmd_template(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .classify import (
-        ClassifierConfig,
-        KnnClassifier,
-        confusion_from_predictions,
-        extract_templates,
-        predict_labels,
-    )
-    from .stats import _alpha
+    from .classify import ClassifierConfig, KnnClassifier, confusion_from_predictions, extract_templates, predict_labels
 
-    cfg = ClassifierConfig()
-    if args.config:
-        cfg = panel_io.read_classifier_config(args.config)
-    for field in fields(cfg):  # flags given on the command line win over the file
-        if hasattr(args, field.name):
-            setattr(cfg, field.name, getattr(args, field.name))
-    _alpha(cfg.alpha)
-    _cap(cfg.cap)
+    cfg = panel_io.read_classifier_config(args.config) if args.config else ClassifierConfig()
+    # flags given on the command line win over the file
+    cfg = replace(cfg, **{f.name: getattr(args, f.name) for f in fields(cfg) if hasattr(args, f.name)})
 
     train = panel_io.read_panel(args.train)
     test = panel_io.read_panel(args.test)
     if cfg.method == "knn":
         classifier = KnnClassifier(train=train, k=cfg.k)
-        order = sorted(set(train.labels))
     else:
         classifier = extract_templates(train, method=cfg.method, alpha=cfg.alpha, cap=cfg.cap)
-        order = classifier.labels
     if test.labels is None:
         raise UsageError("test panel carries no class labels")
     preds = predict_labels(classifier, test, truncate_at=cfg.truncate_at)
-    cm = confusion_from_predictions(order, test.labels, preds)
+    cm = confusion_from_predictions(classifier.labels, test.labels, preds)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.method != "knn":
-        panel_io.write_templates(outdir / "templates.csv", classifier)
+        panel_io.write_panel(outdir / "templates.csv", classifier.train)
     panel_io.write_predictions(outdir / "predictions.csv", test.labels, preds)
     panel_io.write_confusion(outdir / "confusion.csv", cm)
     panel_io.write_json(outdir / "classifier.json", cfg.to_dict())

@@ -107,11 +107,14 @@ def _distance_matrix(distances) -> np.ndarray:
     return dist
 
 
-def _exponent(pts: np.ndarray) -> int:
-    """`_block`'s e for a point set: 0 if its extent (largest coordinate range) is
-    in [2^-400, 2^400], else the power of two that brings it into [1/2, 1)."""
+def _exponent(*sets: np.ndarray) -> int:
+    """`_block`'s e for point sets: 0 if their joint extent (largest coordinate range
+    over their union, from each set's column maxima and minima, so nothing is copied)
+    is in [2^-400, 2^400], else the power of two that brings it into [1/2, 1)."""
     with np.errstate(over="ignore"):
-        extent = float(np.ptp(pts, axis=0).max())
+        hi = np.maximum.reduce([pts.max(axis=0) for pts in sets])
+        lo = np.minimum.reduce([pts.min(axis=0) for pts in sets])
+        extent = float((hi - lo).max())
     return 0 if _MIN_EXTENT <= extent <= _MAX_EXTENT else math.frexp(extent)[1]
 
 
@@ -132,7 +135,7 @@ def _block(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
 def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) Euclidean distances between two (., p) point arrays: `_block` over
     row blocks of a at the exponent of both sets; `NumericError` beyond the float64 range."""
-    e, rows = _exponent(np.concatenate((a, b))), max(1, _DIST_BLOCK // b.size)
+    e, rows = _exponent(a, b), max(1, _DIST_BLOCK // b.size)
     with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
         dist = np.concatenate([_block(a[i : i + rows], b, e) for i in range(0, len(a), rows)])
     if not np.isfinite(dist.max()):

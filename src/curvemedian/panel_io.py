@@ -28,7 +28,7 @@ from .errors import DataFormatError, UsageError
 from .graphs import WeightedGraph
 
 if TYPE_CHECKING:  # the readers and writers that build these import them when called
-    from .classify import ClassifierConfig, ConfusionMatrix, TemplateSet
+    from .classify import ClassifierConfig, ConfusionMatrix
     from .models import CurvePanel
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "write_panel",
     "write_predictions",
     "write_shifts",
-    "write_templates",
     "write_warp_params",
 ]
 
@@ -355,16 +354,6 @@ def read_classifier_config(path) -> ClassifierConfig:
 
 
 # ---------------------------------------------------------- classification
-
-def write_templates(path, templates: TemplateSet) -> None:
-    """Panel-format file whose row labels are the class labels."""
-    from .models import CurvePanel
-
-    panel = CurvePanel(
-        grid=templates.grid, values=templates.curves, labels=templates.labels
-    )
-    write_panel(path, panel)
-
 
 def write_predictions(path, references, predictions) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -95,4 +95,8 @@ def cross_sectional_mean(panel) -> np.ndarray:
         raise UsageError("panel rows must form a rectangular 2-D array")
     if arr.shape[0] == 0:
         raise UsageError("cannot average an empty panel")
-    return arr.mean(axis=0)
+    with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
+        mean = arr.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise NumericError("pointwise mean is not finite: a value is not, or a sum overflows float64")
+    return mean

@@ -14,7 +14,6 @@ from curvemedian import (
     KnnClassifier,
     NumericError,
     ShiftConfig,
-    TemplateSet,
     UsageError,
     confusion_from_predictions,
     evaluate,
@@ -65,16 +64,16 @@ def test_single_curve_class_is_its_own_template():
     train = panel([[1.0, 2.0, 3.0, 4.0]], ["only"])
     for method in ("manifold", "mean", "medoid"):
         ts = extract_templates(train, method)
-        assert ts.labels == ["only"]
-        assert ts.curves.tolist() == [[1.0, 2.0, 3.0, 4.0]]
-        assert ts.provenance == [None] if method == "mean" else [0]
+        assert ts.k == 1 and ts.labels == ts.train.labels == ["only"]
+        assert np.array_equal(ts.train.grid, GRID)
+        assert ts.train.values.tobytes() == train.values.tobytes()
 
 
 def test_mean_template_is_pointwise_average():
     train = panel([[0.0, 0.0, 0.0, 0.0], [2.0, 2.0, 2.0, 2.0]], ["x", "x"])
     ts = extract_templates(train, "mean")
-    assert ts.curves.tolist() == [[1.0, 1.0, 1.0, 1.0]]
-    assert ts.provenance == [None]
+    assert ts.train.values.tolist() == [[1.0, 1.0, 1.0, 1.0]]
+    assert ts.train.labels == ["x"]
 
 
 def test_manifold_template_matches_exact_shift_median():
@@ -83,22 +82,25 @@ def test_manifold_template_matches_exact_shift_median():
     exact = intrinsic_median_exact(sample)
     for cap in (2.0, None):
         ts = extract_templates(train, "manifold", cap=cap)
-        assert ts.provenance == [exact.index]
-        assert np.array_equal(ts.curves[0], sample.values[exact.index])
+        assert ts.train.values.tobytes() == sample.values[exact.index : exact.index + 1].tobytes()
 
 
 def test_medoid_template_picks_central_row():
     train = panel([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], [5.0, 5.0, 5.0, 5.0]], ["x"] * 3)
     ts = extract_templates(train, "medoid")
-    assert ts.provenance == [1]
+    assert ts.train.values.tobytes() == train.values[1:2].tobytes()
 
 
 def test_templates_keep_sorted_label_order():
     train = panel([[1.0] * 4, [2.0] * 4, [3.0] * 4], ["zebra", "ant", "ant"])
     ts = extract_templates(train, "mean")
-    assert ts.labels == ["ant", "zebra"]
-    assert ts.curves[0].tolist() == [2.5] * 4
-    assert ts.curves[1].tolist() == [1.0] * 4
+    assert ts.labels == ts.train.labels == ["ant", "zebra"]
+    assert ts.train.values[0].tolist() == [2.5] * 4
+    assert ts.train.values[1].tolist() == [1.0] * 4
+    # a copied template is its own training row, in label order too
+    ts = extract_templates(train, "medoid")
+    assert ts.train.labels == ["ant", "zebra"]
+    assert ts.train.values.tobytes() == train.values[[1, 0]].tobytes()
 
 
 def test_each_template_nearest_to_its_own_class():
@@ -276,7 +278,7 @@ def test_predict_labels_matches_per_query_template_oracle(data):
     grid, truncate_at, cols, test = _test_panel(data)
     labels = sorted(data.draw(st.sets(st.sampled_from("abcd"), min_size=1), label="labels"))
     curves = np.array(_int_rows(data, len(labels), grid.size), dtype=float)
-    ts = TemplateSet("mean", grid, labels, curves, [None] * len(labels))
+    ts = KnnClassifier(CurvePanel(grid, curves, labels=labels), 1)
     want = [nearest_template_label(curves, labels, row, cols) for row in test.values]
     assert predict_labels(ts, test, truncate_at) == want
 
@@ -311,6 +313,27 @@ def test_panel_distances_match_one_query_sums(monkeypatch):
                     assert d[:, j].tobytes() == geometry._cross_distances(q, r[j : j + 1]).ravel().tobytes()
 
 
+def test_cross_distances_rescale_at_the_joint_extent_of_both_sets():
+    # the kernel rescales at the extent of the two sets together, taken
+    # without joining them: scaled by 2^k the distances scale bit for bit,
+    # and two sets whose extents are each below 2^400 but whose joint extent
+    # is above it (squared differences near 2^802) are rescaled too
+    rng = np.random.default_rng(7)
+    for queries, refs in ((200, 2), (2, 200)):
+        q, r = rng.normal(size=(queries, 100)), rng.normal(size=(refs, 100))
+        base = geometry._cross_distances(q, r)
+        for k in (0, -420, 410):
+            a, b = np.ldexp(q, k), np.ldexp(r, k)
+            assert geometry._exponent(a, b) == geometry._exponent(np.concatenate((a, b))), k
+            assert geometry._cross_distances(a, b).tobytes() == np.ldexp(base, k).tobytes(), k
+        moved = geometry._cross_distances(q * 1e300, r * 1e300)
+        assert np.abs(moved / 1e300 - base).max() <= 1e-15 * base.max()
+        near, far = np.ldexp(q, 396), np.ldexp(r + 32.0, 396)
+        assert max(geometry._exponent(near), geometry._exponent(far)) == 0 < geometry._exponent(near, far)
+        moved = geometry._cross_distances(near, far)
+        assert moved.tobytes() == np.ldexp(geometry._cross_distances(q, r + 32.0), 396).tobytes()
+
+
 def _benchmark_predictions(train, test, knn_k):
     classifiers = [extract_templates(train, method) for method in ("manifold", "mean", "medoid")]
     return [predict_labels(c, test) for c in classifiers + [KnnClassifier(train, knn_k)]]
@@ -342,6 +365,10 @@ def test_distance_beyond_float64_is_numeric_error():
     for classifier in (extract_templates(far, "medoid"), KnnClassifier(far, 1)):
         with pytest.raises(NumericError, match="overflow"):
             predict_labels(classifier, query)
+    # and a mean template whose sum overflows is refused when it is built
+    far = panel([[1e308] * 4, [1.5e308] * 4, [0.0] * 4], ["far", "far", "near"])
+    with pytest.raises(NumericError, match="overflows"):
+        extract_templates(far, "mean")
 
 
 # ------------------------------------------------------------------ config
@@ -362,6 +389,35 @@ def test_classifier_config_rejects_unknown_keys():
 def test_classifier_config_rejects_unknown_method():
     with pytest.raises(UsageError):
         ClassifierConfig.from_dict({"method": "svm"})
+
+
+@pytest.mark.parametrize("method", ["manifold", "mean", "medoid", "knn"])
+def test_classifier_config_checks_every_value_when_built(method):
+    # whatever the method, each value is checked, not only those it uses
+    cfg = ClassifierConfig(method=method)
+    for bad in (
+        {"k": 0}, {"k": True}, {"k": 2.0}, {"alpha": 0.0}, {"alpha": True}, {"cap": 0.5},
+        {"cap": float("nan")}, {"truncate_at": "a"}, {"truncate_at": True},
+    ):
+        (key,) = bad
+        with pytest.raises(UsageError, match=f"{key} must be"):
+            ClassifierConfig(method=method, **bad)
+        with pytest.raises(UsageError, match=f"{key} must be"):
+            dataclasses.replace(cfg, **bad)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.k = 0
+
+
+@pytest.mark.parametrize("truncate_at", ["a", True, False, [2.0]])
+def test_truncate_at_must_be_a_number_or_none(truncate_at):
+    # a string reached numpy's comparison (a raw TypeError), a bool and a
+    # list compared as numbers
+    train = panel([[0.0] * 4, [1.0] * 4], ["a", "b"])
+    for classifier in (extract_templates(train, "mean"), KnnClassifier(train, 1)):
+        assert predict_labels(classifier, train, np.float64(2.0)) == ["a", "b"]
+        for run in (predict_labels, evaluate):
+            with pytest.raises(UsageError, match="truncate_at must be a number or None"):
+                run(classifier, train, truncate_at)
 
 
 # ---------------------------------------------------------------- benchmark

@@ -6,6 +6,7 @@ from curvemedian import (
     ShiftConfig,
     Sim1Config,
     Sim2Config,
+    TEMPLATE_METHODS,
     ball_radii,
     compute_emst,
     generate_shift_sample,
@@ -493,6 +494,23 @@ def test_wrong_typed_classifier_config_exits_3(tmp_path, capsys, config):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("method", ["manifold", "mean", "medoid", "knn"])
+@pytest.mark.parametrize("key, value, flag", [("k", 0, "1"), ("cap", 0.5, "2")], ids=["k-zero", "cap-half"])
+def test_refused_config_file_value_exits_3_naming_the_file(tmp_path, capsys, method, key, value, flag):
+    # checked whatever the method, and refused even where a flag would win
+    # (the same values given as flags exit 2: test_bad_cap_exits_2_writing_nothing
+    # and test_refused_run_leaves_nothing_on_disk)
+    panel = tmp_path / "panel.csv"
+    write_panel(panel, labeled_two_class_panel())
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"method": method, key: value})
+    argv = ["classify", "--train", str(panel), "--test", str(panel), "--outdir", str(tmp_path / "c")]
+    for extra in ([], [f"--{key}", flag]):
+        code, out, err = run(capsys, *argv, "--config", str(cfg), *extra)
+        assert code == 3 and out == "" and err.startswith(f"error: {cfg}: {key} must be")
+        assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("cap", ["nan", "inf", "0.5", "two"])
 @pytest.mark.parametrize(
     "argv",
@@ -536,11 +554,12 @@ def test_unlabeled_test_panel_exits_2(tmp_path, capsys):
         ["classify", "--train", "{panel}", "--test", "{bare}", "--method", "mean"],
         ["classify", "--train", "{panel}", "--test", "{panel}", "--method", "knn", "--k", "50"],
         ["classify", "--train", "{panel}", "--test", "{panel}", "--method", "knn", "--k", "0"],
+        *(["classify", "--train", "{panel}", "--test", "{panel}", "--method", m, "--k", "0"] for m in TEMPLATE_METHODS),
         ["classify", "--train", "{panel}", "--test", "{panel}", "--tol", "-1"],
     ],
     ids=[
         "distances-tol", "template-tol", "classify-unlabeled-test", "classify-k-above-n", "classify-k-zero",
-        "classify-tol",
+        *(f"classify-{m}-k-zero" for m in TEMPLATE_METHODS), "classify-tol",
     ],
 )
 def test_refused_run_leaves_nothing_on_disk(tmp_path, capsys, argv):

@@ -33,7 +33,6 @@ from curvemedian import (
     write_panel,
     write_predictions,
     write_shifts,
-    write_templates,
     write_warp_params,
 )
 from curvemedian.panel_io import _write_plotdata
@@ -513,10 +512,11 @@ def test_templates_written_as_labeled_panel(tmp_path):
     )
     ts = extract_templates(train, "medoid")
     path = tmp_path / "templates.csv"
-    write_templates(path, ts)
+    write_panel(path, ts.train)
     back = read_panel(path)
     assert back.labels == ["hi", "lo"]
-    assert np.array_equal(back.values, ts.curves)
+    # each template is the training row it came from, in label order
+    assert back.values.tobytes() == train.values[[1, 0]].tobytes()
 
 
 def test_json_layout_and_round_trip(tmp_path):

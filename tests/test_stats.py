@@ -155,6 +155,13 @@ def test_cross_sectional_mean_empty_rejected():
         cross_sectional_mean(np.empty((0, 3)))
 
 
+def test_cross_sectional_mean_is_finite_or_numeric_error():
+    # the sum of finite values overflows; a NaN was returned as the mean
+    for values in ([[1e308], [1.5e308]], [[1.0, np.nan], [2.0, 3.0]]):
+        with pytest.raises(NumericError, match="pointwise mean is not finite"):
+            cross_sectional_mean(values)
+
+
 def test_pairwise_matrix_matches_norms():
     rng = np.random.default_rng(21)
     pts = rng.normal(size=(10, 4))
