@@ -4,7 +4,8 @@
 figure1/: the noisy-parabola cloud with its spanning tree, coverage graph,
 and estimated geodesic matrix -- enough to draw the graph construction.
 figure2/: a shifted-curve panel with the cross-sectional mean and the
-selected representative curve side by side.
+selected representative curve side by side, each a one-row panel on the
+panel's grid.
 """
 
 import argparse
@@ -16,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from curvemedian import (
+    CurvePanel,
     ShiftConfig,
     Sim1Config,
     cross_sectional_mean,
@@ -25,7 +27,6 @@ from curvemedian import (
     intrinsic_estimate,
     pipeline_diagnostics,
     write_cloud,
-    write_curve,
     write_edges,
     write_json,
     write_matrix,
@@ -48,8 +49,8 @@ def shifted_curves_figure(outdir: Path, n: int, seed: int) -> None:
     result = geodesic_pipeline(panel.values)
     est = intrinsic_estimate(result.distances)
     write_panel(outdir / "curves.csv", panel)
-    write_curve(outdir / "mean.csv", panel.grid, cross_sectional_mean(panel))
-    write_curve(outdir / "representative.csv", panel.grid, panel.values[est.index])
+    write_panel(outdir / "mean.csv", CurvePanel(panel.grid, cross_sectional_mean(panel)))
+    write_panel(outdir / "representative.csv", CurvePanel(panel.grid, panel.values[est.index]))
     write_json(
         outdir / "selection.json",
         {

@@ -38,10 +38,10 @@ _EXPORTS = {
         "generate_sim1", "generate_sim2", "get_target", "intrinsic_median_exact", "sim1_truth",
     ),
     "panel_io": (
-        "fmt", "read_classifier_config", "read_cloud", "read_curve", "read_edges", "read_json",
-        "read_matrix", "read_panel", "read_points_auto", "read_shifts", "write_cloud",
-        "write_confusion", "write_curve", "write_edges", "write_json", "write_matrix",
-        "write_panel", "write_predictions", "write_shifts", "write_warp_params",
+        "fmt", "read_classifier_config", "read_cloud", "read_edges", "read_json", "read_matrix",
+        "read_panel", "read_points_auto", "read_shifts", "write_cloud", "write_confusion",
+        "write_edges", "write_json", "write_matrix", "write_panel", "write_predictions",
+        "write_shifts", "write_warp_params",
     ),
     "stats": (
         "IntrinsicEstimate", "cross_sectional_mean", "euclidean_medoid", "intrinsic_estimate",

@@ -14,9 +14,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .classify import KnnClassifier, _checked, evaluate, extract_templates
+from .classify import KnnClassifier, evaluate, extract_templates
 from .errors import DataFormatError, UsageError
-from .models import CurvePanel, _count, _grid, _rng, get_target
+from .models import CurvePanel, _check_range, _count, _grid, _rng, get_target
 
 __all__ = [
     "BenchmarkClass",
@@ -47,6 +47,27 @@ class BenchmarkConfig:
     knn_k: int = 5
 
 
+def _matches(value, kinds) -> bool:
+    """Whether `value` is of `kinds`, a type, a tuple of types or a list of kinds per list item; no bool is."""
+    if isinstance(kinds, list):
+        return isinstance(value, list) and len(value) == len(kinds) and all(map(_matches, value, kinds))
+    return not isinstance(value, bool) and isinstance(value, kinds)
+
+
+def _checked(d, types: dict, what: str) -> dict:
+    """`d`, refused (`UsageError`) unless a dict whose every key `types` maps to (its value's kinds, description)."""
+    if not isinstance(d, dict):
+        raise UsageError(f"{what} must be a JSON object, got {type(d).__name__}")
+    extra = set(d) - set(types)
+    if extra:
+        raise UsageError(f"unknown {what} keys: {sorted(extra)}")
+    for key, value in d.items():
+        kinds, description = types[key]
+        if not _matches(value, kinds):
+            raise UsageError(f"{what} {key!r} must be {description}, got {value!r}")
+    return d
+
+
 # accepted JSON types of each key of a config file and of each of its classes
 _PAIR = ([(int, float)] * 2, "a [lo, hi] pair of numbers")
 _CONFIG_TYPES = {
@@ -65,7 +86,7 @@ def load_benchmark_config(path) -> BenchmarkConfig:
             raw = _checked(json.load(fh), _CONFIG_TYPES, "config")
         classes = [BenchmarkClass(**_checked(c, _CLASS_TYPES, "class")) for c in raw.pop("classes")]
         cfg = BenchmarkConfig(classes=classes, **raw)
-    except (json.JSONDecodeError, KeyError, TypeError, UsageError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, UsageError) as exc:
         raise DataFormatError(f"{path}: bad benchmark config ({exc})") from exc
     if len(cfg.classes) < 2:
         raise UsageError("benchmark needs at least two classes")
@@ -87,8 +108,8 @@ def generate_benchmark(cfg: BenchmarkConfig) -> Tuple[CurvePanel, CurvePanel]:
             (cfg.n_train, train_rows, train_labels),
             (cfg.n_test, test_rows, test_labels),
         ):
-            amp = rng.uniform(cls.amp_range[0], cls.amp_range[1], count)
-            shift = rng.uniform(cls.shift_range[0], cls.shift_range[1], count)
+            amp = rng.uniform(*_check_range(f"class {cls.label!r} amp_range", cls.amp_range), count)
+            shift = rng.uniform(*_check_range(f"class {cls.label!r} shift_range", cls.shift_range), count)
             rows.append(amp[:, None] * np.asarray(tgt.f(grid[None, :] - shift[:, None]), dtype=float))
             labels.extend([cls.label] * count)
     train = CurvePanel(grid=grid, values=np.vstack(train_rows), labels=train_labels)

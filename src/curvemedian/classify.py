@@ -11,7 +11,7 @@ discarding grid points at or beyond a time cutoff.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional
 
 import numpy as np
@@ -59,37 +59,6 @@ def _k(k, n) -> None:
         raise UsageError(f"k must be an integer in [1, {n}], got {k!r}")
 
 
-def _matches(value, kinds) -> bool:
-    """Whether `value` is of `kinds`, a type, a tuple of types or a list of kinds per list item; no bool is."""
-    if isinstance(kinds, list):
-        return isinstance(value, list) and len(value) == len(kinds) and all(map(_matches, value, kinds))
-    return not isinstance(value, bool) and isinstance(value, kinds)
-
-
-def _checked(d, types: dict, what: str) -> dict:
-    """`d`, refused (`UsageError`) unless a dict whose every key `types` maps to (its value's kinds, description)."""
-    if not isinstance(d, dict):
-        raise UsageError(f"{what} must be a JSON object, got {type(d).__name__}")
-    extra = set(d) - set(types)
-    if extra:
-        raise UsageError(f"unknown {what} keys: {sorted(extra)}")
-    for key, value in d.items():
-        kinds, description = types[key]
-        if not _matches(value, kinds):
-            raise UsageError(f"{what} {key!r} must be {description}, got {value!r}")
-    return d
-
-
-# accepted types of each config key
-_CONFIG_TYPES = {
-    "method": (str, "a string"),
-    "alpha": (numbers.Real, "a number"),
-    "k": (numbers.Integral, "an integer"),
-    "truncate_at": ((numbers.Real, type(None)), "a number or null"),
-    "cap": ((numbers.Real, type(None)), "a number or null"),
-}
-
-
 @dataclass(frozen=True)
 class ClassifierConfig:
     """Flat bundle of classification settings, JSON-friendly; every value is
@@ -114,7 +83,13 @@ class ClassifierConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierConfig":
-        return cls(**_checked(d, _CONFIG_TYPES, "classifier config"))
+        """The config of a JSON object's keys; `__post_init__` checks their values."""
+        if not isinstance(d, dict):
+            raise UsageError(f"classifier config must be a JSON object, got {type(d).__name__}")
+        extra = set(d) - {f.name for f in fields(cls)}
+        if extra:
+            raise UsageError(f"unknown classifier config keys: {sorted(extra)}")
+        return cls(**d)
 
 
 @dataclass

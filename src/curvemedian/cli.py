@@ -96,20 +96,22 @@ def cmd_distances(args) -> int:
 
 
 def cmd_template(args) -> int:
+    from .models import CurvePanel
     from .stats import _alpha, intrinsic_estimate
 
     _alpha(args.alpha)
     panel = panel_io.read_panel(args.input)
     result = geodesic_pipeline(panel.values, cap=args.cap)
     est = intrinsic_estimate(result.distances, alpha=args.alpha)
+    labels = None if panel.labels is None else [panel.labels[est.index]]
+    template = CurvePanel(panel.grid, panel.values[est.index], labels=labels)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     panel_io.write_json(
         outdir / "estimate.json",
         {"index": est.index, "objective": est.objective, "alpha": est.alpha},
     )
-    panel_io.write_curve(outdir / "template.csv", panel.grid, panel.values[est.index])
-    panel_io._write_plotdata(outdir / "plotdata.json", panel, est.index)
+    panel_io.write_panel(outdir / "template.csv", template)
     print(f"template index: {est.index}")
     print(f"objective: {panel_io.fmt(est.objective)} (alpha={panel_io.fmt(est.alpha)})")
     print(f"wrote {outdir}/template.csv")

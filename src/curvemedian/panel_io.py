@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "fmt",
     "read_classifier_config",
     "read_cloud",
-    "read_curve",
     "read_edges",
     "read_json",
     "read_matrix",
@@ -44,7 +43,6 @@ __all__ = [
     "read_shifts",
     "write_cloud",
     "write_confusion",
-    "write_curve",
     "write_edges",
     "write_json",
     "write_matrix",
@@ -289,26 +287,7 @@ def read_edges(path, n: Optional[int] = None) -> WeightedGraph:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-# ------------------------------------------------------------- estimates
-
-def write_curve(path, grid, values) -> None:
-    """Two-column curve file: t,value."""
-    g = _finite_array(grid, 1, "a curve's grid")
-    v = _finite_array(values, 1, "a curve's values")
-    if g.size != v.size:
-        raise DataFormatError(f"a curve needs one value per grid point, got {v.size} for {g.size}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,value\r\n")
-        fh.writelines("%.17g,%.17g\r\n" % pair for pair in zip(g.tolist(), v.tolist()))
-
-
-def read_curve(path) -> Tuple[np.ndarray, np.ndarray]:
-    rows = _rows(path)
-    if not rows or rows[0] != ["t", "value"]:
-        raise DataFormatError(f"{path}: row 1: expected header 't,value'")
-    data = np.array([vals for _, _, vals in _body(path, rows[1:], 2)]).reshape(-1, 2)
-    return data[:, 0].copy(), data[:, 1].copy()
-
+# ------------------------------------------------------------------ json
 
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -316,30 +295,11 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _write_plotdata(path, panel: CurvePanel, index: int) -> None:
-    """`template`'s plotdata.json: the bytes `write_json` writes for
-    {"curves": [[fmt(v), ...] per curve], "grid": [fmt(t), ...],
-    "template": curves[index], "template_index": index}, with each list of
-    strings built by one %-operation (%.17g text needs no JSON escaping)."""
-
-    def strings(indent):  # a JSON list of m strings that closes `indent` spaces in
-        pad = "\n" + " " * indent
-        return "[" + pad + '  "%.17g' + ('",' + pad + '  "%.17g') * (panel.m - 1) + '"' + pad + "]"
-
-    curve, line = strings(4), strings(2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n  "curves": [\n    ')
-        fh.writelines((",\n    " if k else "") + curve % tuple(v.tolist()) for k, v in enumerate(panel.values))
-        fh.write('\n  ],\n  "grid": ' + line % tuple(panel.grid.tolist()))
-        fh.write(',\n  "template": ' + line % tuple(panel.values[index].tolist()))
-        fh.write(',\n  "template_index": %d\n}\n' % index)
-
-
 def read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -349,7 +309,7 @@ def read_classifier_config(path) -> ClassifierConfig:
     raw = read_json(path)
     try:
         return ClassifierConfig.from_dict(raw)
-    except (UsageError, TypeError) as exc:
+    except UsageError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 

@@ -464,6 +464,18 @@ def test_bundled_benchmark_config_loads_and_bad_seeds_are_usage_errors():
             generate_benchmark(dataclasses.replace(cfg, seed=seed))
 
 
+@pytest.mark.parametrize("key", ["amp_range", "shift_range"])
+@pytest.mark.parametrize("bounds", [(5.0, 1.0), (1.0, 1.0), (float("nan"), 1.0), (-1e308, 1e308)])
+def test_benchmark_class_ranges_are_finite_intervals(key, bounds):
+    # the reversed range reached numpy's ValueError, the nan and the overwide
+    # one its OverflowError, and the empty one drew a constant; the
+    # simulators refuse all four
+    cfg = load_benchmark_config(BENCHMARK_CONFIG)
+    classes = [cfg.classes[0], dataclasses.replace(cfg.classes[1], **{key: list(bounds)})]
+    with pytest.raises(UsageError, match=rf"class 'pulse' {key} must be a finite interval \(lo < hi\)"):
+        generate_benchmark(dataclasses.replace(cfg, classes=classes))
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [("n_train", 2.5, "n_train must be an integer"), ("n_test", 0, "n_test must be >= 1"), ("m", 1.5, "m must be an integer")],

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from curvemedian import (
     CurvePanel,
+    DataFormatError,
     ShiftConfig,
     Sim1Config,
     Sim2Config,
@@ -12,9 +15,9 @@ from curvemedian import (
     generate_shift_sample,
     generate_sim1,
     generate_sim2,
+    load_benchmark_config,
     pairwise_euclidean_matrix,
     read_cloud,
-    read_curve,
     read_edges,
     read_json,
     read_matrix,
@@ -234,13 +237,23 @@ def test_template_picks_middle_shift(tmp_path, capsys):
     code, out, _ = run(capsys, "template", "--input", str(src), "--outdir", str(tmp_path / "t"))
     assert code == 0
     assert "template index: 1" in out
-    grid, values = read_curve(tmp_path / "t" / "template.csv")
-    assert np.array_equal(grid, panel.grid)
-    assert np.array_equal(values, panel.values[1])
-    plot = read_json(tmp_path / "t" / "plotdata.json")
-    assert plot["template_index"] == 1
-    assert len(plot["curves"]) == 3
-    assert plot["template"] == plot["curves"][1]
+    assert sorted(p.name for p in (tmp_path / "t").iterdir()) == ["estimate.json", "template.csv"]
+    # the template is a one-row panel on the input's grid, bit for bit
+    template = read_panel(tmp_path / "t" / "template.csv")
+    assert template.grid.tobytes() == panel.grid.tobytes()
+    assert template.values.tobytes() == panel.values[1].tobytes()
+    assert template.labels is None
+
+
+def test_template_keeps_the_label_of_its_row(tmp_path, capsys):
+    src = tmp_path / "panel.csv"
+    panel = generate_shift_sample(ShiftConfig(shifts=[0.0, 0.1, 0.9]))
+    write_panel(src, CurvePanel(panel.grid, panel.values, labels=["x", "y,\"z\"", "x"]))
+    code, _, _ = run(capsys, "template", "--input", str(src), "--outdir", str(tmp_path / "t"))
+    assert code == 0
+    template = read_panel(tmp_path / "t" / "template.csv")
+    assert template.labels == ['y,"z"']
+    assert template.values.tobytes() == panel.values[1].tobytes()
 
 
 # ---------------------------------------------------------------- classify
@@ -489,9 +502,25 @@ def test_wrong_typed_classifier_config_exits_3(tmp_path, capsys, config):
         "--config", str(cfg), "--outdir", str(tmp_path / "c"),
     )
     (key,) = set(config) - {"method"}
-    assert code == 3 and out == ""
-    assert repr(key) in err and "must be" in err
+    assert code == 3 and out == "" and err.startswith(f"error: {cfg}: {key} must be")
     assert not (tmp_path / "c").exists()
+
+
+def test_undecodable_json_is_a_data_format_error(tmp_path, capsys):
+    # a UTF-16 byte-order mark is no UTF-8: a file that starts with it ended in a traceback
+    panel = tmp_path / "panel.csv"
+    write_panel(panel, labeled_two_class_panel())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(
+        capsys, "classify", "--train", str(panel), "--test", str(panel),
+        "--config", str(cfg), "--outdir", str(tmp_path / "c"),
+    )
+    assert code == 3 and out == "" and err.startswith(f"error: {cfg}: ")
+    assert not (tmp_path / "c").exists()
+    for load in (read_json, load_benchmark_config):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(cfg))}: "):
+            load(cfg)
 
 
 @pytest.mark.parametrize("method", ["manifold", "mean", "medoid", "knn"])

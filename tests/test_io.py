@@ -17,7 +17,6 @@ from curvemedian import (
     pairwise_euclidean_matrix,
     read_classifier_config,
     read_cloud,
-    read_curve,
     read_edges,
     read_json,
     read_matrix,
@@ -26,7 +25,6 @@ from curvemedian import (
     read_shifts,
     write_cloud,
     write_confusion,
-    write_curve,
     write_edges,
     write_json,
     write_matrix,
@@ -35,7 +33,6 @@ from curvemedian import (
     write_shifts,
     write_warp_params,
 )
-from curvemedian.panel_io import _write_plotdata
 
 NASTY = [1e-300, 1.0 / 3.0, -0.0, 0.1, 1e300, -7.25, math.pi]
 
@@ -230,26 +227,6 @@ def test_panel_writer_bytes_match_csv_writer(tmp_path_factory, panel):
     assert path.read_bytes() == ref.read_bytes()
 
 
-@given(panels().flatmap(lambda panel: st.tuples(st.just(panel), st.integers(0, panel.n - 1))))
-@example((CurvePanel(np.array([0.0, 5e-324]), np.array([[-0.0, 1.797e308]])), 0))
-@example((CurvePanel(np.array([-1.0, 2.0, 3.0]), np.array([[1.0, 2.0, 3.0], [-0.0, 0.0, 5e-324]])), 1))
-def test_plotdata_writer_bytes_match_json_dump(tmp_path_factory, drawn):
-    panel, index = drawn
-    path = tmp_path_factory.mktemp("pd") / "plotdata.json"
-    ref = path.with_name("ref.json")
-    _write_plotdata(path, panel, index)
-    obj = {
-        "grid": [fmt(t) for t in panel.grid],
-        "curves": [[fmt(v) for v in row] for row in panel.values],
-        "template_index": index,
-        "template": [fmt(v) for v in panel.values[index]],
-    }
-    with open(ref, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    assert path.read_bytes() == ref.read_bytes()
-
-
 @given(st.integers(0, 4).flatmap(lambda p: st.lists(st.lists(FLOATS, min_size=p, max_size=p), max_size=4)))
 @example([[5e-324]])
 @example([[-0.0, 1.797e308], [-1.797e308, 0.0]])
@@ -263,15 +240,11 @@ def test_cloud_writer_bytes_match_csv_writer(tmp_path_factory, rows):
     assert path.read_bytes() == ref.read_bytes()
 
 
-@given(st.lists(st.tuples(FLOATS, FLOATS), max_size=5))
-@example([(-0.0, 5e-324), (1.797e308, -1.797e308)])
-def test_curve_and_shift_writers_bytes_match_csv_writer(tmp_path_factory, pairs):
-    path = tmp_path_factory.mktemp("wcs") / "out.csv"
+@given(st.lists(FLOATS, max_size=5))
+@example([-0.0, 5e-324, 1.797e308, -1.797e308])
+def test_shift_writer_bytes_match_csv_writer(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("ws") / "out.csv"
     ref = path.with_name("ref.csv")
-    grid, values = [t for t, _ in pairs], [v for _, v in pairs]
-    write_curve(path, grid, values)
-    _csv_writer_reference(ref, ["t", "value"], [[fmt(t), fmt(v)] for t, v in pairs])
-    assert path.read_bytes() == ref.read_bytes()
     write_shifts(path, np.array(values))
     _csv_writer_reference(ref, ["index", "shift"], [[i, fmt(v)] for i, v in enumerate(values)])
     assert path.read_bytes() == ref.read_bytes()
@@ -295,14 +268,11 @@ def test_warp_params_writer_bytes_match_csv_writer(tmp_path_factory, params):
 
 # each writer checks its data before it opens the file
 REFUSED_WRITES = {
-    "curve lengths differ": (write_curve, ([0, 1, 2], [1, 2]), "one value per grid point, got 2 for 3"),
     "shifts not 1-D": (write_shifts, ([[1.0, 2.0]],), "shifts must be 1-D, got 2-D"),
     "shift not a number": (write_shifts, (["a"],), "shifts must be an array of numbers"),
     "warp columns differ": (write_warp_params, ({"a": [1, 2], "b": [1]},), "one common length"),
     "no warp columns": (write_warp_params, ({},), "one common length"),
     "cloud nan": (write_cloud, ([[math.nan, 1.0]],), "a point cloud must be finite"),
-    "curve inf": (write_curve, ([0.0, 1.0], [1.0, math.inf]), "a curve's values must be finite"),
-    "curve grid nan": (write_curve, ([0.0, math.nan], [1.0, 2.0]), "a curve's grid must be finite"),
     "shift -inf": (write_shifts, ([0.5, -math.inf],), "shifts must be finite"),
     "warp nan": (write_warp_params, ({"a": [1.0], "b": [math.nan]},), "warp parameter 'b' must be finite"),
 }
@@ -320,15 +290,6 @@ def test_edges_infer_vertex_count(tmp_path):
     path = tmp_path / "edges.csv"
     write_edges(path, WeightedGraph(4, [(0, 3, 2.0)]))
     assert read_edges(path).n == 4
-
-
-def test_curve_round_trip(tmp_path):
-    grid = np.array([0.0, 0.5, 1.0])
-    values = np.array([1e-300, -0.0, 1.0 / 3.0])
-    path = tmp_path / "curve.csv"
-    write_curve(path, grid, values)
-    g, v = read_curve(path)
-    assert np.array_equal(g, grid) and np.array_equal(v, values)
 
 
 def test_shifts_round_trip(tmp_path):
@@ -448,7 +409,6 @@ READERS = {
     "shifts": (read_shifts, "index,shift\n0,0.5\n", "1\n", "1,banana\n"),
     "matrix": (read_matrix, "0.0,1.0\n1.0,0.0\n", "2.0\n", "2.0,banana\n"),
     "edges": (read_edges, "i,j,weight\n0,1,1.0\n", "1,2\n", "1,2,banana\n"),
-    "curve": (read_curve, "t,value\n0.0,1.0\n", "1.0\n", "1.0,banana\n"),
 }
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from curvemedian import cross_sectional_mean, read_panel
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -31,6 +33,14 @@ def test_make_figure_data_writes_both_figures(tmp_path):
         assert (out / "figure1" / name).is_file(), name
     for name in ("curves.csv", "mean.csv", "representative.csv", "selection.json"):
         assert (out / "figure2" / name).is_file(), name
+    # the two curves are one-row panels on the panel's grid
+    curves = read_panel(out / "figure2" / "curves.csv")
+    index = json.loads((out / "figure2" / "selection.json").read_text(encoding="utf-8"))["index"]
+    mean, representative = (read_panel(out / "figure2" / name) for name in ("mean.csv", "representative.csv"))
+    for curve in (mean, representative):
+        assert curve.n == 1 and curve.labels is None and curve.grid.tobytes() == curves.grid.tobytes()
+    assert representative.values.tobytes() == curves.values[index].tobytes()
+    assert mean.values.tobytes() == cross_sectional_mean(curves).tobytes()
 
 
 def test_run_benchmark_writes_panels_confusions_and_summary(tmp_path):
@@ -122,7 +132,7 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
     outputs = {
         "cli-import": [],
         "cli-distances-240": ["diagnostics.json", "distances.csv", "graph.csv", "graph.emst.csv"],
-        "cli-template-240": ["estimate.json", "plotdata.json", "template.csv"],
+        "cli-template-240": ["estimate.json", "template.csv"],
         "cli-simulate-240": ["shift.csv", "shift.truth.csv"],
     }
     for env in ("default", "mmap_threshold_131072"):
