@@ -19,7 +19,11 @@ and summary: with a chord cap the prefilter is skipped.  The run
 also records the number of candidate chords the kernel decides and how
 many of them it rejects, the kept edge count, and sha256 digests of the
 kept (i, j, weight) rows and of d_hat, so that two trees can be checked
-for identical output.  A second, untimed
+for identical output.  Where they differ, `d_hat_max_rel_diff` says by
+how much: for each source after the first and each pipeline input, the
+largest |d - d0| / d0 over the entries of its d_hat d and the first
+source's d0 (inf where d0 is 0 and d is not), from each source's first
+run.  A second, untimed
 call under tracemalloc records the pipeline's peak Python heap in units of
 one n x n float64 matrix (8 n^2 bytes), the unit of the memory guard in
 `geometry._PEAK_MATRICES`.  Every run is repeated
@@ -209,8 +213,9 @@ def measure_quality(cap: str, panels: int, endpoint_n: int, endpoint_seeds: int)
     return record
 
 
-def measure(kind: str, n: int, cap: str) -> dict:
-    """One pipeline call on a fresh input, run inside the child interpreter."""
+def measure(kind: str, n: int, cap: str, d_hat_file: str = "") -> dict:
+    """One pipeline call on a fresh input, run inside the child interpreter;
+    its d_hat is saved to `d_hat_file` when one is given."""
     import curvemedian as cm
     from curvemedian import graphs
 
@@ -246,6 +251,8 @@ def measure(kind: str, n: int, cap: str) -> dict:
     record["kept_edges"] = len(edges)
     record["edges_sha256"] = hashlib.sha256(edges.tobytes()).hexdigest()
     record["d_hat_sha256"] = hashlib.sha256(result.distances.tobytes()).hexdigest()
+    if d_hat_file:
+        np.save(d_hat_file, result.distances)
 
     # unwrapped again, so that the untimed call overwrites no stage record
     for name, fn in originals.items():
@@ -337,6 +344,13 @@ def run_cli_child(src: Path, inputs: Path, argv, extra_env: dict) -> dict:
     return {"process": process, **json.loads(proc.stdout.splitlines()[-1])}
 
 
+def max_rel_diff(d_hat: np.ndarray, reference: np.ndarray) -> float:
+    """The largest |d_hat - reference| / reference, inf where only the reference is 0."""
+    diff = np.abs(d_hat - reference)
+    rel = np.divide(diff, reference, out=np.where(diff > 0, np.inf, 0.0), where=reference > 0)
+    return float(rel.max(initial=0.0))
+
+
 def summarize(runs: list) -> dict:
     """Per stage: median wall seconds and median minor faults over the runs,
     and its calls per pipeline call where counted; the tracemalloc peak's
@@ -397,6 +411,12 @@ def main() -> int:
     inputs += [("classify", n, "default") for n in args.classify]
     inputs += [("cli", name, "default") for name in CLI_RUNS]  # a CLI input's name stands in for n
     cli_inputs = tempfile.TemporaryDirectory()
+    d_hats = tempfile.TemporaryDirectory()
+
+    def d_hat_file(label: str, name: str) -> Path:
+        """Where a source's first run of a pipeline input saves its d_hat."""
+        return Path(d_hats.name) / f"{label} {name}.npy"
+
     run_child(next(iter(sources.values())), "cli_inputs", 0, {}, cli_inputs.name)
     runs = {label: {} for label in sources}
     for rep in range(args.repeats):
@@ -407,13 +427,26 @@ def main() -> int:
                 for label, src in order:
                     if kind == "cli":
                         record = run_cli_child(src, Path(cli_inputs.name), CLI_RUNS[name], extra_env)
-                    else:
+                    elif kind == "classify":
                         record = run_child(src, kind, n, extra_env, cap)
+                    else:
+                        saved = d_hat_file(label, name) if rep == 0 and env_name == "default" else ""
+                        record = run_child(src, kind, n, extra_env, cap, saved)
                     runs[label].setdefault(name, {e: [] for e in ENVIRONMENTS})[env_name].append(record)
                     head = record[HEAD[kind]]
                     print(f"{label:>8} {name:<16} {env_name:<22} "
                           f"{head['wall_s']:8.3f} s {head['minflt']:>9} faults", flush=True)
     cli_inputs.cleanup()
+    reference, *others = sources
+    d_hat_diff = {
+        label: {
+            name: max_rel_diff(np.load(d_hat_file(label, name)), np.load(d_hat_file(reference, name)))
+            for name in runs[label]
+            if d_hat_file(label, name).exists()
+        }
+        for label in others
+    }
+    d_hats.cleanup()
     quality = {}
     for cap in args.cap if args.quality else ():
         for label, src in sources.items():
@@ -440,6 +473,7 @@ def main() -> int:
             for label, by_input in runs.items()
         },
         "runs": runs,
+        "d_hat_max_rel_diff": d_hat_diff,
     }
     if args.quality:
         report["quality"] = quality
@@ -471,7 +505,7 @@ def child(kind: str, n: int, extra: list):
         return measure_classify(n)
     if kind == "quality":
         return measure_quality(extra[0], *map(int, extra[1:]))
-    return measure(kind, n, extra[0])
+    return measure(kind, n, *extra)
 
 
 if __name__ == "__main__":

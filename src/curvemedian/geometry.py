@@ -59,8 +59,10 @@ _MIN_EXTENT, _MAX_EXTENT = 2.0**-400, 2.0**400
 # prefilter rejects nothing, and its scratch and per-hit arrays (up to about
 # 12 MB) the rest: 4.15 and 3.43 on the sim1 clouds of 600 and 1000 points,
 # 4.98 on the collinear ones, where every chord is kept.  Shortest paths peak
-# lower: the (E, 3) edge array, 1.5 for a complete graph, the dense weights
-# and Floyd-Warshall's buffer.
+# lower: the (E, 3) edge array, 1.5 for a complete graph, and two matrices,
+# the dense weights, built in the relaxation's vertex order and relaxed in
+# place, and the buffer that serves the relaxation and then the return to
+# the graph's vertex order.
 _PEAK_MATRICES = 6
 
 

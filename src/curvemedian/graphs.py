@@ -7,7 +7,11 @@ balls, and all-pairs shortest paths on it.  The tree and coverage stages
 read nothing of the sample but its pairwise Euclidean distances, and take
 that matrix.  Shortest-path distances on the coverage graph estimate
 geodesic distances along the shape the points were sampled from; the
-pipeline caps chord length by default (`DEFAULT_CAP`).
+pipeline caps chord length by default (`DEFAULT_CAP`).  They come from
+Floyd-Warshall on dense weights, which from `_LEVEL_PLAN_MIN_VERTICES`
+vertices on relabels them by breadth-first level and takes its pivots in
+nested-dissection order, so that each pivot relaxes only the band of
+levels it can reach.
 """
 
 from __future__ import annotations
@@ -117,9 +121,14 @@ def compute_emst(distances) -> WeightedGraph:
     return WeightedGraph(n, np.column_stack((i, j, w))[np.lexsort((j, i, w))])
 
 
+def _ends(graph: WeightedGraph):
+    """The graph's edge ends as two vertex-index arrays."""
+    return graph.edges[:, :2].T.astype(np.intp)
+
+
 def ball_radii(tree: WeightedGraph) -> np.ndarray:
     """Per-vertex radius: the weight of the longest incident tree edge, 0 without one."""
-    i, j = tree.edges[:, :2].T.astype(np.intp)
+    i, j = _ends(tree)
     w = tree.edges[:, 2]
     radii = np.zeros(tree.n)
     np.maximum.at(radii, i, w)
@@ -185,10 +194,20 @@ def build_coverage_graph(distances, radii, tol: Optional[float] = None, cap: Opt
     return WeightedGraph(n, np.column_stack((i, j, dist[i, j])))
 
 
-def _weight_matrix(graph: WeightedGraph) -> np.ndarray:
+# graphs of fewer vertices run Floyd-Warshall in vertex order on one full
+# block: below this size the two searches of the level plan cost more than
+# its blocks save (sim1 clouds and tsin panels of 64 to 80 points on a
+# 2-vCPU x86-64 host)
+_LEVEL_PLAN_MIN_VERTICES = 72
+
+
+def _weight_matrix(graph: WeightedGraph, label: Optional[np.ndarray] = None) -> np.ndarray:
     """Dense symmetric weights: the lightest of any duplicate edges, inf for
-    a missing edge, zero on the diagonal."""
-    i, j = graph.edges[:, :2].T.astype(np.intp)
+    a missing edge, zero on the diagonal; vertex v at row and column
+    label[v], or v without labels."""
+    i, j = _ends(graph)
+    if label is not None:
+        i, j = label[i], label[j]
     w = graph.edges[:, 2]
     dense = np.full((graph.n, graph.n), np.inf)
     np.minimum.at(dense, (i, j), w)
@@ -197,37 +216,120 @@ def _weight_matrix(graph: WeightedGraph) -> np.ndarray:
     return dense
 
 
-def _floyd_warshall(dist: np.ndarray) -> np.ndarray:
-    """All-pairs shortest paths by in-place relaxation through each vertex.
+def _hop_levels(n: int, i: np.ndarray, j: np.ndarray, root: int) -> list:
+    """The vertices edges (i, j) reach from `root`, by breadth-first hop
+    level: one index-ordered array per level, `root` alone the first."""
+    seen = np.zeros(n, dtype=bool)
+    front = np.zeros(n, dtype=bool)
+    seen[root] = front[root] = True
+    levels = []
+    while front.any():
+        levels.append(np.flatnonzero(front))
+        reached = np.zeros(n, dtype=bool)
+        reached[j[front[i]]] = True
+        reached[i[front[j]]] = True
+        front = reached & ~seen
+        seen |= front
+    return levels
 
-    On a symmetric input every step adds the same two terms for (i, j) and
-    (j, i), so the result stays exactly symmetric.
+
+def _disconnected(graph: WeightedGraph) -> UsageError:
+    """The refusal of a disconnected graph, naming its components: each a
+    sorted vertex list, ordered by smallest vertex."""
+    i, j = _ends(graph)
+    left = np.ones(graph.n, dtype=bool)
+    components = []
+    while left.any():
+        members = np.sort(np.concatenate(_hop_levels(graph.n, i, j, int(left.argmax()))))
+        left[members] = False
+        components.append(members.tolist())
+    return UsageError(f"graph is disconnected; components: {components}")
+
+
+def _pivot_plan(graph: WeightedGraph):
+    """(label, runs): Floyd-Warshall's relabelling and pivot schedule.
+
+    Vertex v takes label[v] (None keeps the labels), and each run
+    (k0, k1, lo, hi) pivots on labels k0..k1-1, in turn, over the square
+    block of labels lo..hi-1.  Below `_LEVEL_PLAN_MIN_VERTICES` that is one
+    run of every pivot over the whole matrix.  From there labels go by hop
+    level from a pseudo-peripheral root (a breadth-first search from vertex
+    0, then one from the smallest vertex of its last level), index order
+    within a level.  Every edge then joins equal or adjacent levels, so each
+    level separates those before it from those after.  Pivots go in
+    nested-dissection post-order over the levels: a run of levels [a, b)
+    with three or more takes [a, m), then [m + 1, b), then its middle level
+    m; a shorter run is a leaf, taken in label order.  Levels a - 1 and b
+    are not yet pivots while run [a, b) is taken, so no pivot of it reaches
+    a vertex outside levels a - 1 to b: its block.  Outside the block the
+    pivot's row is inf, and a step there only adds inf, so relaxing the
+    block alone gives dense Floyd-Warshall in the same pivot order, entry
+    for entry.  A graph the first search does not span is refused here.
     """
-    via = np.empty_like(dist)
-    for k in range(dist.shape[0]):
-        np.add(dist[:, k : k + 1], dist[k : k + 1, :], out=via)
-        np.minimum(dist, via, out=dist)
-    return dist
+    n = graph.n
+    if n < _LEVEL_PLAN_MIN_VERTICES:
+        return None, [(0, n, 0, n)]
+    i, j = _ends(graph)
+    first = _hop_levels(n, i, j, 0)
+    if sum(map(len, first)) < n:
+        raise _disconnected(graph)
+    levels = _hop_levels(n, i, j, int(first[-1][0]))
+    ends = np.cumsum([0] + [len(level) for level in levels]).tolist()
+    runs = []
+
+    def dissect(a, b):
+        block = ends[max(a - 1, 0)], ends[min(b + 1, len(levels))]
+        if b - a <= 2:
+            runs.append((ends[a], ends[b], *block))
+            return
+        m = (a + b) // 2
+        dissect(a, m)
+        dissect(m + 1, b)
+        runs.append((ends[m], ends[m + 1], *block))
+
+    dissect(0, len(levels))
+    label = np.empty(n, dtype=np.intp)
+    label[np.concatenate(levels)] = np.arange(n)
+    return label, runs
 
 
-def _components(reach: np.ndarray):
-    """Connected components read off a reachability matrix, each a sorted
-    vertex list, ordered by smallest vertex."""
-    first = reach.argmax(axis=1)
-    return [np.flatnonzero(first == root).tolist() for root in np.unique(first)]
+def _floyd_warshall(block: np.ndarray, k0: int, k1: int, scratch: np.ndarray) -> None:
+    """Relaxes a square block in place through its vertices k0..k1-1 in turn,
+    with the front of `scratch` as the buffer.
+
+    On a symmetric block every step adds the same two terms for (i, j) and
+    (j, i), so the block stays exactly symmetric.
+    """
+    size = block.shape[0]
+    via = scratch.reshape(-1)[: size * size].reshape(size, size)
+    for k in range(k0, k1):
+        np.add(block[:, k : k + 1], block[k : k + 1, :], out=via)
+        np.minimum(block, via, out=block)
 
 
 def shortest_path_distances(graph: WeightedGraph) -> np.ndarray:
-    """All-pairs shortest-path matrix by Floyd-Warshall on dense weights.
+    """All-pairs shortest-path matrix by Floyd-Warshall on dense weights,
+    each pivot relaxing only the block of vertices it can reach
+    (`_pivot_plan`).
 
     Zero-weight edges (duplicate points) are legitimate; of duplicate edges
     the lightest counts.  A disconnected graph is refused, naming its
-    components.  The result is exactly symmetric.
+    components.  The result is exactly symmetric.  Two n x n matrices are
+    alive at once: the weights, built relabelled and relaxed in place, and
+    the buffer the result is relabelled back through.
     """
-    dist = _floyd_warshall(_weight_matrix(graph))
-    reach = np.isfinite(dist)
-    if not reach.all():
-        raise UsageError(f"graph is disconnected; components: {_components(reach)}")
+    label, runs = _pivot_plan(graph)
+    dist = _weight_matrix(graph, label)
+    scratch = np.empty_like(dist)
+    for k0, k1, lo, hi in runs:
+        _floyd_warshall(dist[lo:hi, lo:hi], k0 - lo, k1 - lo, scratch)
+    # a reduction, where isfinite(dist) would allocate n x n; the level plan
+    # has refused a disconnected graph before
+    if dist.max(initial=0.0) == np.inf:
+        raise _disconnected(graph)
+    if label is not None:  # mode "clip" writes into `out` without a temporary
+        np.take(dist, label, axis=0, out=scratch, mode="clip")
+        np.take(scratch, label, axis=1, out=dist, mode="clip")
     return dist
 
 

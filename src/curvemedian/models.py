@@ -151,7 +151,10 @@ class CurvePanel:
 
 def _check_range(name, pair) -> Tuple[float, float]:
     """An interval lo < hi whose width is finite, refused otherwise."""
-    lo, hi = float(pair[0]), float(pair[1])
+    try:
+        lo, hi = map(float, pair)
+    except (TypeError, ValueError):  # not a sequence, not numbers, or not two of them
+        raise UsageError(f"{name} must be a pair of numbers (lo, hi), got {pair!r}") from None
     if not (lo < hi and hi - lo < np.inf):
         raise UsageError(f"{name} must be a finite interval (lo < hi), got ({lo}, {hi})")
     return lo, hi

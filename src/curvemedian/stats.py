@@ -44,13 +44,24 @@ def _alpha(alpha) -> float:
 def intrinsic_estimate(distance_matrix, alpha: float = 1.0) -> IntrinsicEstimate:
     """Index minimizing sum_j d(i, j)**alpha, ties going to the smallest index.
 
-    Row sums are accumulated with compensated summation so the argmin does
-    not depend on summation order.  `UsageError` refuses a matrix that is not
-    a nonempty square array of finite nonnegative numbers, zero on the
-    diagonal and exactly symmetric, and an `alpha` not positive and finite;
-    a power or row sum that overflows float64, or a positive distance whose
-    power underflows to zero, raises `NumericError` rather than returning an
-    objective that can no longer rank the rows.
+    The objectives are exact row sums, correctly rounded (`math.fsum`), so
+    the argmin does not depend on summation order; only the rows that can
+    win are summed so.  A numpy row sum s^ of n nonnegative terms with exact
+    sum s is off by |s^ - s| <= gamma_(n-1) * s in any summation order,
+    where gamma_k = k u / (1 - k u) and u = 2^-53: each term passes through
+    at most n - 1 roundings.  So s lies in [s^ (1 - 4 n u), s^ (1 + 4 n u)],
+    the factor 4 also covering the roundings of the two products, and the
+    rounded s in the same interval, whose ends are floats.  A row whose
+    lower end is above the smallest upper end loses to that row outright;
+    the rest, and every row whose upper end reaches the largest float (its
+    exact sum may overflow), are summed exactly.
+
+    `UsageError` refuses a matrix that is not a nonempty square array of
+    finite nonnegative numbers, zero on the diagonal and exactly symmetric,
+    and an `alpha` not positive and finite; a power or row sum that
+    overflows float64, or a positive distance whose power underflows to
+    zero, raises `NumericError` rather than returning an objective that can
+    no longer rank the rows.
     """
     dm = _distance_matrix(distance_matrix)
     alpha = _alpha(alpha)
@@ -62,12 +73,17 @@ def intrinsic_estimate(distance_matrix, alpha: float = 1.0) -> IntrinsicEstimate
             raise NumericError(f"distances to the power alpha={alpha} overflow float64")
         if ((powered == 0.0) & (dm > 0.0)).any():
             raise NumericError(f"positive distances to the power alpha={alpha} underflow to zero")
+    slack = 4.0 * len(powered) * 2.0**-53
+    with np.errstate(over="ignore"):  # an overflow leaves inf, summed exactly below
+        sums = powered.sum(axis=1)
+        low, high = sums * (1.0 - slack), sums * (1.0 + slack)
+    rows = np.flatnonzero((low <= high.min()) | (high >= np.finfo(float).max))
     try:
-        objectives = [math.fsum(row) for row in powered.tolist()]
+        objectives = [math.fsum(row) for row in powered[rows].tolist()]
     except OverflowError:
         raise NumericError(f"sums of distances to the power alpha={alpha} overflow float64") from None
-    index = min(range(len(objectives)), key=objectives.__getitem__)
-    return IntrinsicEstimate(index=index, objective=objectives[index], alpha=alpha)
+    best = min(range(len(objectives)), key=objectives.__getitem__)
+    return IntrinsicEstimate(index=int(rows[best]), objective=objectives[best], alpha=alpha)
 
 
 def pairwise_euclidean_matrix(cloud) -> np.ndarray:

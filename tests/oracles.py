@@ -8,8 +8,8 @@ exhaustive labeled-tree enumeration and sorted Kruskal instead of Prim,
 one query at a time in plain Python instead of a panel-wide distance
 matrix, and plain Riemann sums instead of adaptive quadrature.
 `floyd_warshall` is the exception: the package runs the same cubic
-relaxation, so it checks the graph-to-matrix bookkeeping rather than the
-algorithm.  scipy's csgraph
+relaxation, so it checks the graph-to-matrix bookkeeping, and, in the
+package's pivot order, that the blocks it skips change nothing.  scipy's csgraph
 checks shortest paths and spanning-tree weights too, in `test_graphs.py`.
 """
 
@@ -110,15 +110,16 @@ def bellman_ford(n, edges):
     return np.array(rows)
 
 
-def floyd_warshall(n, edges):
-    """All-pairs shortest paths by cubic relaxation on a dense matrix."""
+def floyd_warshall(n, edges, pivots=None):
+    """All-pairs shortest paths by cubic relaxation on a dense matrix, through
+    every vertex in turn, in the order `pivots` (vertex order by default)."""
     dm = np.full((n, n), np.inf)
     np.fill_diagonal(dm, 0.0)
     for i, j, w in edges:
         i, j = int(i), int(j)
         if w < dm[i, j]:
             dm[i, j] = dm[j, i] = w
-    for k in range(n):
+    for k in range(n) if pivots is None else pivots:
         np.minimum(dm, dm[:, k : k + 1] + dm[k : k + 1, :], out=dm)
     return dm
 

@@ -573,9 +573,17 @@ def test_shortest_paths_zero_weight_edges_connect():
 
 
 def test_shortest_paths_disconnected_names_components():
-    g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    with pytest.raises(UsageError, match=r"\[0, 1\].*\[2, 3\]"):
-        shortest_path_distances(g)
+    # below the level plan's size, and above it two interleaved paths and
+    # an isolated vertex
+    n = graphs._LEVEL_PLAN_MIN_VERTICES + 9
+    cases = [
+        (4, [(0, 1, 1.0), (2, 3, 1.0)], [[0, 1], [2, 3]]),
+        (n, [(v, v + 2, 1.0) for v in range(n - 3)], [list(range(0, n - 1, 2)), list(range(1, n - 1, 2)), [n - 1]]),
+    ]
+    for n, edges, components in cases:
+        with pytest.raises(UsageError) as err:
+            shortest_path_distances(WeightedGraph(n, edges))
+        assert str(err.value) == f"graph is disconnected; components: {components}"
 
 
 def test_shortest_paths_match_cubic_oracle():
@@ -594,11 +602,23 @@ def test_shortest_paths_match_cubic_oracle():
         assert np.allclose(dm, want, rtol=1e-9, atol=0.0)
 
 
-def _random_multigraph(rng):
-    """Connected graph with duplicate edges, zero weights and tied weights."""
-    n = int(rng.integers(2, 25))
-    edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
-    edges += [tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) for _ in range(n)]
+def _random_multigraph(rng, thin=False):
+    """Connected graph with duplicate edges, zero weights and tied weights.
+
+    A thin one, of at least the level plan's least size, is shaped like a
+    coverage graph: a path through the vertices in random order, and chords
+    between vertices at most four steps apart along it."""
+    if thin:
+        n = int(rng.integers(graphs._LEVEL_PLAN_MIN_VERTICES, 200))
+        along = rng.permutation(n)
+        edges = [(int(along[a - 1]), int(along[a])) for a in range(1, n)]
+        steps = rng.integers(2, 5, size=2 * n)
+        starts = rng.integers(0, n - steps)
+        edges += [(int(along[a]), int(along[a + d])) for a, d in zip(starts, steps)]
+    else:
+        n = int(rng.integers(2, 25))
+        edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+        edges += [tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) for _ in range(n)]
     edges += edges[: int(rng.integers(0, len(edges)))]
     weights = rng.choice([0.0, 0.5, 1.0, 1.5], size=len(edges))
     weights = np.where(rng.random(len(edges)) < 0.5, weights, rng.uniform(0.0, 2.0, len(edges)))
@@ -617,8 +637,8 @@ def test_graph_routines_match_scipy_csgraph():
     from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
 
     rng = np.random.default_rng(53)
-    for _ in range(40):
-        n, edges = _random_multigraph(rng)
+    for k in range(50):
+        n, edges = _random_multigraph(rng, thin=k >= 40)
         g = WeightedGraph(n, edges)
         dense = _dense_min(n, edges)
         want = scipy_shortest_path(
@@ -646,6 +666,69 @@ def test_graph_routines_match_scipy_csgraph():
         if not k % 2:
             ends = np.sort(np.column_stack((shifted.row, shifted.col)), axis=1)
             assert sorted(_kept(tree)) == sorted(map(tuple, ends.tolist()))
+
+
+def _level_plan_shapes():
+    """Graphs on both sides of the level plan's least size, as
+    (n, edges, thin): a thin one has bands of few vertices."""
+    rng = np.random.default_rng(71)
+    least = graphs._LEVEL_PLAN_MIN_VERTICES
+    n, side = least + 28, 10
+
+    def weighted(pairs):
+        return [(i, j, float(w)) for (i, j), w in zip(pairs, rng.choice([0.5, 1.0, *rng.uniform(0, 2, 8)], len(pairs)))]
+
+    def banded(n):  # a path through the vertices in random order, and chords two steps long
+        along = rng.permutation(n).tolist()
+        return weighted([(along[a], along[a + d]) for d in (1, 2) for a in range(n - d)])
+
+    path = [(v, v + 1) for v in range(n - 1)]
+    shuffled = rng.permutation(n).tolist()
+    grid = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+    grid += [(v, v + side) for v in range(side * (side - 1))]
+    return {
+        "star": (n, weighted([(5, v) for v in range(n) if v != 5]), False),
+        "complete": (n, weighted(list(itertools.combinations(range(n), 2))), False),
+        "cycle": (n, weighted(path + [(0, n - 1)]), True),
+        "grid": (side * side, weighted(grid), True),
+        "reversed path": (n, weighted([(n - 1 - i, n - 1 - j) for i, j in path]), True),
+        "shuffled path": (n, weighted([(shuffled[i], shuffled[j]) for i, j in path]), True),
+        "thin multigraph": (*_random_multigraph(rng, thin=True), True),
+        "below the least size": (least - 1, banded(least - 1), False),
+        "at the least size": (least, banded(least), True),
+    }
+
+
+LEVEL_PLAN_SHAPES = _level_plan_shapes()
+
+
+@pytest.mark.parametrize("n, edges, thin", LEVEL_PLAN_SHAPES.values(), ids=LEVEL_PLAN_SHAPES.keys())
+def test_shortest_paths_relax_only_the_blocks_the_pivots_reach(n, edges, thin):
+    from scipy.sparse.csgraph import csgraph_from_dense
+    from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
+
+    g = WeightedGraph(n, edges)
+    got = shortest_path_distances(g)
+    want = scipy_shortest_path(csgraph_from_dense(_dense_min(n, edges), null_value=np.inf), method="D", directed=False)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(got, got.T) and not got.diagonal().any()
+    # below the least size plain Floyd-Warshall in vertex order; from there
+    # dense Floyd-Warshall on the relabelled matrix, through the plan's
+    # pivots in the plan's order: in both, bit for bit
+    label, runs = graphs._pivot_plan(g)
+    assert (label is None) == (n < graphs._LEVEL_PLAN_MIN_VERTICES)
+    label = np.arange(n) if label is None else label
+    pivots = [k for k0, k1, _, _ in runs for k in range(k0, k1)]
+    assert sorted(pivots) == list(range(n))
+    dense = floyd_warshall(n, [(label[int(i)], label[int(j)], w) for i, j, w in edges], pivots)
+    assert got.tobytes() == dense[np.ix_(label, label)].tobytes()
+    # on a thin graph most pivots relax a block far smaller than the matrix
+    work = sum((k1 - k0) * (hi - lo) ** 2 for k0, k1, lo, hi in runs)
+    assert work < n**3 / 3 if thin else work <= n**3
+    # scaling the weights by a power of two scales every distance exactly
+    for k in (-40, 7):
+        scaled = shortest_path_distances(WeightedGraph(n, [(i, j, w * 2.0**k) for i, j, w in edges]))
+        assert scaled.tobytes() == (got * 2.0**k).tobytes()
 
 
 BAD_EDGES = {

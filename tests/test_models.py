@@ -232,6 +232,27 @@ def test_bad_ranges_are_usage_errors(config, field, pair):
         generate(config(n=3, m=5, **{field: pair}))
 
 
+NOT_PAIRS = {
+    "text": ("a", "b"),
+    "one value": (1.0,),
+    "three values": (1.0, 2.0, 3.0),
+    "none": None,
+    "scalar": 5,
+}
+
+
+@pytest.mark.parametrize("pair", NOT_PAIRS.values(), ids=NOT_PAIRS.keys())
+@pytest.mark.parametrize(
+    "config, field", [(ShiftConfig, "t_range"), (Sim2Config, "amp_range")], ids=["shift-t", "sim2-amp"]
+)
+def test_ranges_that_are_not_pairs_of_numbers_are_usage_errors(config, field, pair):
+    # these ended in ValueError, IndexError or TypeError, and three values
+    # were read as the first two
+    generate = generate_shift_sample if config is ShiftConfig else generate_sim2
+    with pytest.raises(UsageError, match=f"{field} must be a pair of numbers"):
+        generate(config(n=3, m=5, **{field: pair}))
+
+
 # --------------------------------------------------------------- sim2 warp
 
 def test_sim2_rows_recompute_from_stored_parameters():

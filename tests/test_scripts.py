@@ -109,6 +109,10 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
                 capped = report["summary"]["a"][f"{name} cap=2"][env]
                 assert capped["edges_sha256"] == a["edges_sha256"]
                 assert a["kept_edges"] <= report["summary"]["a"][f"{name} cap=none"][env]["kept_edges"]
+    # and, against the first source, no difference on any pipeline input
+    pipeline_inputs = [f"{kind}-{n}{cap}" for kind, n in (("sim1", 30), ("tsin", 12))
+                       for cap in ("", " cap=none", " cap=2")]
+    assert report["d_hat_max_rel_diff"] == {"b": dict.fromkeys(pipeline_inputs, 0.0)}
     # the classification input: both stages per method, summed over the
     # three class seeds, and the same predictions from the same tree
     methods = ("manifold", "mean", "medoid", "knn")
@@ -162,6 +166,14 @@ def _bench_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_bench_max_rel_diff_reads_relative_differences():
+    max_rel_diff = _bench_module().max_rel_diff
+    reference = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert max_rel_diff(reference, reference) == 0.0
+    assert max_rel_diff(reference * (1 + 2.0**-52), reference) == 2.0**-52
+    assert max_rel_diff(reference + 1.0, reference) == np.inf
 
 
 def test_bench_builds_the_criterion_2_instances(shift_instances):

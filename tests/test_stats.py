@@ -42,6 +42,48 @@ def test_intrinsic_estimate_ties_take_smallest_index():
     assert est.index == 0
 
 
+def _fsum_argmin(dm, alpha):
+    """Index and objective of the smallest exact row sum, ties to the smallest index."""
+    sums = [math.fsum(row) for row in (np.asarray(dm) ** alpha).tolist()]
+    index = min(range(len(sums)), key=sums.__getitem__)
+    return index, sums[index]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_intrinsic_estimate_sums_near_tied_rows_exactly(alpha):
+    # row 0 sums to 1 + 2^-51 and row 1 to 1 + 2^-52, but numpy's sequential
+    # row sum adds row 0's four 2^-53 to 1 one at a time, each rounding back
+    # to 1: alone, or trusting its smallest sum, it would pick row 0
+    e, f = 2.0**-53, 2.0**-52
+    rows = [[0, 1, e, e, e, e], [1, 0, f, 0, 0, 0], [e, f, 0, 9, 9, 9]]
+    rows += [[e, 0, 9, 0, 9, 9], [e, 0, 9, 9, 0, 9], [e, 0, 9, 9, 9, 0]]
+    dm = np.array(rows) ** (1.0 / alpha)
+    powered = dm**alpha
+    assert np.array_equal(powered, rows) and powered.sum(axis=1)[0] == 1.0 < powered.sum(axis=1)[1]
+    est = intrinsic_estimate(dm, alpha=alpha)
+    assert (est.index, est.objective) == (1, 1.0 + f) == _fsum_argmin(dm, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7, 2.0])
+def test_intrinsic_estimate_exact_ties_go_to_the_smallest_index(alpha):
+    # points mirrored about 0 have rows holding the same values in another
+    # order: equal exact sums, which numpy's row sums may round apart
+    rng = np.random.default_rng(29)
+    for n in (10, 64, 301):
+        half = rng.uniform(0.1, 3.0, n // 2)
+        xs = rng.permutation(np.concatenate([half, -half, [0.0] * (n % 2)]))
+        dm = pairwise_euclidean_matrix(xs.reshape(-1, 1))
+        est = intrinsic_estimate(dm, alpha=alpha)
+        assert (est.index, est.objective) == _fsum_argmin(dm, alpha)
+
+
+def test_intrinsic_estimate_refuses_an_overflowing_row_that_is_not_the_minimum():
+    big = 1e308
+    dm = np.array([[0, 1, 1, 1], [1, 0, big, big], [1, big, 0, big], [1, big, big, 0]])
+    with pytest.raises(NumericError, match="overflow"):
+        intrinsic_estimate(dm)
+
+
 def test_intrinsic_estimate_single_point():
     est = intrinsic_estimate(np.zeros((1, 1)))
     assert est.index == 0 and est.objective == 0.0
