@@ -33,12 +33,12 @@ _EXPORTS = {
         "compute_emst", "geodesic_pipeline", "pipeline_diagnostics", "shortest_path_distances",
     ),
     "models": (
-        "TARGETS", "CurvePanel", "ShiftConfig", "Sim1Config", "Sim2Config", "TargetFunction",
+        "TARGETS", "ShiftConfig", "Sim1Config", "Sim2Config", "TargetFunction",
         "exact_geodesic_matrix", "exact_shift_geodesic", "generate_shift_sample",
         "generate_sim1", "generate_sim2", "get_target", "intrinsic_median_exact", "sim1_truth",
     ),
     "panel_io": (
-        "fmt", "read_classifier_config", "read_cloud", "read_edges", "read_json", "read_matrix",
+        "CurvePanel", "fmt", "read_classifier_config", "read_cloud", "read_edges", "read_json", "read_matrix",
         "read_panel", "read_points_auto", "read_shifts", "write_cloud", "write_confusion",
         "write_edges", "write_json", "write_matrix", "write_panel", "write_predictions",
         "write_shifts", "write_warp_params",

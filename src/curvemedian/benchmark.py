@@ -16,7 +16,8 @@ import numpy as np
 
 from .classify import KnnClassifier, evaluate, extract_templates
 from .errors import DataFormatError, UsageError
-from .models import CurvePanel, _check_range, _count, _grid, _rng, get_target
+from .models import _check_range, _count, _grid, _rng, get_target
+from .panel_io import CurvePanel
 
 __all__ = [
     "BenchmarkClass",

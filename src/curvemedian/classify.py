@@ -19,7 +19,7 @@ import numpy as np
 from .errors import UsageError
 from .geometry import _cross_distances
 from .graphs import DEFAULT_CAP, _cap, geodesic_pipeline
-from .models import CurvePanel
+from .panel_io import CurvePanel
 from .stats import _alpha, cross_sectional_mean, euclidean_medoid, intrinsic_estimate
 
 __all__ = [

@@ -27,8 +27,9 @@ from .errors import DataFormatError, NumericError, UsageError
 from .graphs import DEFAULT_CAP, geodesic_pipeline, pipeline_diagnostics
 
 # classify, models and stats are imported by the commands that run them, so
-# that `distances` loads none of them.  For the same reason classify
-# --method spells out classify.TEMPLATE_METHODS and the k-NN baseline.
+# that `distances` loads none of them and `template` only stats.  For the
+# same reason classify --method spells out classify.TEMPLATE_METHODS and the
+# k-NN baseline.
 _METHODS = ("manifold", "mean", "medoid", "knn")
 
 # argparse reads only plain decimals such as -10 as negative numbers and takes
@@ -96,7 +97,6 @@ def cmd_distances(args) -> int:
 
 
 def cmd_template(args) -> int:
-    from .models import CurvePanel
     from .stats import _alpha, intrinsic_estimate
 
     _alpha(args.alpha)
@@ -104,7 +104,7 @@ def cmd_template(args) -> int:
     result = geodesic_pipeline(panel.values, cap=args.cap)
     est = intrinsic_estimate(result.distances, alpha=args.alpha)
     labels = None if panel.labels is None else [panel.labels[est.index]]
-    template = CurvePanel(panel.grid, panel.values[est.index], labels=labels)
+    template = panel_io.CurvePanel(panel.grid, panel.values[est.index], labels=labels)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     panel_io.write_json(

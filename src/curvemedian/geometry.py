@@ -41,6 +41,13 @@ _DIST_BLOCK = 1 << 16
 # at n=1200.  With n >= 2 balls a chunk holds at most _CHUNK // 2 chords: rows fit uint16
 _CHUNK = 1 << 16
 
+# rows and columns per tile of `_distance_matrix`'s symmetry check, which
+# compares each tile on or above the diagonal with its mirror tile: both stay
+# in cache, where one pass against dist.T strides down whole columns.  The
+# whole check of a random symmetric matrix went 3.5 -> 2.4 ms at n=1200 and
+# 41 -> 11 ms at n=2400, and stayed 0.06 ms at n=240 (2-vCPU x86-64 host)
+_SYMMETRY_TILE = 256
+
 # coverage tolerance, as a fraction of the cloud diameter
 _REL_TOL = 1e-9
 
@@ -104,7 +111,12 @@ def _distance_matrix(distances) -> np.ndarray:
         raise UsageError("distance matrix has non-finite or negative entries")
     if dist.diagonal().any():
         raise UsageError("distance matrix has a nonzero diagonal")
-    if not np.array_equal(dist, dist.T):
+    t, n = _SYMMETRY_TILE, dist.shape[0]
+    if not all(
+        np.array_equal(dist[i : i + t, j : j + t], dist[j : j + t, i : i + t].T)
+        for i in range(0, n, t)
+        for j in range(i, n, t)
+    ):
         raise UsageError("distance matrix is not symmetric")
     return dist
 

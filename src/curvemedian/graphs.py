@@ -258,10 +258,15 @@ def _pivot_plan(graph: WeightedGraph):
     within a level.  Every edge then joins equal or adjacent levels, so each
     level separates those before it from those after.  Pivots go in
     nested-dissection post-order over the levels: a run of levels [a, b)
-    with three or more takes [a, m), then [m + 1, b), then its middle level
-    m; a shorter run is a leaf, taken in label order.  Levels a - 1 and b
-    are not yet pivots while run [a, b) is taken, so no pivot of it reaches
-    a vertex outside levels a - 1 to b: its block.  Outside the block the
+    with three or more takes [a, m), then [m + 1, b), then its split level
+    m; a shorter run is a leaf, taken in label order.  The split is the
+    smallest level in the run's middle third, [a + t, b - t) for
+    t = (b - a) // 3, and of those tied the one nearest the run's middle
+    (the lower of two): a small separator is a short run of pivots over the
+    whole block, and the thirds keep the dissection's depth logarithmic.
+    What follows holds for any split level.  Levels a - 1 and b are not
+    yet pivots while run [a, b) is taken, so no pivot of it reaches a
+    vertex outside levels a - 1 to b: its block.  Outside the block the
     pivot's row is inf, and a step there only adds inf, so relaxing the
     block alone gives dense Floyd-Warshall in the same pivot order, entry
     for entry.  A graph the first search does not span is refused here.
@@ -282,7 +287,8 @@ def _pivot_plan(graph: WeightedGraph):
         if b - a <= 2:
             runs.append((ends[a], ends[b], *block))
             return
-        m = (a + b) // 2
+        third = (b - a) // 3  # at least 1, so a < m < b - 1
+        m = min(range(a + third, b - third), key=lambda k: (ends[k + 1] - ends[k], abs(2 * k - a - b), k))
         dissect(a, m)
         dissect(m + 1, b)
         runs.append((ends[m], ends[m + 1], *block))

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .errors import NumericError, UsageError
+from .panel_io import CurvePanel
 
 if TYPE_CHECKING:
     from .stats import IntrinsicEstimate
@@ -37,7 +38,6 @@ __all__ = [
     "TargetFunction",
     "TARGETS",
     "get_target",
-    "CurvePanel",
     "ShiftConfig",
     "Sim1Config",
     "Sim2Config",
@@ -95,58 +95,6 @@ def get_target(target) -> TargetFunction:
                 f"unknown target function {target!r}; known: {sorted(TARGETS)}"
             ) from None
     raise UsageError(f"cannot interpret {target!r} as a target function")
-
-
-@dataclass
-class CurvePanel:
-    """n curves sampled on one shared, strictly increasing grid of m >= 2 points.
-
-    `shifts` keeps the ground-truth shift of each row when a generator knows
-    it; `warp_params` keeps richer per-row parameters as named arrays.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    labels: Optional[list] = None
-    shifts: Optional[np.ndarray] = None
-    warp_params: Optional[Dict[str, np.ndarray]] = None
-    target: Optional[str] = None
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim == 1:
-            self.values = self.values[None, :]
-        if self.grid.ndim != 1 or self.grid.size < 2:
-            raise UsageError("grid must be 1-D with at least two points")
-        if not np.all(self.grid[1:] > self.grid[:-1]):  # no subtraction to overflow
-            raise UsageError("grid must be strictly increasing")
-        if not np.all(np.isfinite(self.grid)):
-            raise UsageError("grid contains non-finite values")
-        if self.values.ndim != 2 or self.values.shape[1] != self.grid.size:
-            raise UsageError(
-                f"values must be (n, {self.grid.size}), got {self.values.shape}"
-            )
-        if self.values.shape[0] < 1:
-            raise UsageError("panel needs at least one curve")
-        if not np.all(np.isfinite(self.values)):
-            raise UsageError("panel values contain non-finite entries")
-        if self.labels is not None:
-            self.labels = [str(x) for x in self.labels]
-            if len(self.labels) != self.values.shape[0]:
-                raise UsageError("labels must match the number of curves")
-        if self.shifts is not None:
-            self.shifts = np.asarray(self.shifts, dtype=float)
-            if self.shifts.shape != (self.values.shape[0],):
-                raise UsageError("shifts must provide one value per curve")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.grid.size
 
 
 def _check_range(name, pair) -> Tuple[float, float]:

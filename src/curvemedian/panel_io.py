@@ -1,4 +1,5 @@
-"""CSV and JSON serialization for every artifact the package produces.
+"""CSV and JSON serialization for every artifact the package produces, and
+`CurvePanel`, the curves a panel file holds.
 
 All floating-point text uses 17 significant digits, so a write/read round
 trip reproduces the exact double.  Output is locale-independent ('.' as the
@@ -12,6 +13,11 @@ into the file buffer rather than building the whole file as one string.
 Number cells never need quoting; label and header cells still go through
 csv.writer.  Each writer checks its data before it opens the file, so a
 refused write leaves no file behind.
+
+Panels and clouds are read in one numeric pass (`_plain`): the text split
+at commas and line ends, every number parsed by one np.loadtxt call.  Any
+file that pass does not take, the row reader (csv.reader, then float() per
+cell) reads, so both give the same values, bit for bit, or the same error.
 """
 
 from __future__ import annotations
@@ -20,18 +26,19 @@ import csv
 import io
 import json
 import math
-from typing import TYPE_CHECKING, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from .errors import DataFormatError, UsageError
-from .graphs import WeightedGraph
 
 if TYPE_CHECKING:  # the readers and writers that build these import them when called
     from .classify import ClassifierConfig, ConfusionMatrix
-    from .models import CurvePanel
+    from .graphs import WeightedGraph
 
 __all__ = [
+    "CurvePanel",
     "fmt",
     "read_classifier_config",
     "read_cloud",
@@ -116,6 +123,58 @@ def _body(path, rows, width, skip=0, start=2):
 
 # ---------------------------------------------------------------- panels
 
+@dataclass
+class CurvePanel:
+    """n curves sampled on one shared, strictly increasing grid of m >= 2 points.
+
+    `shifts` keeps the ground-truth shift of each row when a generator knows
+    it; `warp_params` keeps richer per-row parameters as named arrays.
+    """
+
+    grid: np.ndarray
+    values: np.ndarray
+    labels: Optional[list] = None
+    shifts: Optional[np.ndarray] = None
+    warp_params: Optional[Dict[str, np.ndarray]] = None
+    target: Optional[str] = None
+
+    def __post_init__(self):
+        self.grid = np.asarray(self.grid, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim == 1:
+            self.values = self.values[None, :]
+        if self.grid.ndim != 1 or self.grid.size < 2:
+            raise UsageError("grid must be 1-D with at least two points")
+        if not np.all(self.grid[1:] > self.grid[:-1]):  # no subtraction to overflow
+            raise UsageError("grid must be strictly increasing")
+        if not np.all(np.isfinite(self.grid)):
+            raise UsageError("grid contains non-finite values")
+        if self.values.ndim != 2 or self.values.shape[1] != self.grid.size:
+            raise UsageError(
+                f"values must be (n, {self.grid.size}), got {self.values.shape}"
+            )
+        if self.values.shape[0] < 1:
+            raise UsageError("panel needs at least one curve")
+        if not np.all(np.isfinite(self.values)):
+            raise UsageError("panel values contain non-finite entries")
+        if self.labels is not None:
+            self.labels = [str(x) for x in self.labels]
+            if len(self.labels) != self.values.shape[0]:
+                raise UsageError("labels must match the number of curves")
+        if self.shifts is not None:
+            self.shifts = np.asarray(self.shifts, dtype=float)
+            if self.shifts.shape != (self.values.shape[0],):
+                raise UsageError("shifts must provide one value per curve")
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.grid.size
+
+
 def write_panel(path, panel: CurvePanel) -> None:
     """Header: t,<t_1>,...,<t_m>.  Rows: label,v_1,...,v_m ('-' = no label)."""
     labels = panel.labels if panel.labels is not None else ["-"] * panel.n
@@ -126,13 +185,86 @@ def write_panel(path, panel: CurvePanel) -> None:
         fh.writelines(quoted[label] + row % tuple(v.tolist()) for label, v in zip(labels, panel.values))
 
 
+# the characters %.17g writes for finite floats, the commas between them and
+# the line ends: the only ones `_plain` hands to loadtxt, which reads any
+# numeral of them as float() does
+_NUMERALS = b"0123456789.eE+-,\n"
+
+
+def _plain(path, heads):
+    r"""A panel or cloud read in one numeric pass, as (head, labels, table):
+    the header's first cell, one of `heads`; for a panel ('t') the first
+    cell of each row after the header, and for a cloud ('x1') None; and the
+    numbers, in a panel the header's grid row first, as one float array.
+
+    The cells are the text between commas and line ends (\n or \r\n), as
+    csv.reader splits them in a file without quotes.  None, for the row
+    reader to read, for any other file: not UTF-8, with a quote, a bare \r,
+    an empty line or one past csv's field size limit, without a data row or
+    with a row not as wide as its header, a panel header of fewer than three
+    cells, or a number cell of characters %.17g does not write or that
+    loadtxt refuses or reads non-finite.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":  # the line end of the last row
+        del lines[-1]
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    if len(lines) < 2:
+        return None
+    header = lines[0].split(",")
+    head, width = header[0], len(header)
+    if (
+        head not in heads
+        or (head == "t" and width < 3)
+        or not all(lines)
+        or max(map(len, lines)) > csv.field_size_limit()
+        or any(line.count(",") != width - 1 or "\r" in line for line in lines)
+    ):
+        return None
+    labels = None
+    if head == "t":
+        cells = [line.partition(",") for line in lines]
+        labels = [cell[0] for cell in cells[1:]]
+        lines = [cell[2] for cell in cells]
+    else:
+        del lines[0]
+    if "\n".join(lines).encode().translate(None, _NUMERALS):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a numeral float() refuses too, such as 1e or +-
+        return None
+    if table.shape != (len(lines), width - (head == "t")) or not np.isfinite(table).all():
+        return None
+    return head, labels, table
+
+
+def _panel(path, labels, table) -> CurvePanel:
+    """The panel of a table whose first row is the grid, refused as a DataFormatError."""
+    try:
+        return CurvePanel(
+            grid=table[0],
+            values=table[1:],
+            labels=None if all(lab == "-" for lab in labels) else labels,
+        )
+    except UsageError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
 def read_panel(path) -> CurvePanel:
-    return _parse_panel(path, _rows(path))
+    plain = _plain(path, ("t",))
+    return _parse_panel(path, _rows(path)) if plain is None else _panel(path, *plain[1:])
 
 
 def _parse_panel(path, rows) -> CurvePanel:
-    from .models import CurvePanel
-
+    """The row reader's panel: the reference `_plain` matches."""
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     header = rows[0]
@@ -144,16 +276,7 @@ def _parse_panel(path, rows) -> CurvePanel:
     body = list(_body(path, rows[1:], len(header), skip=1))
     if not body:
         raise DataFormatError(f"{path}: no data rows")
-    labels = [row[0] for _, row, _ in body]
-    values = [vals for _, _, vals in body]
-    try:
-        return CurvePanel(
-            grid=np.array(grid),
-            values=np.array(values),
-            labels=None if all(lab == "-" for lab in labels) else labels,
-        )
-    except UsageError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    return _panel(path, [row[0] for _, row, _ in body], np.array([grid] + [vals for _, _, vals in body]))
 
 
 # ----------------------------------------------------------- point clouds
@@ -168,10 +291,12 @@ def write_cloud(path, cloud) -> None:
 
 
 def read_cloud(path) -> np.ndarray:
-    return _parse_cloud(path, _rows(path))
+    plain = _plain(path, ("x1",))
+    return _parse_cloud(path, _rows(path)) if plain is None else plain[2]
 
 
 def _parse_cloud(path, rows) -> np.ndarray:
+    """The row reader's cloud: the reference `_plain` matches."""
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     header = rows[0]
@@ -188,6 +313,10 @@ def read_points_auto(path):
 
     Returns ("panel", CurvePanel) or ("cloud", ndarray).
     """
+    plain = _plain(path, ("t", "x1"))
+    if plain is not None:
+        head, labels, table = plain
+        return ("panel", _panel(path, labels, table)) if head == "t" else ("cloud", table)
     rows = _rows(path)
     if not rows or not rows[0]:
         raise DataFormatError(f"{path}: empty file")
@@ -269,6 +398,8 @@ def write_edges(path, graph: WeightedGraph) -> None:
 
 
 def read_edges(path, n: Optional[int] = None) -> WeightedGraph:
+    from .graphs import WeightedGraph
+
     rows = _rows(path)
     if not rows or rows[0] != ["i", "j", "weight"]:
         raise DataFormatError(f"{path}: row 1: expected header 'i,j,weight'")

@@ -72,31 +72,48 @@ def test_distances_on_a_cloud_loads_only_what_it_runs(tmp_path):
     assert (tmp_path / "out" / "distances.csv").is_file()
 
 
-def test_distances_on_a_panel_adds_models_only(tmp_path):
+def test_distances_on_a_panel_loads_what_a_cloud_does(tmp_path):
     panel = tmp_path / "panel.csv"
     curvemedian.write_panel(panel, curvemedian.generate_shift_sample(curvemedian.ShiftConfig(n=6, m=20, seed=1)))
     argv = ["distances", "--input", str(panel), "--outdir", str(tmp_path / "out")]
     code = f"from curvemedian import cli\nassert cli.main({argv!r}) == 0"
-    assert modules_loaded_by(code) == sorted(DISTANCES_MODULES + ["curvemedian.models"])
+    assert modules_loaded_by(code) == DISTANCES_MODULES
 
 
 def test_models_loads_stats_only_when_the_exact_median_is_asked_for():
     assert modules_loaded_by("import curvemedian.models") == [
-        "curvemedian", "curvemedian.errors", "curvemedian.models",
+        "curvemedian", "curvemedian.errors", "curvemedian.models", "curvemedian.panel_io",
     ]
     panel = "cm.generate_shift_sample(cm.ShiftConfig(n=5, m=20, seed=1))"
     code = f"import curvemedian as cm\ncm.intrinsic_median_exact({panel})"
     assert "curvemedian.stats" in modules_loaded_by(code)
 
 
-def test_template_adds_models_and_stats_only(tmp_path):
+def test_template_adds_stats_only(tmp_path):
     panel = tmp_path / "panel.csv"
     curvemedian.write_panel(panel, curvemedian.generate_shift_sample(curvemedian.ShiftConfig(n=6, m=20, seed=1)))
     argv = ["template", "--input", str(panel), "--outdir", str(tmp_path / "out")]
     code = f"from curvemedian import cli\nassert cli.main({argv!r}) == 0"
-    loaded = modules_loaded_by(code)
-    assert loaded == sorted(DISTANCES_MODULES + ["curvemedian.models", "curvemedian.stats"])
-    assert "curvemedian.classify" not in loaded and "curvemedian.benchmark" not in loaded
+    assert modules_loaded_by(code) == sorted(DISTANCES_MODULES + ["curvemedian.stats"])
+
+
+def test_classify_adds_classify_and_stats_only(tmp_path):
+    config = curvemedian.load_benchmark_config(ROOT / "configs" / "benchmark_2class.json")
+    train, test = curvemedian.generate_benchmark(config)
+    curvemedian.write_panel(tmp_path / "train.csv", train)
+    curvemedian.write_panel(tmp_path / "test.csv", test)
+    argv = ["classify", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv"),
+            "--method", "mean", "--outdir", str(tmp_path / "out")]
+    code = f"from curvemedian import cli\nassert cli.main({argv!r}) == 0"
+    assert modules_loaded_by(code) == sorted(DISTANCES_MODULES + ["curvemedian.classify", "curvemedian.stats"])
+
+
+def test_curve_panel_lives_in_panel_io_and_resolves_from_models():
+    from curvemedian import models, panel_io
+
+    assert curvemedian.CurvePanel is panel_io.CurvePanel is models.CurvePanel
+    assert panel_io.CurvePanel.__module__ == "curvemedian.panel_io"
+    assert "CurvePanel" in panel_io.__all__ and "CurvePanel" not in models.__all__
 
 
 def test_package_all_is_the_union_of_the_submodules_all():

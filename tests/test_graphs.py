@@ -684,6 +684,11 @@ def _level_plan_shapes():
 
     path = [(v, v + 1) for v in range(n - 1)]
     shuffled = rng.permutation(n).tolist()
+    # levels of 1, 2, ..., 9, ..., 2, 1 vertices, each joined to both
+    # neighbouring levels: the middle level is the largest
+    layers = np.split(np.arange(81), np.cumsum([*range(1, 10), *range(8, 1, -1)]))
+    lens = [(int(a[min(t, len(a) - 1)]), int(b[min(t, len(b) - 1)]))
+            for a, b in itertools.pairwise(layers) for t in range(max(len(a), len(b)))]
     grid = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
     grid += [(v, v + side) for v in range(side * (side - 1))]
     return {
@@ -694,6 +699,7 @@ def _level_plan_shapes():
         "reversed path": (n, weighted([(n - 1 - i, n - 1 - j) for i, j in path]), True),
         "shuffled path": (n, weighted([(shuffled[i], shuffled[j]) for i, j in path]), True),
         "thin multigraph": (*_random_multigraph(rng, thin=True), True),
+        "lens": (81, weighted(lens), True),
         "below the least size": (least - 1, banded(least - 1), False),
         "at the least size": (least, banded(least), True),
     }
@@ -729,6 +735,14 @@ def test_shortest_paths_relax_only_the_blocks_the_pivots_reach(n, edges, thin):
     for k in (-40, 7):
         scaled = shortest_path_distances(WeightedGraph(n, [(i, j, w * 2.0**k) for i, j, w in edges]))
         assert scaled.tobytes() == (got * 2.0**k).tobytes()
+
+
+def test_pivot_plan_splits_a_run_at_a_small_level():
+    # the lens's 17 levels: the top split is the smallest level of the
+    # middle third, 5..11 of sizes 6, 7, 8, 9, 8, 7, 6, nearest the middle
+    n, edges, _ = LEVEL_PLAN_SHAPES["lens"]
+    _, runs = graphs._pivot_plan(WeightedGraph(n, edges))
+    assert runs[-1] == (81 - 21, 81 - 15, 0, 81)
 
 
 BAD_EDGES = {
@@ -939,6 +953,28 @@ def test_bad_distance_matrix_is_usage_error(stage, dist):
     }[stage]
     with pytest.raises(UsageError, match="distance matrix"):
         call()
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257])
+def test_an_asymmetric_entry_is_refused_in_every_tile(n):
+    # the sizes around one tile; a cell in the diagonal tile, in the last
+    # (partial) tile, in the corner tiles and on either side of a tile edge,
+    # each above and below the diagonal
+    tile = geometry._SYMMETRY_TILE
+    assert tile == 256
+    rng = np.random.default_rng(n)
+    dist = rng.random((n, n))
+    dist += dist.T
+    np.fill_diagonal(dist, 0.0)
+    assert geometry._distance_matrix(dist) is dist
+    cells = {(0, 1), (n - 2, n - 1), (0, n - 1), (tile - 2, tile - 1), (tile - 1, tile), (tile, tile + 1)}
+    cells = [(i, j) for i, j in cells if 0 <= i < j < n]
+    assert len(cells) == {1: 0, 255: 3, 256: 3, 257: 4}[n]
+    for i, j in cells + [(j, i) for i, j in cells]:
+        spoiled = dist.copy()
+        spoiled[i, j] = np.nextafter(spoiled[i, j], 3.0)
+        with pytest.raises(UsageError, match="^distance matrix is not symmetric$"):
+            geometry._distance_matrix(spoiled)
 
 
 def test_pipeline_refuses_a_cloud_too_large_for_memory(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from curvemedian import (
     write_shifts,
     write_warp_params,
 )
+from curvemedian import panel_io
 
 NASTY = [1e-300, 1.0 / 3.0, -0.0, 0.1, 1e300, -7.25, math.pi]
 
@@ -443,6 +445,137 @@ def test_panel_grid_must_be_finite(tmp_path, reader):
     path.write_text("t,0.0,nan\n-,1.0,2.0\n")
     with pytest.raises(DataFormatError, match=r"bad\.csv: row 1: non-finite value 'nan'"):
         reader(path)
+
+
+# ------------------------------------ the numeric pass and the row reader
+
+def _outcome(reader, path):
+    """What a reader made of a file: a panel's or cloud's bits, labels and
+    shape, or its exception's type and message."""
+    try:
+        got = reader(path)
+    except Exception as exc:  # any exception is an outcome to compare
+        return type(exc), str(exc)
+    kind, got = got if isinstance(got, tuple) else (None, got)
+    if isinstance(got, CurvePanel):
+        return kind, got.grid.tobytes(), got.values.tobytes(), got.values.shape, got.labels
+    return kind, got.dtype, got.tobytes(), got.shape
+
+
+def _same_as_the_row_reader(path):
+    """Each panel or cloud reader reads `path` as the row reader does, and
+    says whether the numeric pass took the file."""
+    outcomes = [_outcome(reader, path) for reader in (read_panel, read_cloud, read_points_auto)]
+    with mock.patch.object(panel_io, "_plain", lambda path, heads: None):  # the row reader alone
+        assert outcomes == [_outcome(reader, path) for reader in (read_panel, read_cloud, read_points_auto)]
+    return panel_io._plain(path, ("t", "x1")) is not None
+
+
+def _cells(text):
+    r"""Where each cell of a file starts and ends: at the file's start, after
+    each comma and after each \n, to the next comma, \r or \n."""
+    starts = [0] + [i + 1 for i, c in enumerate(text) if c in ",\n"]
+    return [(i, min([j for j in (text.find(c, i) for c in ",\r\n") if j >= 0], default=len(text))) for i in starts]
+
+
+def _line_start(text, i):
+    return text.rfind("\n", 0, i) + 1
+
+
+# a change of a written file at the cell text[a:b]: a row, a cell or the
+# line ends
+MUTATIONS = {
+    "blank line": lambda t, a, b: t[: _line_start(t, a)] + "\r\n" + t[_line_start(t, a) :],
+    "short row": lambda t, a, b: t[: a - 1] + t[b:] if t[a - 1 : a] == "," else t[:a] + t[b + 1 :],
+    "long row": lambda t, a, b: t[:b] + ",1" + t[b:],
+    "\\n line ends": lambda t, a, b: t.replace("\r\n", "\n"),
+    "bare \\r line ends": lambda t, a, b: t.replace("\r\n", "\r"),
+    "one bare \\r": lambda t, a, b: t[:b] + "\r" + t[b:],
+    **{
+        f"cell {token!r}": lambda t, a, b, token=token: t[:a] + token + t[b:]
+        for token in ("nan", "inf", "1_0", " 3 ", '"3"', "", "1e", "-", "+.5e-3", "１２", "1e-400", "1e400", "a,b", "\x1c3")
+    },
+}
+
+
+def _changed(path, mutation, k):
+    text = path.read_bytes().decode("utf-8")
+    path.write_bytes(MUTATIONS[mutation](text, *_cells(text)[k]).encode("utf-8"))
+
+
+# changes of a plain numeric cell that leave the file to the numeric pass
+STAYS_PLAIN = {"\\n line ends", "cell '+.5e-3'", "cell '1e-400'"}
+
+
+def _written(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("eq") / "f.csv"
+    if data.draw(st.booleans(), label="panel"):
+        write_panel(path, data.draw(panels()))
+    else:
+        p = data.draw(st.integers(1, 3))
+        write_cloud(path, np.array(data.draw(st.lists(st.lists(FLOATS, min_size=p, max_size=p), min_size=1, max_size=4))))
+    return path
+
+
+@given(st.data())
+def test_numeric_pass_reads_every_written_file_as_the_row_reader(tmp_path_factory, data):
+    path = _written(tmp_path_factory, data)
+    took = _same_as_the_row_reader(path)
+    # only a quote sends a written file to the row reader
+    assert took == ('"' not in path.read_text(encoding="utf-8"))
+
+
+@given(st.data(), st.sampled_from(sorted(MUTATIONS)))
+def test_numeric_pass_reads_every_changed_file_as_the_row_reader(tmp_path_factory, data, mutation):
+    path = _written(tmp_path_factory, data)
+    cells = len(_cells(path.read_bytes().decode("utf-8")))
+    _changed(path, mutation, data.draw(st.integers(0, cells - 1), label="cell"))
+    _same_as_the_row_reader(path)
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_numeric_pass_and_row_reader_agree_on_each_change(tmp_path, mutation):
+    # a plain panel, labels with a comma, a quote and a line break, a cloud
+    grid, values = [0.0, 0.5, 1.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    files = [
+        (write_panel, CurvePanel(grid, values, labels=["a", "b"])),
+        (write_panel, CurvePanel(grid, values, labels=["a,b", 'say "hi"\r\nbye'])),
+        (write_cloud, np.ones((3, 2))),
+    ]
+    for quoted, (write, data) in zip((False, True, False), files):
+        path = tmp_path / "f.csv"
+        # the header's second cell, a cell of the middle row and the last
+        # row's last cell: of the plain files, a number each
+        write(path, data)
+        count = len(_cells(path.read_bytes().decode("utf-8")))
+        for k in (1, count // 2, count - 2):
+            write(path, data)
+            _changed(path, mutation, k)
+            took = _same_as_the_row_reader(path)
+            assert took or quoted or mutation not in STAYS_PLAIN
+
+
+# a file, and whether the numeric pass takes it
+SMALL_FILES = {
+    "crlf": ("t,0,1\r\na,1,2\r\n", True),
+    "lf": ("t,0,1\na,1,2\n", True),
+    "no last line end": ("t,0,1\na,1,2", True),
+    "last line end a bare cr": ("t,0,1\r\na,1,2\r", True),
+    "one-column cloud": ("x1\r\n1\r\n", True),
+    "one-column cloud, a blank row only": ("x1\r\n\r\n", False),
+    "one-column cloud, a blank last row": ("x1\r\n1\r\n\r\n", False),
+    "header only": ("x1\r\n", False),
+    "empty": ("", False),
+    "a cell past csv's field size limit": ("t,0,1\r\n" + "a" * 131073 + ",1,2\r\n", False),
+    "a line at csv's field size limit": ("t,0,1\r\n" + "a" * 131068 + ",1,2\r\n", True),
+}
+
+
+@pytest.mark.parametrize("text, took", SMALL_FILES.values(), ids=SMALL_FILES.keys())
+def test_numeric_pass_takes_what_it_reads_as_the_row_reader(tmp_path, text, took):
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode())
+    assert _same_as_the_row_reader(path) == took
 
 
 # ---------------------------------------------------------- report writers

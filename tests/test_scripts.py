@@ -154,7 +154,7 @@ def test_bench_records_stages_and_digests_per_source(tmp_path):
         assert report["summary"]["a"]["cli-import"][env]["modules"] == distances_modules
         assert report["summary"]["a"]["cli-distances-240"][env]["modules"] == distances_modules
         assert report["summary"]["a"]["cli-template-240"][env]["modules"] == sorted(
-            distances_modules + ["curvemedian.models", "curvemedian.stats"]
+            distances_modules + ["curvemedian.stats"]
         )
         assert report["summary"]["a"]["cli-simulate-240"][env]["modules"] == sorted(
             distances_modules + ["curvemedian.models"]
