@@ -141,9 +141,11 @@ def extract_templates(
 
 
 def _cutoff(truncate_at) -> None:
-    """Refuses (`UsageError`) a cutoff that is a bool or neither a real number nor None."""
+    """Refuses (`UsageError`) a cutoff that is a bool, not a real number or not finite; None passes."""
     if truncate_at is not None and (isinstance(truncate_at, bool) or not isinstance(truncate_at, numbers.Real)):
         raise UsageError(f"truncate_at must be a number or None, got {truncate_at!r}")
+    if truncate_at is not None and not -np.inf < truncate_at < np.inf:
+        raise UsageError(f"truncate_at must be a finite number or None, got {truncate_at!r}")
 
 
 def _active_columns(grid: np.ndarray, truncate_at: Optional[float]) -> np.ndarray:

@@ -14,10 +14,13 @@ Number cells never need quoting; label and header cells still go through
 csv.writer.  Each writer checks its data before it opens the file, so a
 refused write leaves no file behind.
 
-Panels and clouds are read in one numeric pass (`_plain`): the text split
-at commas and line ends, every number parsed by one np.loadtxt call.  Any
-file that pass does not take, the row reader (csv.reader, then float() per
-cell) reads, so both give the same values, bit for bit, or the same error.
+Every CSV reader goes through one core (`_csv`).  It reads the text once
+and splits it at line ends and commas where that gives csv.reader's cells,
+csv.reader splitting any other file; it checks the header, the row widths and
+the number cells in one place, and parses the numbers in one np.loadtxt call
+(`_numbers`) where they are plain %.17g text, else with float() row by row,
+which names the first bad row.  Both parses give the same values, bit for
+bit, or the same error.
 """
 
 from __future__ import annotations
@@ -66,27 +69,87 @@ def fmt(x: float) -> str:
 
 
 def _floats(path, k, tokens) -> List[float]:
-    try:
-        values = list(map(float, tokens))
-        if all(map(math.isfinite, values)):
-            return values
-    except ValueError:
-        pass
-    for token in tokens:  # a bad row: report its first bad token
+    values = []
+    for token in tokens:
         try:
-            if not math.isfinite(float(token)):
-                break
+            values.append(float(token))
         except ValueError:
             raise DataFormatError(f"{path}: row {k}: cannot parse {token!r} as a number") from None
-    raise DataFormatError(f"{path}: row {k}: non-finite value {token!r}")
+        if not math.isfinite(values[-1]):
+            raise DataFormatError(f"{path}: row {k}: non-finite value {token!r}")
+    return values
 
 
-def _rows(path) -> List[List[str]]:
+# the characters %.17g writes for finite floats and the commas between them:
+# the only ones `_numbers` hands to loadtxt, which reads any numeral of them
+# as float() does
+_NUMERALS = b"0123456789.eE+-,"
+
+
+def _numbers(texts, width) -> Optional[np.ndarray]:
+    """The number cells of rows, one text of comma-joined cells per row, as a
+    (rows, width) array from one np.loadtxt call; None, for float() to read,
+    if a cell holds a character %.17g does not write or loadtxt refuses it."""
+    if ",".join(texts).encode().translate(None, _NUMERALS):
+        return None
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return [row for row in csv.reader(fh)]
-    except (csv.Error, UnicodeDecodeError) as exc:
+        table = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a numeral float() refuses too, such as 1e or +-
+        return None
+    return table if table.shape == (len(texts), width) and np.isfinite(table).all() else None
+
+
+def _csv(path, layout, key=lambda k, cells: cells):
+    r"""The CSV file at `path` as (header, keys, table).
+
+    Split at its line ends (\n or \r\n) and commas, the text gives
+    csv.reader's cells if it has no quote, bare \r, empty line or line past
+    csv's field size limit; csv.reader splits any other text.  `layout` gets
+    the first row's cells (None in an empty file) and returns why it refuses
+    them, or (skip, start): each row from row `start` (1 or 2) on must be as
+    wide as the first; its first `skip` cells make its key, `key(row number,
+    cells)`, and the others finite numbers, one row of `table`.
+    """
+    with open(path, "rb") as fh:  # a text-mode read decodes far slower
+        text = fh.read()
+    try:
+        text = text.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: unreadable CSV ({exc})") from exc
+    lines = text.split("\n")
+    if lines[-1] == "":  # the line end of the last row
+        del lines[-1]
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    plain = '"' not in text and all(lines) and not any("\r" in line for line in lines)
+    plain = plain and max(map(len, lines), default=0) <= csv.field_size_limit()
+    if not plain:
+        try:
+            lines = list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: unreadable CSV ({exc})") from exc
+    header = (lines[0].split(",") if plain else lines[0]) if lines else None
+    form = layout(header)
+    if isinstance(form, str):
+        raise DataFormatError(f"{path}: {form}")
+    skip, start = form
+    width, body = len(header), lines[start - 1 :]
+    if plain:  # the number cells of a line stay one text
+        parts = [line.split(",", skip) for line in body]
+        wide = all(line.count(",") == width - 1 for line in body)
+    else:
+        parts = [row[:skip] + [",".join(row[skip:])] for row in body]
+        wide = all(len(row) == width for row in body)
+    table = _numbers([part[-1] for part in parts], width - skip) if body and wide else None
+    if table is not None:
+        return header, [key(k, part[:-1]) for k, part in enumerate(parts, start)], table
+    keys, values = [], []
+    for k, row in enumerate(body, start):  # float() per row names the first bad one
+        row = row.split(",") if plain else row
+        if len(row) != width:
+            raise DataFormatError(f"{path}: row {k}: expected {width} fields, got {len(row)}")
+        values.append(_floats(path, k, row[skip:]))
+        keys.append(key(k, row[:skip]))
+    return header, keys, np.array(values).reshape(len(body), width - skip)
 
 
 def _finite_array(values, ndim, what) -> np.ndarray:
@@ -109,16 +172,6 @@ def _quoted(cell) -> str:
     # a second cell, as a row of one empty cell is written as ""
     csv.writer(buf).writerow([cell, ""])
     return buf.getvalue()[: -len(",\r\n")]
-
-
-def _body(path, rows, width, skip=0, start=2):
-    """Yield (row number, fields, floats) for each data row, numbered from
-    `start`.  Every row must have `width` fields; the fields after the first
-    `skip` must be finite floats."""
-    for k, row in enumerate(rows, start=start):
-        if len(row) != width:
-            raise DataFormatError(f"{path}: row {k}: expected {width} fields, got {len(row)}")
-        yield k, row, _floats(path, k, row[skip:])
 
 
 # ---------------------------------------------------------------- panels
@@ -185,98 +238,33 @@ def write_panel(path, panel: CurvePanel) -> None:
         fh.writelines(quoted[label] + row % tuple(v.tolist()) for label, v in zip(labels, panel.values))
 
 
-# the characters %.17g writes for finite floats, the commas between them and
-# the line ends: the only ones `_plain` hands to loadtxt, which reads any
-# numeral of them as float() does
-_NUMERALS = b"0123456789.eE+-,\n"
+def _points(path, heads, refusal):
+    """("panel", CurvePanel) or ("cloud", ndarray) of a file whose header
+    starts with one of `heads`, 't' for a panel and 'x1' for a cloud; row 1
+    of any other file is refused with `refusal`, formatted with its head."""
 
+    def layout(header):
+        head = header[0] if header else ""
+        if header is None or head not in heads:
+            return "empty file" if header is None else f"row 1: {refusal.format(head)}"
+        if head == "t" and len(header) < 3:
+            return "row 1: a panel needs at least two grid columns"
+        return (1, 1) if head == "t" else (0, 2)
 
-def _plain(path, heads):
-    r"""A panel or cloud read in one numeric pass, as (head, labels, table):
-    the header's first cell, one of `heads`; for a panel ('t') the first
-    cell of each row after the header, and for a cloud ('x1') None; and the
-    numbers, in a panel the header's grid row first, as one float array.
-
-    The cells are the text between commas and line ends (\n or \r\n), as
-    csv.reader splits them in a file without quotes.  None, for the row
-    reader to read, for any other file: not UTF-8, with a quote, a bare \r,
-    an empty line or one past csv's field size limit, without a data row or
-    with a row not as wide as its header, a panel header of fewer than three
-    cells, or a number cell of characters %.17g does not write or that
-    loadtxt refuses or reads non-finite.
-    """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
-    if '"' in text:
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":  # the line end of the last row
-        del lines[-1]
-    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    if len(lines) < 2:
-        return None
-    header = lines[0].split(",")
-    head, width = header[0], len(header)
-    if (
-        head not in heads
-        or (head == "t" and width < 3)
-        or not all(lines)
-        or max(map(len, lines)) > csv.field_size_limit()
-        or any(line.count(",") != width - 1 or "\r" in line for line in lines)
-    ):
-        return None
-    labels = None
-    if head == "t":
-        cells = [line.partition(",") for line in lines]
-        labels = [cell[0] for cell in cells[1:]]
-        lines = [cell[2] for cell in cells]
-    else:
-        del lines[0]
-    if "\n".join(lines).encode().translate(None, _NUMERALS):
-        return None
-    try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:  # a numeral float() refuses too, such as 1e or +-
-        return None
-    if table.shape != (len(lines), width - (head == "t")) or not np.isfinite(table).all():
-        return None
-    return head, labels, table
-
-
-def _panel(path, labels, table) -> CurvePanel:
-    """The panel of a table whose first row is the grid, refused as a DataFormatError."""
-    try:
-        return CurvePanel(
-            grid=table[0],
-            values=table[1:],
-            labels=None if all(lab == "-" for lab in labels) else labels,
-        )
+    header, keys, table = _csv(path, layout)
+    if len(table) < 1 + (header[0] == "t"):
+        raise DataFormatError(f"{path}: no data rows")
+    if header[0] == "x1":
+        return "cloud", table
+    labels = [cells[0] for cells in keys[1:]]
+    try:  # a panel's grid is its first row of numbers
+        return "panel", CurvePanel(table[0], table[1:], None if all(lab == "-" for lab in labels) else labels)
     except UsageError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def read_panel(path) -> CurvePanel:
-    plain = _plain(path, ("t",))
-    return _parse_panel(path, _rows(path)) if plain is None else _panel(path, *plain[1:])
-
-
-def _parse_panel(path, rows) -> CurvePanel:
-    """The row reader's panel: the reference `_plain` matches."""
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    header = rows[0]
-    if not header or header[0] != "t":
-        raise DataFormatError(f"{path}: row 1: expected a panel header starting with 't'")
-    if len(header) < 3:
-        raise DataFormatError(f"{path}: row 1: a panel needs at least two grid columns")
-    grid = _floats(path, 1, header[1:])
-    body = list(_body(path, rows[1:], len(header), skip=1))
-    if not body:
-        raise DataFormatError(f"{path}: no data rows")
-    return _panel(path, [row[0] for _, row, _ in body], np.array([grid] + [vals for _, _, vals in body]))
+    return _points(path, ("t",), "expected a panel header starting with 't'")[1]
 
 
 # ----------------------------------------------------------- point clouds
@@ -291,43 +279,12 @@ def write_cloud(path, cloud) -> None:
 
 
 def read_cloud(path) -> np.ndarray:
-    plain = _plain(path, ("x1",))
-    return _parse_cloud(path, _rows(path)) if plain is None else plain[2]
-
-
-def _parse_cloud(path, rows) -> np.ndarray:
-    """The row reader's cloud: the reference `_plain` matches."""
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    header = rows[0]
-    if not header or header[0] != "x1":
-        raise DataFormatError(f"{path}: row 1: expected a cloud header starting with 'x1'")
-    data = [vals for _, _, vals in _body(path, rows[1:], len(header))]
-    if not data:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.array(data)
+    return _points(path, ("x1",), "expected a cloud header starting with 'x1'")[1]
 
 
 def read_points_auto(path):
-    """Dispatch on the header: a panel ('t,...') or a cloud ('x1,...').
-
-    Returns ("panel", CurvePanel) or ("cloud", ndarray).
-    """
-    plain = _plain(path, ("t", "x1"))
-    if plain is not None:
-        head, labels, table = plain
-        return ("panel", _panel(path, labels, table)) if head == "t" else ("cloud", table)
-    rows = _rows(path)
-    if not rows or not rows[0]:
-        raise DataFormatError(f"{path}: empty file")
-    head = rows[0][0]
-    if head == "t":
-        return "panel", _parse_panel(path, rows)
-    if head == "x1":
-        return "cloud", _parse_cloud(path, rows)
-    raise DataFormatError(
-        f"{path}: row 1: unrecognized header {head!r}; expected 't' or 'x1'"
-    )
+    """("panel", CurvePanel) or ("cloud", ndarray), as the header starts with 't' or 'x1'."""
+    return _points(path, ("t", "x1"), "unrecognized header {!r}; expected 't' or 'x1'")
 
 
 # -------------------------------------------------------------- sidecars
@@ -340,11 +297,14 @@ def write_shifts(path, shifts) -> None:
         fh.writelines("%d,%.17g\r\n" % pair for pair in enumerate(s.tolist()))
 
 
+def _headed(*names):
+    """The layout of a file headed `names`: a row's last cell is its number."""
+    expected = ",".join(names)
+    return lambda header: (len(names) - 1, 2) if header == list(names) else f"row 1: expected header {expected!r}"
+
+
 def read_shifts(path) -> np.ndarray:
-    rows = _rows(path)
-    if not rows or rows[0] != ["index", "shift"]:
-        raise DataFormatError(f"{path}: row 1: expected header 'index,shift'")
-    return np.array([shift for _, _, (shift,) in _body(path, rows[1:], 2, skip=1)])
+    return _csv(path, _headed("index", "shift"))[2][:, 0]
 
 
 def write_warp_params(path, warp_params: dict) -> None:
@@ -381,10 +341,10 @@ def write_matrix(path, matrix) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    rows = _rows(path)
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    matrix = np.array([vals for _, _, vals in _body(path, rows, len(rows[0]), start=1)])
+    def layout(row):
+        return (0, 1) if row else "empty file" if row is None else "row 1: expected at least one field, got 0"
+
+    matrix = _csv(path, layout)[2]
     if matrix.shape[0] != matrix.shape[1]:
         raise DataFormatError(f"{path}: expected a square matrix, got {matrix.shape[0]} x {matrix.shape[1]}")
     return matrix
@@ -400,20 +360,16 @@ def write_edges(path, graph: WeightedGraph) -> None:
 def read_edges(path, n: Optional[int] = None) -> WeightedGraph:
     from .graphs import WeightedGraph
 
-    rows = _rows(path)
-    if not rows or rows[0] != ["i", "j", "weight"]:
-        raise DataFormatError(f"{path}: row 1: expected header 'i,j,weight'")
-    edges = []
-    top = -1
-    for k, row, (weight,) in _body(path, rows[1:], 3, skip=2):
+    def vertices(k, cells):
         try:
-            i, j = int(row[0]), int(row[1])
+            return int(cells[0]), int(cells[1])
         except ValueError:
             raise DataFormatError(f"{path}: row {k}: bad vertex index") from None
-        edges.append((i, j, weight))
-        top = max(top, i, j)
+
+    _, ij, weights = _csv(path, _headed("i", "j", "weight"), vertices)
+    edges = [(i, j, w) for (i, j), w in zip(ij, weights[:, 0].tolist())]
     try:
-        return WeightedGraph(n if n is not None else top + 1, edges)
+        return WeightedGraph(n if n is not None else max([-1, *map(max, ij)]) + 1, edges)
     except UsageError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
@@ -421,9 +377,9 @@ def read_edges(path, n: Optional[int] = None) -> WeightedGraph:
 # ------------------------------------------------------------------ json
 
 def write_json(path, obj) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)  # refuses NaN and inf, no JSON
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path) -> dict:

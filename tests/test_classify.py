@@ -23,6 +23,7 @@ from curvemedian import (
     intrinsic_median_exact,
     load_benchmark_config,
     predict_labels,
+    run_benchmark,
 )
 from curvemedian import geometry
 from oracles import knn_label, nearest_template_label
@@ -418,6 +419,23 @@ def test_truncate_at_must_be_a_number_or_none(truncate_at):
         for run in (predict_labels, evaluate):
             with pytest.raises(UsageError, match="truncate_at must be a number or None"):
                 run(classifier, train, truncate_at)
+
+
+@pytest.mark.parametrize("truncate_at", [np.inf, -np.inf, np.nan, np.float64(np.inf)])
+def test_truncate_at_must_be_finite(truncate_at):
+    # inf ran, and a classifier config kept it for JSON's invalid Infinity;
+    # nan failed only as a truncation that "removes every grid point"
+    message = "truncate_at must be a finite number or None"
+    with pytest.raises(UsageError, match=message):
+        ClassifierConfig(truncate_at=truncate_at)
+    train = panel([[0.0] * 4, [1.0] * 4], ["a", "b"])
+    for classifier in (extract_templates(train, "mean"), KnnClassifier(train, 1)):
+        for run in (predict_labels, evaluate):
+            with pytest.raises(UsageError, match=message):
+                run(classifier, train, truncate_at)
+    cfg = dataclasses.replace(load_benchmark_config(BENCHMARK_CONFIG), n_train=3, n_test=1, truncate_at=truncate_at)
+    with pytest.raises(UsageError, match=message):
+        run_benchmark(cfg, methods=("knn",))
 
 
 # ---------------------------------------------------------------- benchmark

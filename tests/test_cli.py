@@ -429,6 +429,20 @@ def test_classify_non_finite_alpha_exits_2(tmp_path, capsys, alpha):
     assert code == 2 and "alpha" in err
 
 
+@pytest.mark.parametrize("method", ["mean", "knn"])
+@pytest.mark.parametrize("cutoff", ["inf", "-inf", "nan"])
+def test_classify_non_finite_truncate_at_exits_2_writing_nothing(tmp_path, capsys, method, cutoff):
+    # --truncate-at inf once ran and wrote "truncate_at": Infinity, no JSON
+    panel = tmp_path / "panel.csv"
+    write_panel(panel, labeled_two_class_panel())
+    code, out, err = run(
+        capsys, "classify", "--train", str(panel), "--test", str(panel), "--method", method,
+        "--truncate-at", cutoff, "--outdir", str(tmp_path / "c"),
+    )
+    assert code == 2 and out == "" and "truncate_at must be a finite number or None" in err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("method", ["manifold", "mean", "medoid", "knn"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-3"])
 def test_classify_bad_tolerance_exits_2_for_every_method(tmp_path, capsys, method, tol):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -447,11 +448,21 @@ def test_panel_grid_must_be_finite(tmp_path, reader):
         reader(path)
 
 
-# ------------------------------------ the numeric pass and the row reader
+# ----------------------------- the numeric pass and the per-row parse
+
+READ = {
+    "panel": read_panel,
+    "cloud": read_cloud,
+    "auto": read_points_auto,
+    "shifts": read_shifts,
+    "matrix": read_matrix,
+    "edges": read_edges,
+}
+
 
 def _outcome(reader, path):
-    """What a reader made of a file: a panel's or cloud's bits, labels and
-    shape, or its exception's type and message."""
+    """What a reader made of a file: a panel's, array's or graph's bits,
+    labels and shape, or its exception's type and message."""
     try:
         got = reader(path)
     except Exception as exc:  # any exception is an outcome to compare
@@ -459,16 +470,31 @@ def _outcome(reader, path):
     kind, got = got if isinstance(got, tuple) else (None, got)
     if isinstance(got, CurvePanel):
         return kind, got.grid.tobytes(), got.values.tobytes(), got.values.shape, got.labels
+    if isinstance(got, WeightedGraph):
+        return kind, got.n, got.edges.tobytes(), got.edges.shape
     return kind, got.dtype, got.tobytes(), got.shape
 
 
-def _same_as_the_row_reader(path):
-    """Each panel or cloud reader reads `path` as the row reader does, and
-    says whether the numeric pass took the file."""
-    outcomes = [_outcome(reader, path) for reader in (read_panel, read_cloud, read_points_auto)]
-    with mock.patch.object(panel_io, "_plain", lambda path, heads: None):  # the row reader alone
-        assert outcomes == [_outcome(reader, path) for reader in (read_panel, read_cloud, read_points_auto)]
-    return panel_io._plain(path, ("t", "x1")) is not None
+def _same_as_per_row(path):
+    """Each reader reads `path` as it does with float() parsing every row;
+    returns the names of the readers whose numeric pass took the file."""
+    numbers, took = panel_io._numbers, []
+
+    def spy(texts, width):
+        table = numbers(texts, width)
+        took.append(table is not None)
+        return table
+
+    outcomes, names = {}, set()
+    with mock.patch.object(panel_io, "_numbers", spy):
+        for name, reader in READ.items():
+            took.clear()
+            outcomes[name] = _outcome(reader, path)
+            if any(took):
+                names.add(name)
+    with mock.patch.object(panel_io, "_numbers", lambda texts, width: None):  # float() per row alone
+        assert outcomes == {name: _outcome(reader, path) for name, reader in READ.items()}
+    return names
 
 
 def _cells(text):
@@ -505,69 +531,106 @@ def _changed(path, mutation, k):
 
 # changes of a plain numeric cell that leave the file to the numeric pass
 STAYS_PLAIN = {"\\n line ends", "cell '+.5e-3'", "cell '1e-400'"}
+# the readers of each kind of written file
+READERS_OF = {
+    "panel": {"panel", "auto"},
+    "cloud": {"cloud", "auto"},
+    "shifts": {"shifts"},
+    "matrix": {"matrix"},
+    "edges": {"edges"},
+}
+WEIGHTS = st.one_of(EDGE_FLOATS.filter(lambda w: not w < 0), st.floats(0.0, allow_infinity=False))
 
 
 def _written(tmp_path_factory, data):
+    """A file of each kind a CSV writer writes, and its kind."""
     path = tmp_path_factory.mktemp("eq") / "f.csv"
-    if data.draw(st.booleans(), label="panel"):
+    kind = data.draw(st.sampled_from(sorted(READERS_OF)), label="kind")
+
+    def rows(n, p):
+        return data.draw(st.lists(st.lists(FLOATS, min_size=p, max_size=p), min_size=n, max_size=n))
+
+    if kind == "panel":
         write_panel(path, data.draw(panels()))
+    elif kind == "cloud":
+        write_cloud(path, np.array(rows(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)))))
+    elif kind == "matrix":
+        k = data.draw(st.integers(1, 4))
+        write_matrix(path, np.array(rows(k, k)))
+    elif kind == "shifts":
+        write_shifts(path, np.array(data.draw(st.lists(FLOATS, min_size=1, max_size=4))))
     else:
-        p = data.draw(st.integers(1, 3))
-        write_cloud(path, np.array(data.draw(st.lists(st.lists(FLOATS, min_size=p, max_size=p), min_size=1, max_size=4))))
-    return path
+        ij = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=4))
+        write_edges(path, WeightedGraph(5, [(i, j, data.draw(WEIGHTS)) for i, j in ij]))
+    return path, kind
 
 
 @given(st.data())
 def test_numeric_pass_reads_every_written_file_as_the_row_reader(tmp_path_factory, data):
-    path = _written(tmp_path_factory, data)
-    took = _same_as_the_row_reader(path)
-    # only a quote sends a written file to the row reader
-    assert took == ('"' not in path.read_text(encoding="utf-8"))
+    path, kind = _written(tmp_path_factory, data)
+    # quoted labels included, every written file takes it, in its own readers
+    assert _same_as_per_row(path) == READERS_OF[kind]
 
 
 @given(st.data(), st.sampled_from(sorted(MUTATIONS)))
 def test_numeric_pass_reads_every_changed_file_as_the_row_reader(tmp_path_factory, data, mutation):
-    path = _written(tmp_path_factory, data)
+    path, _ = _written(tmp_path_factory, data)
     cells = len(_cells(path.read_bytes().decode("utf-8")))
     _changed(path, mutation, data.draw(st.integers(0, cells - 1), label="cell"))
-    _same_as_the_row_reader(path)
+    _same_as_per_row(path)
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_numeric_pass_and_row_reader_agree_on_each_change(tmp_path, mutation):
-    # a plain panel, labels with a comma, a quote and a line break, a cloud
+    # a plain panel, labels with a comma, a quote and a line break, a cloud,
+    # a matrix, shifts and edges
     grid, values = [0.0, 0.5, 1.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
     files = [
         (write_panel, CurvePanel(grid, values, labels=["a", "b"])),
         (write_panel, CurvePanel(grid, values, labels=["a,b", 'say "hi"\r\nbye'])),
         (write_cloud, np.ones((3, 2))),
+        (write_matrix, np.full((3, 3), 0.5)),
+        (write_shifts, np.array([0.5, 1.5, 2.5])),
+        (write_edges, WeightedGraph(4, [(0, 1, 1.5), (1, 2, 0.5), (2, 3, 2.0)])),
     ]
-    for quoted, (write, data) in zip((False, True, False), files):
+    for quoted, (write, data) in zip((False, True, False, False, False, False), files):
         path = tmp_path / "f.csv"
-        # the header's second cell, a cell of the middle row and the last
-        # row's last cell: of the plain files, a number each
         write(path, data)
         count = len(_cells(path.read_bytes().decode("utf-8")))
-        for k in (1, count // 2, count - 2):
+        # a cell of the middle row, the last row's last cell and, but in a
+        # file whose header is fixed, the header's second cell: of the plain
+        # files, a number each or a cell the reader does not read
+        for k in (count // 2, count - 2) + ((1,) if write not in (write_shifts, write_edges) else ()):
             write(path, data)
             _changed(path, mutation, k)
-            took = _same_as_the_row_reader(path)
+            took = _same_as_per_row(path)
             assert took or quoted or mutation not in STAYS_PLAIN
 
 
-# a file, and whether the numeric pass takes it
+# a file, and the readers whose numeric pass takes it
 SMALL_FILES = {
-    "crlf": ("t,0,1\r\na,1,2\r\n", True),
-    "lf": ("t,0,1\na,1,2\n", True),
-    "no last line end": ("t,0,1\na,1,2", True),
-    "last line end a bare cr": ("t,0,1\r\na,1,2\r", True),
-    "one-column cloud": ("x1\r\n1\r\n", True),
-    "one-column cloud, a blank row only": ("x1\r\n\r\n", False),
-    "one-column cloud, a blank last row": ("x1\r\n1\r\n\r\n", False),
-    "header only": ("x1\r\n", False),
-    "empty": ("", False),
-    "a cell past csv's field size limit": ("t,0,1\r\n" + "a" * 131073 + ",1,2\r\n", False),
-    "a line at csv's field size limit": ("t,0,1\r\n" + "a" * 131068 + ",1,2\r\n", True),
+    "crlf": ("t,0,1\r\na,1,2\r\n", {"panel", "auto"}),
+    "lf": ("t,0,1\na,1,2\n", {"panel", "auto"}),
+    "no last line end": ("t,0,1\na,1,2", {"panel", "auto"}),
+    "last line end a bare cr": ("t,0,1\r\na,1,2\r", {"panel", "auto"}),
+    "a quoted label": ('t,0,1\r\n"a,b",1,2\r\n', {"panel", "auto"}),
+    "a quoted number": ('t,0,1\r\na,"1",2\r\n', {"panel", "auto"}),
+    "a quoted comma between numbers": ('t,0,1\r\na,"1,2"\r\n', set()),
+    "a panel header only": ("t,0,1\r\n", {"panel", "auto"}),
+    "one-column cloud": ("x1\r\n1\r\n", {"cloud", "auto"}),
+    "one-column cloud, a blank row only": ("x1\r\n\r\n", set()),
+    "one-column cloud, a blank last row": ("x1\r\n1\r\n\r\n", set()),
+    "header only": ("x1\r\n", set()),
+    "empty": ("", set()),
+    "a cell past csv's field size limit": ("t,0,1\r\n" + "a" * 131073 + ",1,2\r\n", set()),
+    "a line at csv's field size limit": ("t,0,1\r\n" + "a" * 131068 + ",1,2\r\n", {"panel", "auto"}),
+    "a matrix": ("0,1\r\n1,0\r\n", {"matrix"}),
+    "a matrix, a blank first row": ("\r\n0,1\r\n1,0\r\n", set()),
+    "shifts": ("index,shift\r\n0,0.5\r\nx,1\r\n", {"shifts"}),
+    "shifts, no rows": ("index,shift\r\n", set()),
+    "edges": ("i,j,weight\r\n0,1,0.5\r\n", {"edges"}),
+    "edges, a bad index": ("i,j,weight\r\n0,1,0.5\r\n1,x,2\r\n", {"edges"}),
+    "edges, a bad index then a bad weight": ("i,j,weight\r\n1,x,2\r\n0,1,y\r\n", set()),
 }
 
 
@@ -575,7 +638,56 @@ SMALL_FILES = {
 def test_numeric_pass_takes_what_it_reads_as_the_row_reader(tmp_path, text, took):
     path = tmp_path / "f.csv"
     path.write_bytes(text.encode())
-    assert _same_as_the_row_reader(path) == took
+    assert _same_as_per_row(path) == took
+
+
+BLANK_FIRST_ROW = {
+    "panel": "row 1: expected a panel header starting with 't'",
+    "cloud": "row 1: expected a cloud header starting with 'x1'",
+    "auto": "row 1: unrecognized header ''; expected 't' or 'x1'",
+    "shifts": "row 1: expected header 'index,shift'",
+    "matrix": "row 1: expected at least one field, got 0",
+    "edges": "row 1: expected header 'i,j,weight'",
+}
+
+
+@pytest.mark.parametrize("text", ["\r\n0,1\r\n1,0\r\n", "\nt,0,1\na,1,2\n", "\r\n", "\r"])
+@pytest.mark.parametrize("name", sorted(BLANK_FIRST_ROW))
+def test_a_blank_first_row_is_named(tmp_path, name, text):
+    # read_points_auto once said "empty file", and read_matrix named the
+    # first row of another width
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: {re.escape(BLANK_FIRST_ROW[name])}$"):
+        READ[name](path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,x,1.0\n0,1,y\n", "row 2: bad vertex index"),
+        ("0,1,y\n0,x,1.0\n", "row 2: cannot parse 'y' as a number"),
+        ("0,x,y\n", "row 2: cannot parse 'y' as a number"),
+        ("0,x\n0,1,y\n", "row 2: expected 3 fields, got 2"),
+        ("0,1,1.0\n0,x,1.0\n", "row 3: bad vertex index"),
+    ],
+)
+def test_edges_reader_names_the_first_bad_row_in_file_order(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("i,j,weight\n" + body)
+    with pytest.raises(DataFormatError, match=rf"bad\.csv: {message}$"):
+        read_edges(path)
+    _same_as_per_row(path)
+
+
+@pytest.mark.parametrize("name", sorted(READ))
+def test_undecodable_byte_is_named_at_its_place_in_the_file(tmp_path, name):
+    # the whole file is decoded at once, so the position counts from its start
+    path = tmp_path / "bad.csv"
+    head = b"x1\r\n" + b"1\r\n" * 5000
+    path.write_bytes(head + b"\xff\r\n")
+    with pytest.raises(DataFormatError, match=rf"unreadable CSV \(.* byte 0xff in position {len(head)}: "):
+        READ[name](path)
 
 
 # ---------------------------------------------------------- report writers
@@ -619,6 +731,15 @@ def test_json_layout_and_round_trip(tmp_path):
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert read_json(path) == {"a": [1, 2], "b": 2}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_writer_refuses_a_non_finite_float_before_opening_the_file(tmp_path, value):
+    # json.dump would write Infinity or NaN, which no JSON reader need accept
+    path = tmp_path / "obj.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"a": [1.0, value]})
+    assert not path.exists()
 
 
 def test_classifier_config_file(tmp_path):
