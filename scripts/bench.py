@@ -67,6 +67,9 @@ command (`main`), each with its wall seconds and minor faults; the
 curvemedian modules loaded at exit; and one `sha256[FILE]` per output
 file.  `environment.dont_write_bytecode` says whether PYTHONDONTWRITEBYTECODE
 was set: without it, later runs load cached bytecode instead of compiling.
+`compile_s` gives, per source, the `compile()` seconds (best of 20, the
+sources alternating) of each curvemedian module a CLI input loaded, and per
+CLI input the sum over the modules it loaded.
 
 The classification input `classify-N` runs `run_benchmark` on
 configs/benchmark_2class.json with N training and 2N test curves per class
@@ -102,6 +105,7 @@ STAGES = (
 )
 ENVIRONMENTS = {"default": {}, "mmap_threshold_131072": {"MALLOC_MMAP_THRESHOLD_": "131072"}}
 CLASS_SEEDS = (1500, 1501, 1502)
+COMPILE_REPEATS = 20
 # the stage whose wall time the progress line shows, per input kind
 HEAD = {"sim1": STAGES[0], "tsin": STAGES[0], "classify": "run_benchmark", "cli": "process"}
 # CLI input -> its command line, with INPUT standing for the input directory
@@ -344,6 +348,21 @@ def run_cli_child(src: Path, inputs: Path, argv, extra_env: dict) -> dict:
     return {"process": process, **json.loads(proc.stdout.splitlines()[-1])}
 
 
+def compile_seconds(sources: dict, modules) -> dict:
+    """Per source, the best-of-COMPILE_REPEATS compile() seconds of each module's file."""
+    best = {label: dict.fromkeys(modules, math.inf) for label in sources}
+    for _ in range(COMPILE_REPEATS):
+        for label, src in sources.items():
+            for module in modules:
+                name = module.partition(".")[2]
+                path = src / "curvemedian" / (f"{name}.py" if name else "__init__.py")
+                text = path.read_text(encoding="utf-8")
+                start = time.perf_counter()
+                compile(text, str(path), "exec")
+                best[label][module] = min(best[label][module], time.perf_counter() - start)
+    return best
+
+
 def max_rel_diff(d_hat: np.ndarray, reference: np.ndarray) -> float:
     """The largest |d_hat - reference| / reference, inf where only the reference is 0."""
     diff = np.abs(d_hat - reference)
@@ -447,6 +466,13 @@ def main() -> int:
         for label in others
     }
     d_hats.cleanup()
+    # the modules each CLI input loaded, per source
+    loaded = {label: {name: runs[label][name]["default"][0]["modules"] for name in CLI_RUNS} for label in sources}
+    best = compile_seconds(sources, sorted({m for by_name in loaded.values() for mods in by_name.values() for m in mods}))
+    compile_s = {
+        label: {"modules": best[label], **{name: sum(map(best[label].get, mods)) for name, mods in by_name.items()}}
+        for label, by_name in loaded.items()
+    }
     quality = {}
     for cap in args.cap if args.quality else ():
         for label, src in sources.items():
@@ -474,6 +500,7 @@ def main() -> int:
         },
         "runs": runs,
         "d_hat_max_rel_diff": d_hat_diff,
+        "compile_s": compile_s,
     }
     if args.quality:
         report["quality"] = quality
