@@ -89,8 +89,8 @@ _NUMERALS = b"0123456789.eE+-,"
 def _numbers(texts, width) -> Optional[np.ndarray]:
     """The number cells of rows, one text of comma-joined cells per row, as a
     (rows, width) array from one np.loadtxt call; None, for float() to read,
-    if a cell holds a character %.17g does not write or loadtxt refuses it."""
-    if ",".join(texts).encode().translate(None, _NUMERALS):
+    if a row is empty, has a character %.17g does not write, or loadtxt refuses it."""
+    if not all(texts) or ",".join(texts).encode().translate(None, _NUMERALS):
         return None
     try:
         table = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
@@ -107,8 +107,8 @@ def _csv(path, layout, key=lambda k, cells: cells):
     csv's field size limit; csv.reader splits any other text.  `layout` gets
     the first row's cells (None in an empty file) and returns why it refuses
     them, or (skip, start): each row from row `start` (1 or 2) on must be as
-    wide as the first; its first `skip` cells make its key, `key(row number,
-    cells)`, and the others finite numbers, one row of `table`.
+    wide as the first; its first `skip` cells, if skip > 0, make its key,
+    `key(row number, cells)`; the others are finite numbers, a `table` row.
     """
     with open(path, "rb") as fh:  # a text-mode read decodes far slower
         text = fh.read()
@@ -134,14 +134,15 @@ def _csv(path, layout, key=lambda k, cells: cells):
     skip, start = form
     width, body = len(header), lines[start - 1 :]
     if plain:  # the number cells of a line stay one text
-        parts = [line.split(",", skip) for line in body]
+        heads = [line.split(",", skip) for line in body] if skip else []
+        texts = [cells.pop() for cells in heads] if skip else body
         wide = all(line.count(",") == width - 1 for line in body)
     else:
-        parts = [row[:skip] + [",".join(row[skip:])] for row in body]
+        heads, texts = [row[:skip] for row in body], [",".join(row[skip:]) for row in body]
         wide = all(len(row) == width for row in body)
-    table = _numbers([part[-1] for part in parts], width - skip) if body and wide else None
+    table = _numbers(texts, width - skip) if body and wide else None
     if table is not None:
-        return header, [key(k, part[:-1]) for k, part in enumerate(parts, start)], table
+        return header, [key(k, cells) for k, cells in enumerate(heads, start)], table
     keys, values = [], []
     for k, row in enumerate(body, start):  # float() per row names the first bad one
         row = row.split(",") if plain else row

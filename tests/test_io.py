@@ -476,8 +476,9 @@ def _outcome(reader, path):
 
 
 def _same_as_per_row(path):
-    """Each reader reads `path` as it does with float() parsing every row;
-    returns the names of the readers whose numeric pass took the file."""
+    """Each reader reads `path` as it does with csv.reader splitting every
+    row and float() parsing every cell; returns the names of the readers
+    whose numeric pass took the file."""
     numbers, took = panel_io._numbers, []
 
     def spy(texts, width):
@@ -492,7 +493,12 @@ def _same_as_per_row(path):
             outcomes[name] = _outcome(reader, path)
             if any(took):
                 names.add(name)
-    with mock.patch.object(panel_io, "_numbers", lambda texts, width: None):  # float() per row alone
+    # a field size limit no line is within sends every file to csv.reader;
+    # the C reader keeps its own limit
+    with (
+        mock.patch.object(panel_io, "_numbers", lambda texts, width: None),
+        mock.patch.object(panel_io.csv, "field_size_limit", lambda: -1),
+    ):
         assert outcomes == {name: _outcome(reader, path) for name, reader in READ.items()}
     return names
 
@@ -628,8 +634,10 @@ SMALL_FILES = {
     "a matrix, a blank first row": ("\r\n0,1\r\n1,0\r\n", set()),
     "shifts": ("index,shift\r\n0,0.5\r\nx,1\r\n", {"shifts"}),
     "shifts, no rows": ("index,shift\r\n", set()),
+    "shifts, an empty shift": ("index,shift\r\n0,\r\n", set()),
     "edges": ("i,j,weight\r\n0,1,0.5\r\n", {"edges"}),
     "edges, a bad index": ("i,j,weight\r\n0,1,0.5\r\n1,x,2\r\n", {"edges"}),
+    "edges, an empty weight": ("i,j,weight\r\n0,1,\r\n", set()),
     "edges, a bad index then a bad weight": ("i,j,weight\r\n1,x,2\r\n0,1,y\r\n", set()),
 }
 
