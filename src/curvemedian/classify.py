@@ -10,13 +10,13 @@ discarding grid points at or beyond a time cutoff.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, _number
 from .geometry import _cross_distances
 from .graphs import DEFAULT_CAP, _cap, geodesic_pipeline
 from .panel_io import CurvePanel
@@ -55,8 +55,7 @@ class KnnClassifier:
 
 def _k(k, n) -> None:
     """Refuses (`UsageError`) a k that is a bool, not an integer, or outside [1, n]."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= n:
-        raise UsageError(f"k must be an integer in [1, {n}], got {k!r}")
+    _number(k, f"k must be an integer in [1, {n}]", lambda k: 1 <= k <= n, True)
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class ClassifierConfig:
             raise UsageError(f"unknown method {self.method!r}")
         _alpha(self.alpha)
         _cap(self.cap)
-        _k(self.k, np.inf)
+        _k(self.k, math.inf)
         _cutoff(self.truncate_at)
 
     def to_dict(self) -> dict:
@@ -84,12 +83,18 @@ class ClassifierConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierConfig":
         """The config of a JSON object's keys; `__post_init__` checks their values."""
-        if not isinstance(d, dict):
-            raise UsageError(f"classifier config must be a JSON object, got {type(d).__name__}")
-        extra = set(d) - {f.name for f in fields(cls)}
-        if extra:
-            raise UsageError(f"unknown classifier config keys: {sorted(extra)}")
-        return cls(**d)
+        return _from_json(cls, d, "classifier config")
+
+
+def _from_json(cls, d, what: str):
+    """The dataclass `cls` of a JSON object's keys; `UsageError` names an object
+    that is no dict, or a key `cls` has no field for."""
+    if not isinstance(d, dict):
+        raise UsageError(f"{what} must be a JSON object, got {type(d).__name__}")
+    extra = d.keys() - cls.__dataclass_fields__
+    if extra:
+        raise UsageError(f"unknown {what} keys: {sorted(extra)}")
+    return cls(**d)
 
 
 @dataclass
@@ -140,19 +145,17 @@ def extract_templates(
     return KnnClassifier(CurvePanel(train.grid.copy(), curves, labels=order), k=1)
 
 
-def _cutoff(truncate_at) -> None:
-    """Refuses (`UsageError`) a cutoff that is a bool, not a real number or not finite; None passes."""
-    if truncate_at is not None and (isinstance(truncate_at, bool) or not isinstance(truncate_at, numbers.Real)):
-        raise UsageError(f"truncate_at must be a number or None, got {truncate_at!r}")
-    if truncate_at is not None and not -np.inf < truncate_at < np.inf:
-        raise UsageError(f"truncate_at must be a finite number or None, got {truncate_at!r}")
+def _cutoff(truncate_at) -> Optional[float]:
+    """The cutoff as a float, or None; refused (`UsageError`) unless a finite real (not a bool)."""
+    finite = "truncate_at must be a finite number or None"
+    return None if truncate_at is None else _number(truncate_at, finite, math.isfinite)
 
 
 def _active_columns(grid: np.ndarray, truncate_at: Optional[float]) -> np.ndarray:
-    _cutoff(truncate_at)
-    if truncate_at is None:
+    cutoff = _cutoff(truncate_at)
+    if cutoff is None:
         return np.ones(grid.size, dtype=bool)
-    mask = grid < truncate_at
+    mask = grid < cutoff
     if not mask.any():
         raise UsageError(f"truncation at {truncate_at} removes every grid point")
     return mask

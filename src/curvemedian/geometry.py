@@ -15,12 +15,10 @@ always covered by the balls around its own two endpoints.
 from __future__ import annotations
 
 import math
-import numbers
-import os
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import NumericError, UsageError, _float_array, _physical_memory
 
 
 # float64 elements of the (rows x cols x n) sums per block of the midpoint
@@ -58,7 +56,7 @@ _MIN_EXTENT, _MAX_EXTENT = 2.0**-400, 2.0**400
 # n x n float64 matrices live at the peak of `graphs.geodesic_pipeline`,
 # inside `build_coverage_graph`: the pipeline's one distance matrix, passed
 # to the tree and coverage stages, and its squares make two.  A cap's mask is
-# built before the squares (distances, threshold and mask: 2.1), and its few
+# built before the squares (distances and two boolean masks: 1.25), and its few
 # candidates and the kernel's scratch (about 2 MB) add little: tracemalloc
 # reads 2.92, 2.38 and 2.38 on sim1 clouds of 600, 1000 and 2000 points and
 # 2.81 on 1000 collinear points.  Without a cap, the kernel's candidate index
@@ -73,39 +71,21 @@ _MIN_EXTENT, _MAX_EXTENT = 2.0**-400, 2.0**400
 _PEAK_MATRICES = 6
 
 
-def _physical_memory() -> float:
-    """Bytes of physical memory, or inf where the platform does not say."""
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, ValueError, OSError):
-        return np.inf
-
-
 def _cloud(points) -> np.ndarray:
     """The cloud as a finite (n, p) float64 array; a 1-D input is n points in R^1."""
-    try:
-        pts = np.asarray(points, dtype=float)
-    except (TypeError, ValueError):
-        raise UsageError("a point cloud must be an (n, p) array of numbers") from None
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.size == 0:
-        raise UsageError("a point cloud must be a nonempty 2-D array (n, p)")
-    if not np.all(np.isfinite(pts)):
+    nonempty = "a point cloud must be a nonempty 2-D array (n, p) of numbers"
+    pts = _float_array(points, UsageError, nonempty, lambda a: a.ndim in (1, 2) and a.size > 0)
+    if not np.isfinite(pts).all():
         raise UsageError("point cloud contains non-finite coordinates")
-    return pts
+    return pts[:, None] if pts.ndim == 1 else pts
 
 
 def _distance_matrix(distances) -> np.ndarray:
     """A distance matrix as a float64 array, refused unless a nonempty square
     matrix of finite nonnegative entries, zero on the diagonal and exactly
     symmetric.  A float64 array comes back itself, not a copy."""
-    try:
-        dist = np.asarray(distances, dtype=float)
-    except (TypeError, ValueError):
-        raise UsageError("a distance matrix must be an (n, n) array of numbers") from None
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or dist.size == 0:
-        raise UsageError(f"a distance matrix must be nonempty and square, got shape {dist.shape}")
+    square = "a distance matrix must be a nonempty square array of numbers"
+    dist = _float_array(distances, UsageError, square, lambda d: d.ndim == 2 and d.shape[0] == d.shape[1] > 0)
     # reductions, where isfinite(dist) would allocate n x n; NaN reaches both
     if not (np.isfinite(dist.max()) and dist.min() >= 0.0):
         raise UsageError("distance matrix has non-finite or negative entries")
@@ -185,13 +165,6 @@ def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
     if not np.isfinite(dist.max()):  # a reduction, where isfinite(dist) would allocate n x n
         raise NumericError("pairwise distances overflow float64; rescale the points")
     return dist
-
-
-def _tolerance(tol) -> float:
-    """The coverage tolerance as a float, refused unless a finite nonnegative real (not a bool)."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < np.inf:
-        raise UsageError(f"tolerance must be a finite nonnegative number, got {tol!r}")
-    return float(tol)
 
 
 def _chord_intervals(A, sq, i, j, r, buf):

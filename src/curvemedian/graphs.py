@@ -16,14 +16,13 @@ levels it can reach.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import UsageError
-from .geometry import _REL_TOL, _cloud, _covered, _distance_matrix, _midpoint_far, _pairwise_distances, _tolerance
+from .errors import UsageError, _float_array, _number
+from .geometry import _REL_TOL, _cloud, _covered, _distance_matrix, _midpoint_far, _pairwise_distances
 
 __all__ = [
     "WeightedGraph",
@@ -46,23 +45,21 @@ class WeightedGraph:
     """Undirected graph on vertices 0..n-1; `edges` is an (E, 3) float64
     array of (i, j, weight) rows, i < j for the graphs built here.
 
-    Checked once, at construction: n must be a nonnegative integer, vertex
-    indices integral and in [0, n), weights finite and nonnegative.  A
-    float64 (E, 3) input is kept without a copy, behind a read-only view.
-    Graphs compare by identity.
+    Checked once, at construction: n must be a nonnegative integer below
+    2**63, vertex indices integral and in [0, n), weights finite and
+    nonnegative.  A float64 (E, 3) input is kept without a copy, behind a
+    read-only view.  Graphs compare by identity.
     """
 
     n: int
     edges: np.ndarray
 
     def __post_init__(self):
-        n = self.n
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-            raise UsageError(f"vertex count must be a nonnegative integer, got {n!r}")
-        try:  # reshape makes a new view even of an (E, 3) array, never a copy
-            edges = np.asarray(self.edges, dtype=float).reshape(len(self.edges), 3)
-        except (TypeError, ValueError):
-            raise UsageError("edges must be (i, j, weight) triples") from None
+        below = "vertex count must be a nonnegative integer below 2**63"
+        n = _number(self.n, below, lambda k: 0 <= k < 2**63, integer=True)
+        triples = "edges must be (i, j, weight) triples"
+        edges = _float_array(self.edges, UsageError, triples, lambda e: e.shape[1:] == (3,) or e.size == 0)
+        edges = edges.reshape(-1, 3)  # a new view even of an (E, 3) array, never a copy
         ij, w = edges[:, :2], edges[:, 2]
         bad = ((ij < 0) | (ij >= n) | (ij != np.floor(ij))).any(axis=1)
         if bad.any():
@@ -73,7 +70,7 @@ class WeightedGraph:
             i, j, weight = edges[int(np.argmax(bad))]
             raise UsageError(f"edge ({i:g}, {j:g}) has weight {weight}; weights must be finite and nonnegative")
         edges.flags.writeable = False
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 
 
@@ -138,9 +135,8 @@ def ball_radii(tree: WeightedGraph) -> np.ndarray:
 
 def _cap(cap) -> Optional[float]:
     """The chord-length cap as a float, or None; refused unless a finite real >= 1."""
-    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, numbers.Real) or not 1.0 <= cap < np.inf):
-        raise UsageError(f"cap must be a finite number >= 1 or None, got {cap!r}")
-    return None if cap is None else float(cap)
+    at_least_1 = "cap must be a finite number >= 1 or None"
+    return None if cap is None else _number(cap, at_least_1, lambda c: 1.0 <= c < np.inf)
 
 
 def build_coverage_graph(distances, radii, tol: Optional[float] = None, cap: Optional[float] = None) -> WeightedGraph:
@@ -162,14 +158,13 @@ def build_coverage_graph(distances, radii, tol: Optional[float] = None, cap: Opt
     dist = _distance_matrix(distances)
     n = dist.shape[0]
     cap = _cap(cap)
-    radii = np.asarray(radii, dtype=float)
-    if radii.shape != (n,):
-        raise UsageError("radii must provide one value per point")
+    radii = _float_array(radii, UsageError, "radii must provide one value per point", lambda r: r.shape == (n,))
     if not (np.isfinite(radii).all() and (radii >= 0).all()):
         raise UsageError("radii must be finite and nonnegative")
 
     diameter = float(dist.max())
-    tol = _REL_TOL * diameter if tol is None else _tolerance(tol)
+    finite = "tolerance must be a finite nonnegative number"
+    tol = _REL_TOL * diameter if tol is None else _number(tol, finite, lambda t: 0.0 <= t < np.inf)
     unit = diameter if diameter > 0.0 else 1.0
     # in units of the diameter a radius or gap allowance past 2 holds every
     # chord; over a tiny diameter a radius may overflow to inf, which the
@@ -182,7 +177,11 @@ def build_coverage_graph(distances, radii, tol: Optional[float] = None, cap: Opt
         sq = (dist / unit) ** 2
         candidate = ~_midpoint_far(sq, r, allowance)
     else:  # masked before the squares exist, which keeps them out of the peak
-        candidate = dist <= cap * np.maximum.outer(radii, radii) + tol
+        # rounding is monotone, so cap * max(r_i, r_j) + tol is the larger of
+        # the two ends' thresholds, bit for bit, and no n x n float is built
+        reach = cap * radii + tol
+        candidate = dist <= reach[:, None]
+        candidate |= dist <= reach
         sq = (dist / unit) ** 2
     # the upper triangle's row-major nonzero entries come sorted by (i, j);
     # the n x n mask is freed before the kernel runs

@@ -22,13 +22,13 @@ configuration, so every sample is reproducible bit for bit.
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import NumericError, UsageError, _float_array, _number, _physical_memory
 from .panel_io import CurvePanel
 
 if TYPE_CHECKING:
@@ -98,11 +98,12 @@ def get_target(target) -> TargetFunction:
 
 
 def _check_range(name, pair) -> Tuple[float, float]:
-    """An interval lo < hi whose width is finite, refused otherwise."""
-    try:
-        lo, hi = map(float, pair)
-    except (TypeError, ValueError):  # not a sequence, not numbers, or not two of them
-        raise UsageError(f"{name} must be a pair of numbers (lo, hi), got {pair!r}") from None
+    """An interval lo < hi of two real numbers (not bools) whose width is finite, refused otherwise."""
+    two = f"{name} must be a pair of numbers (lo, hi)"
+    pair = pair.tolist() if isinstance(pair, np.ndarray) else pair
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+        raise UsageError(f"{two}, got {pair!r}")
+    lo, hi = _number(pair[0], two), _number(pair[1], two)
     if not (lo < hi and hi - lo < np.inf):
         raise UsageError(f"{name} must be a finite interval (lo < hi), got ({lo}, {hi})")
     return lo, hi
@@ -151,50 +152,50 @@ class Sim2Config:
     seed: int = 0
 
 
-def _grid(m: int, t_range) -> np.ndarray:
-    _count("m", m, 2)
+def _grid_span(n: int, m: int, t_range) -> Tuple[float, float, int]:
+    """np.linspace's (lo, hi, m) for the grid of a sample of n curves that fits in memory (`_fits`)."""
+    m = _count("m", m, 2)
     lo, hi = _check_range("t_range", t_range)
-    return np.linspace(lo, hi, m)
+    _fits(n, m)
+    return lo, hi, m
 
 
-def _count(name: str, value, least: int) -> None:
-    """Refuses `value` unless an integer (not a bool) of at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise UsageError(f"{name} must be >= {least}, got {value}")
+def _fits(n: int, m: int) -> None:
+    """Refuses (`UsageError`), before anything is allocated, a sample of n rows of m values whose
+    arrays would not fit in physical memory, where numpy's own size limit lies far beyond: a
+    generator holds at most four n x m float64 arrays (arguments, values, a temporary of each)."""
+    have = _physical_memory()
+    if 4 * 8 * n * m > have:  # exact integers, whatever their size
+        raise UsageError(f"a sample of {n} x {m} values does not fit in this machine's {have / 1e9:.3g} GB")
 
 
-def _rng(seed) -> np.random.Generator:
-    """numpy's default generator for a seed, refused unless a nonnegative integer (not a bool)."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise UsageError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+def _count(name: str, value, least: int) -> int:
+    """`value`, refused unless an integer (not a bool) of at least `least`."""
+    return _number(value, f"{name} must be an integer >= {least}", lambda v: v >= least, integer=True)
+
+
+def _seed(seed) -> int:
+    """A seed for numpy's default generator, refused unless a nonnegative integer (not a bool)."""
+    return _number(seed, "seed must be a nonnegative integer", lambda s: s >= 0, integer=True)
 
 
 def _finite_or_raise(values: np.ndarray, arguments: np.ndarray, what: str):
-    if np.all(np.isfinite(values)):
-        return
-    bad = np.argwhere(~np.isfinite(values))
-    i, j = bad[0]
-    raise NumericError(
-        f"{what} produced a non-finite value at argument {arguments[i, j]!r}"
-    )
+    if not np.isfinite(values).all():  # the method, a few us faster than np.all
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise NumericError(f"{what} produced a non-finite value at argument {arguments[i, j]!r}")
 
 
 def generate_shift_sample(cfg: ShiftConfig) -> CurvePanel:
     """Sample the pure shift model; ground-truth shifts ride along."""
     target = get_target(cfg.target)
-    grid = _grid(cfg.m, cfg.t_range)
     if cfg.shifts is not None:
-        shifts = np.asarray(cfg.shifts, dtype=float)
-        if shifts.ndim != 1 or shifts.size < 1:
-            raise UsageError("explicit shifts must be a nonempty 1-D sequence")
+        nonempty = "explicit shifts must be a nonempty 1-D sequence of numbers"
+        shifts = _float_array(cfg.shifts, UsageError, nonempty, lambda s: s.ndim == 1 and s.size > 0)
+        grid = np.linspace(*_grid_span(shifts.size, cfg.m, cfg.t_range))
     else:
-        _count("n", cfg.n, 1)
+        grid = np.linspace(*_grid_span(_count("n", cfg.n, 1), cfg.m, cfg.t_range))
         lo, hi = _check_range("shift_range", cfg.shift_range)
-        rng = _rng(cfg.seed)
-        shifts = rng.uniform(lo, hi, cfg.n)
+        shifts = np.random.default_rng(_seed(cfg.seed)).uniform(lo, hi, cfg.n)
     args = grid[None, :] - shifts[:, None]
     values = np.asarray(target.f(args), dtype=float)
     _finite_or_raise(values, args, f"target {target.name!r}")
@@ -203,7 +204,7 @@ def generate_shift_sample(cfg: ShiftConfig) -> CurvePanel:
 
 def sim1_truth(n: int) -> np.ndarray:
     """Noise-free parabola sample: (u_i, 2u_i**2), u_i equispaced on [-1, 1]."""
-    _count("n", n, 2)
+    _fits(_count("n", n, 2), 2)
     i = np.arange(1, n + 1, dtype=float)
     u = (2.0 * i - n - 1.0) / (n - 1.0)
     return np.column_stack([u, 2.0 * u**2])
@@ -213,19 +214,15 @@ def generate_sim1(cfg: Sim1Config) -> np.ndarray:
     """Parabola cloud with i.i.d. Gaussian coordinate noise (default sd 0.1;
     sd 0 gives `sim1_truth` exactly)."""
     base = sim1_truth(cfg.n)
-    if not 0.0 <= cfg.noise_sd < np.inf:
-        raise UsageError(f"noise_sd must be finite and nonnegative, got {cfg.noise_sd}")
-    rng = _rng(cfg.seed)
-    noise = rng.normal(0.0, cfg.noise_sd, size=base.shape)
-    return base + noise
+    sd = _number(cfg.noise_sd, "noise_sd must be finite and nonnegative", lambda s: 0.0 <= s < np.inf)
+    return base + np.random.default_rng(_seed(cfg.seed)).normal(0.0, sd, size=base.shape)
 
 
 def generate_sim2(cfg: Sim2Config) -> CurvePanel:
     """Sample the three-parameter warp model; parameters ride along."""
     target = get_target(cfg.target)
-    grid = _grid(cfg.m, cfg.t_range)
-    _count("n", cfg.n, 1)
-    rng = _rng(cfg.seed)
+    grid = np.linspace(*_grid_span(_count("n", cfg.n, 1), cfg.m, cfg.t_range))
+    rng = np.random.default_rng(_seed(cfg.seed))
 
     def draw(name):
         return rng.uniform(*_check_range(name, getattr(cfg, name)), cfg.n)
@@ -264,13 +261,10 @@ def exact_shift_geodesic(target, grid, a1: float, a2: float) -> float:
     converge within `_QUAD_MAX_INTERVALS` subintervals raises NumericError
     reporting the tolerance reached.
     """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 1:
-        raise UsageError("grid must be a nonempty 1-D array")
+    nonempty = "grid must be a nonempty 1-D array of numbers"
+    g = _float_array(grid, UsageError, nonempty, lambda g: g.ndim == 1 and g.size > 0)
     tgt = get_target(target)
-    a1, a2 = float(a1), float(a2)
-    if not (np.isfinite(a1) and np.isfinite(a2)):
-        raise UsageError("shifts must be finite")
+    a1, a2 = (_number(a, "shifts must be finite numbers", math.isfinite) for a in (a1, a2))
     if a1 == a2:
         return 0.0
     lo, hi = (a1, a2) if a1 < a2 else (a2, a1)
@@ -303,9 +297,8 @@ def exact_geodesic_matrix(target, grid, shifts) -> np.ndarray:
     shifts: integrate consecutive gaps once and difference the prefix sums
     instead of integrating all n*(n-1)/2 pairs.
     """
-    s = np.asarray(shifts, dtype=float)
-    if s.ndim != 1 or s.size < 1:
-        raise UsageError("shifts must be a nonempty 1-D array")
+    nonempty = "shifts must be a nonempty 1-D array of numbers"
+    s = _float_array(shifts, UsageError, nonempty, lambda s: s.ndim == 1 and s.size > 0)
     order = np.argsort(s, kind="stable")
     srt = s[order]
     gaps = [exact_shift_geodesic(target, grid, srt[k], srt[k + 1]) for k in range(s.size - 1)]

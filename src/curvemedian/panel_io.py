@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from .errors import DataFormatError, UsageError
+from .errors import DataFormatError, UsageError, _float_array, _number
 
 if TYPE_CHECKING:  # the readers and writers that build these import them when called
     from .classify import ClassifierConfig, ConfusionMatrix
@@ -65,7 +65,7 @@ __all__ = [
 
 def fmt(x: float) -> str:
     """17-significant-digit decimal text; round-trips any float64."""
-    return format(float(x), ".17g")
+    return format(_number(x, "fmt takes a real number"), ".17g")
 
 
 def _floats(path, k, tokens) -> List[float]:
@@ -156,10 +156,7 @@ def _csv(path, layout, key=lambda k, cells: cells):
 def _finite_array(values, ndim, what) -> np.ndarray:
     """`values` as a float array of `ndim` dimensions with finite entries
     only, or DataFormatError: the readers refuse any other cell."""
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{what} must be an array of numbers ({exc})") from exc
+    arr = _float_array(values, DataFormatError, f"{what} must be an array of numbers")
     if arr.ndim != ndim:
         raise DataFormatError(f"{what} must be {ndim}-D, got {arr.ndim}-D")
     if not np.isfinite(arr).all():
@@ -193,32 +190,27 @@ class CurvePanel:
     target: Optional[str] = None
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim == 1:
-            self.values = self.values[None, :]
-        if self.grid.ndim != 1 or self.grid.size < 2:
-            raise UsageError("grid must be 1-D with at least two points")
-        if not np.all(self.grid[1:] > self.grid[:-1]):  # no subtraction to overflow
+        two = "grid must be a 1-D array of at least two numbers"
+        self.grid = _float_array(self.grid, UsageError, two, lambda g: g.ndim == 1 and g.size >= 2)
+        values = _float_array(self.values, UsageError, "values must be an array of numbers")
+        self.values = values[None, :] if values.ndim == 1 else values
+        if not (self.grid[1:] > self.grid[:-1]).all():  # no subtraction to overflow
             raise UsageError("grid must be strictly increasing")
-        if not np.all(np.isfinite(self.grid)):
+        if not np.isfinite(self.grid).all():
             raise UsageError("grid contains non-finite values")
         if self.values.ndim != 2 or self.values.shape[1] != self.grid.size:
-            raise UsageError(
-                f"values must be (n, {self.grid.size}), got {self.values.shape}"
-            )
+            raise UsageError(f"values must be (n, {self.grid.size}), got {self.values.shape}")
         if self.values.shape[0] < 1:
             raise UsageError("panel needs at least one curve")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise UsageError("panel values contain non-finite entries")
         if self.labels is not None:
             self.labels = [str(x) for x in self.labels]
             if len(self.labels) != self.values.shape[0]:
                 raise UsageError("labels must match the number of curves")
         if self.shifts is not None:
-            self.shifts = np.asarray(self.shifts, dtype=float)
-            if self.shifts.shape != (self.values.shape[0],):
-                raise UsageError("shifts must provide one value per curve")
+            one_each = "shifts must provide one number per curve"
+            self.shifts = _float_array(self.shifts, UsageError, one_each, lambda s: s.shape == (self.values.shape[0],))
 
     @property
     def n(self) -> int:
@@ -330,7 +322,7 @@ def write_matrix(path, matrix) -> None:
     costs about half the formatting.  Keying on bits, not values, keeps -0.0
     apart from 0.0.
     """
-    dm = np.asarray(matrix, dtype=float)
+    dm = _float_array(matrix, DataFormatError, "a matrix must be an array of numbers")
     if dm.ndim != 2:
         raise DataFormatError(f"a matrix must be 2-D, got {dm.ndim}-D")
     keys, inverse = np.unique(dm.ravel().view(np.uint64), return_inverse=True)

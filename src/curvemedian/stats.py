@@ -10,12 +10,11 @@ live here too.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import NumericError, UsageError, _float_array, _number
 from .geometry import _cloud, _distance_matrix, _pairwise_distances
 
 __all__ = [
@@ -36,9 +35,7 @@ class IntrinsicEstimate:
 
 def _alpha(alpha) -> float:
     """The objective's exponent as a float, refused unless a positive finite real (not a bool)."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < math.inf:
-        raise UsageError(f"alpha must be a positive finite number, got {alpha!r}")
-    return float(alpha)
+    return _number(alpha, "alpha must be a positive finite number", lambda a: 0.0 < a < math.inf)
 
 
 def intrinsic_estimate(distance_matrix, alpha: float = 1.0) -> IntrinsicEstimate:
@@ -103,12 +100,8 @@ def cross_sectional_mean(panel) -> np.ndarray:
     Accepts a CurvePanel or a rectangular 2-D array; ragged or empty input
     is a usage error.
     """
-    try:
-        arr = np.asarray(getattr(panel, "values", panel), dtype=float)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        raise UsageError("panel rows must form a rectangular 2-D array") from None
-    if arr.ndim != 2:
-        raise UsageError("panel rows must form a rectangular 2-D array")
+    rectangular = "panel rows must form a rectangular 2-D array"
+    arr = _float_array(getattr(panel, "values", panel), UsageError, rectangular, lambda a: a.ndim == 2)
     if arr.shape[0] == 0:
         raise UsageError("cannot average an empty panel")
     with np.errstate(over="ignore"):  # an overflow leaves inf, refused below

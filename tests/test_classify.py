@@ -417,7 +417,7 @@ def test_truncate_at_must_be_a_number_or_none(truncate_at):
     for classifier in (extract_templates(train, "mean"), KnnClassifier(train, 1)):
         assert predict_labels(classifier, train, np.float64(2.0)) == ["a", "b"]
         for run in (predict_labels, evaluate):
-            with pytest.raises(UsageError, match="truncate_at must be a number or None"):
+            with pytest.raises(UsageError, match="truncate_at must be a finite number or None"):
                 run(classifier, train, truncate_at)
 
 
@@ -454,12 +454,12 @@ def _bundled_with(key, value):
 
 BAD_BENCHMARK_CONFIGS = {
     "scalar root": (5, "JSON object"),
-    "text n_train": (_bundled_with("n_train", "50"), "'n_train' must be an integer"),
-    "text m": (_bundled_with("m", "100"), "'m' must be an integer"),
-    "bool seed": (_bundled_with("seed", True), "'seed' must be an integer"),
-    "text amp_range": (_bundled_with("classes.amp_range", "ab"), r"'amp_range' must be a \[lo, hi\] pair"),
-    "short t_range": (_bundled_with("t_range", [0.0]), r"'t_range' must be a \[lo, hi\] pair"),
-    "text truncate_at": (_bundled_with("truncate_at", "x"), "'truncate_at' must be a number or null"),
+    "text n_train": (_bundled_with("n_train", "50"), "n_train must be an integer >= 1, got '50'"),
+    "text m": (_bundled_with("m", "100"), "m must be an integer >= 2, got '100'"),
+    "bool seed": (_bundled_with("seed", True), "seed must be a nonnegative integer, got True"),
+    "text amp_range": (_bundled_with("classes.amp_range", "ab"), "'wave' amp_range must be a pair of numbers"),
+    "short t_range": (_bundled_with("t_range", [0.0]), r"t_range must be a pair of numbers \(lo, hi\), got \[0.0\]"),
+    "text truncate_at": (_bundled_with("truncate_at", "x"), "truncate_at must be a finite number or None, got 'x'"),
     "unknown key": (_bundled_with("cap", 2.0), r"unknown config keys: \['cap'\]"),
     "class not an object": (_bundled_with("classes", [1, 2]), "class must be a JSON object"),
 }
@@ -496,7 +496,11 @@ def test_benchmark_class_ranges_are_finite_intervals(key, bounds):
 
 @pytest.mark.parametrize(
     "key, value, message",
-    [("n_train", 2.5, "n_train must be an integer"), ("n_test", 0, "n_test must be >= 1"), ("m", 1.5, "m must be an integer")],
+    [
+        ("n_train", 2.5, "n_train must be an integer"),
+        ("n_test", 0, "n_test must be an integer >= 1, got 0"),
+        ("m", 1.5, "m must be an integer"),
+    ],
 )
 def test_benchmark_counts_are_integers_in_range(key, value, message):
     cfg = dataclasses.replace(load_benchmark_config(BENCHMARK_CONFIG), **{key: value})

@@ -55,13 +55,13 @@ def test_run_benchmark_writes_panels_confusions_and_summary(tmp_path):
     assert "accuracy" in proc.stdout
 
 
-def test_run_benchmark_refused_config_exits_2_and_writes_nothing(tmp_path):
+def test_run_benchmark_refused_config_exits_3_and_writes_nothing(tmp_path):
     raw = json.loads((ROOT / "configs" / "benchmark_2class.json").read_text(encoding="utf-8"))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**raw, "seed": -1}), encoding="utf-8")
     proc = run_script("run_benchmark.py", tmp_path, "--config", str(config), "--outdir", "out")
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == "error: seed must be a nonnegative integer, got -1\n"
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"error: {config}: bad benchmark config (seed must be a nonnegative integer, got -1)\n"
     assert not (tmp_path / "out").exists()
 
 
