@@ -498,7 +498,7 @@ def test_benchmark_class_ranges_are_finite_intervals(key, bounds):
     "key, value, message",
     [
         ("n_train", 2.5, "n_train must be an integer"),
-        ("n_test", 0, "n_test must be an integer >= 1, got 0"),
+        pytest.param("n_test", 0, "n_test must be an integer >= 1, got 0", id="n_test-0-n_test must be >= 1"),
         ("m", 1.5, "m must be an integer"),
     ],
 )
